@@ -18,8 +18,16 @@ conventions:
 
 from __future__ import annotations
 
+import os
 import time
 from statistics import median
+
+
+def cpus() -> int:
+    """CPUs this process may run on (recorded in every report)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def time_once(function, *args) -> float:

@@ -5,8 +5,9 @@ The obs layer instruments every worklist-kernel run through
 of having the layer *present but disabled* — the default for every
 caller that never installs an observer — is the difference between
 that entry point and the raw kernel
-:func:`repro.core.engine.closure_of_masks_fast`.  This benchmark pins
-it down on the E7 adversarial FD chain (`_workloads.chain_problem`),
+:func:`repro.core.engine.closure_of_masks_fast`, both run off one plan
+compiled outside the timed region.  This benchmark pins it down on the
+E7 adversarial FD chain (`_workloads.chain_problem`),
 the same workload the throughput benchmark uses, and asserts the
 acceptance bar: **<3% wall-clock overhead at scale 32 with sinks
 disabled**.
@@ -32,9 +33,10 @@ from pathlib import Path
 
 from repro.core.closure import closure_of_masks_instrumented
 from repro.core.engine import closure_of_masks_fast
+from repro.core.plan import compile_plan
 from repro.obs import InMemorySink, JsonlSink, Observer, install, validate_trace
 
-from _timing import ab_compare, best_of
+from _timing import ab_compare, best_of, cpus
 from _workloads import chain_problem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,21 +50,20 @@ OVERHEAD_BUDGET_PCT = 3.0
 
 def _measure(scale: int) -> dict:
     encoding, x_mask, fd_masks, mvd_masks = chain_problem(scale)
+    plan = compile_plan(encoding, fd_masks, mvd_masks)
 
     # Same fixpoint through every path (and warm the memo caches so the
     # comparison isolates the wrapper, not cold-cache noise).
-    raw = closure_of_masks_fast(encoding, x_mask, fd_masks, mvd_masks)
-    via_obs = closure_of_masks_instrumented(encoding, x_mask, fd_masks, mvd_masks)
+    raw = closure_of_masks_fast(plan, x_mask)
+    via_obs = closure_of_masks_instrumented(plan, x_mask)
     assert raw == via_obs, scale
 
     raw_s, disabled_s, median_diff = ab_compare(
-        closure_of_masks_fast, closure_of_masks_instrumented,
-        (encoding, x_mask, fd_masks, mvd_masks),
+        closure_of_masks_fast, closure_of_masks_instrumented, (plan, x_mask),
     )
 
     with install(Observer([InMemorySink()])):
-        memory_s = best_of(closure_of_masks_instrumented, encoding, x_mask,
-                           fd_masks, mvd_masks)
+        memory_s = best_of(closure_of_masks_instrumented, plan, x_mask)
 
     return {
         "scale": scale,
@@ -82,9 +83,10 @@ def _measure(scale: int) -> dict:
 def _write_trace_artifact() -> dict:
     """One traced headline-scale run, streamed to JSONL and validated."""
     encoding, x_mask, fd_masks, mvd_masks = chain_problem(HEADLINE_SCALE)
+    plan = compile_plan(encoding, fd_masks, mvd_masks)
     start = time.perf_counter()
     with install(Observer([JsonlSink(str(TRACE_PATH))])):
-        closure_of_masks_instrumented(encoding, x_mask, fd_masks, mvd_masks)
+        closure_of_masks_instrumented(plan, x_mask)
     jsonl_s = time.perf_counter() - start
     counts = validate_trace(str(TRACE_PATH))
     return {"path": TRACE_PATH.name, "jsonl_run_s": jsonl_s, **counts}
@@ -98,6 +100,7 @@ def test_obs_overhead_report(benchmark):
 
     report = {
         "workload": "E7 adversarial FD chain (chain_problem)",
+        "cpus": cpus(),
         "overhead_budget_pct": OVERHEAD_BUDGET_PCT,
         "rows": rows,
         "trace_artifact": trace,

@@ -61,7 +61,6 @@ from .core import (
     equivalent,
     get_engine,
     implies,
-    implies_all,
     implies_every,
     is_redundant,
     minimal_cover,
@@ -99,7 +98,7 @@ __all__ = [
     "FunctionalDependency", "MultivaluedDependency", "FD", "MVD",
     "DependencySet", "parse_dependency", "satisfies", "satisfies_all",
     # core
-    "implies", "implies_every", "implies_all", "closure", "dependency_basis",
+    "implies", "implies_every", "closure", "dependency_basis",
     "equivalent", "is_redundant", "minimal_cover", "compute_closure",
     "TraceRecorder", "Session",
     "available_engines", "get_engine", "set_default_engine",

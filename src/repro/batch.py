@@ -14,15 +14,15 @@ front:
 
 For large batches over big schemas the distinct LHS closures are
 independent, so step 2 can optionally fan out over a
-``concurrent.futures`` process pool: each worker receives the parent
-session's pickled :class:`~repro.core.plan.CompiledPlan` **once** (via
-the pool initializer — the plan carries the encoding, whose structural
-tables are rebuilt worker-side, plus the compiled Σ arrays, so workers
-never re-encode Σ; queries travel as plain ``int`` masks) and streams
-back ``(mask, X⁺, blocks, passes)`` triples.  Workers pay
-process start-up and pickling costs, so the parallel path is opt-in and
-only engaged when the batch leaves enough distinct closures to matter;
-the warmed pool then *persists* across batches and is released by
+``concurrent.futures`` process pool running the shared worker of
+:mod:`repro.core.worker`: tasks carry the parent session's pickled
+:class:`~repro.core.plan.CompiledPlan` (pickled once per Σ revision,
+unpickled once per worker thanks to the worker's ``(epoch, generation)``
+memo — queries travel as plain ``int`` masks) and stream back
+``(mask, X⁺, blocks, passes, ...)`` rows.  Workers pay process start-up
+and pickling costs, so the parallel path is opt-in and only engaged when
+the batch leaves enough distinct closures to matter; the warmed pool
+then *persists* across batches and Σ edits and is released by
 :meth:`BulkReasoner.shutdown` (or by using the reasoner as a context
 manager — the same pool lifecycle contract as
 :class:`repro.serve.server.ReasoningServer`).
@@ -36,18 +36,18 @@ Naming note: :meth:`BulkReasoner.implies_all` (and the module-level
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Sequence
 
 import pickle
 
 from .attributes.nested import NestedAttribute
-from .core import commands
+from .core import commands, worker
 from .core.closure import ClosureResult
-from .core.engine import closure_of_masks_fast
 from .core.plan import CompiledPlan
 from .dependencies.dependency import Dependency
 from .dependencies.sigma import DependencySet
-from .obs import InMemorySink, Observer, get_observer, install
+from .obs import get_observer
 from .reasoner import Reasoner
 from .schema import Schema
 
@@ -56,57 +56,6 @@ __all__ = ["BulkReasoner", "implies_all"]
 # Minimum number of distinct uncached left-hand sides before a process
 # pool is worth its start-up cost.
 _MIN_PARALLEL_LHS = 4
-
-# Worker-side state, installed once per worker process by _init_worker.
-_WORKER_STATE: tuple[CompiledPlan, bool] | None = None
-
-
-def _init_worker(plan_blob: bytes, collect_spans: bool = False) -> None:
-    """Pool initializer: unpickle the compiled plan once per worker.
-
-    The plan ships the encoding root (tables are rebuilt worker-side on
-    unpickle) and the already-compiled Σ arrays, so workers do no
-    re-encoding at all — one ``pickle.loads`` per worker per pool build.
-    """
-    global _WORKER_STATE
-    _WORKER_STATE = (pickle.loads(plan_blob), collect_spans)
-
-
-def _solve_mask(mask: int) -> tuple[int, int, frozenset[int], int, tuple, tuple]:
-    """Run the worklist kernel for one LHS mask in a worker process.
-
-    Returns ``(mask, X⁺, blocks, passes, spans, fired)``; ``fired`` is
-    the kernel's provenance (FDs-then-MVDs firing indices), shipped back
-    so the parent session's seeded entries keep exact retraction
-    behaviour.  When the parent's observer was enabled at pool creation,
-    the run is traced with a worker-local observer and the finished span
-    records travel back as plain dicts for the parent to
-    :meth:`~repro.obs.Observer.adopt` — worker-side timing, parent-side
-    parenting.
-    """
-    plan, collect_spans = _WORKER_STATE
-    encoding = plan.encoding
-    fired: set[int] = set()
-    if not collect_spans:
-        closure_mask, blocks, passes = closure_of_masks_fast(
-            encoding, mask, plan.fd_masks, plan.mvd_masks, fired=fired,
-            plan=plan,
-        )
-        return mask, closure_mask, blocks, passes, (), tuple(fired)
-
-    import os
-
-    from .core.closure import closure_of_masks_instrumented
-
-    sink = InMemorySink()
-    with install(Observer([sink])) as observer:
-        with observer.span("batch.worker", lhs=format(mask, "#x"),
-                           pid=os.getpid()):
-            closure_mask, blocks, passes = closure_of_masks_instrumented(
-                encoding, mask, plan.fd_masks, plan.mvd_masks, fired=fired,
-                plan=plan,
-            )
-    return mask, closure_mask, blocks, passes, tuple(sink.spans), tuple(fired)
 
 
 class BulkReasoner:
@@ -138,15 +87,20 @@ class BulkReasoner:
                                      engine=engine)
         self.workers = workers
         self._pool = None
-        self._pool_key: tuple | None = None
-        self._pool_sigma: DependencySet | None = None
+        self._pool_workers = 0
+        # Worker plan-memo key: one epoch per reasoner, one generation
+        # per compiled plan shipped (module doc of repro.core.worker).
+        self._epoch = worker.EPOCHS.next()
+        self._generation = 0
+        self._plan: CompiledPlan | None = None
+        self._plan_blob = b""
 
     # -- pool lifecycle ----------------------------------------------------
     #
     # The process pool is a context-managed resource with the same
     # contract as the server's (:class:`repro.serve.server.ReasoningServer`):
-    # created lazily, reused across batches (workers stay warm with the
-    # pickled ``(N, Σ)`` tables), and released deterministically by
+    # created lazily, reused across batches and Σ edits (workers keep
+    # their plan memo warm), and released deterministically by
     # ``shutdown()`` / ``with`` — never leaked on exception paths.
 
     def __enter__(self) -> "BulkReasoner":
@@ -163,8 +117,6 @@ class BulkReasoner:
         simply warms a fresh pool.
         """
         pool, self._pool = self._pool, None
-        self._pool_key = None
-        self._pool_sigma = None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -174,33 +126,32 @@ class BulkReasoner:
         except Exception:
             pass
 
-    def _pool_for(self, workers: int, collect_spans: bool):
-        """The persistent pool, (re)built when its warmed state is stale.
-
-        Worker processes are initialised once with the parent session's
-        pickled :class:`CompiledPlan` and whether to collect spans; the
-        pool is therefore keyed on those — an observer toggle or a Σ
-        edit through ``reasoner.session`` retires the old pool before
-        the next dispatch so workers never answer from stale tables.
-        The plan is pickled exactly once per pool build, not per task.
-        """
-        key = (workers, collect_spans)
-        sigma = self.sigma
-        if (self._pool is None or self._pool_key != key
-                or self._pool_sigma is not sigma):
+    def _pool_for(self, workers: int):
+        """The persistent pool, rebuilt only when its width changes."""
+        if self._pool is None or self._pool_workers != workers:
             self.shutdown()
             import concurrent.futures
 
-            plan_blob = pickle.dumps(self.reasoner.session.plan,
-                                     protocol=pickle.HIGHEST_PROTOCOL)
             self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(plan_blob, collect_spans),
-            )
-            self._pool_key = key
-            self._pool_sigma = sigma
+                max_workers=workers, initializer=worker.init_worker)
+            self._pool_workers = workers
         return self._pool
+
+    def _plan_payload(self) -> tuple[tuple[int, int], bytes]:
+        """``((epoch, generation), pickled plan)`` for the current Σ.
+
+        The session recompiles its plan on every Σ edit, so a new plan
+        object is a new Σ revision: it gets the next generation and is
+        pickled once.  Holding the previous plan keeps its identity from
+        being reused by a later one.
+        """
+        plan = self.reasoner.session.plan
+        if plan is not self._plan:
+            self._plan = plan
+            self._generation += 1
+            self._plan_blob = pickle.dumps(plan,
+                                           protocol=pickle.HIGHEST_PROTOCOL)
+        return (self._epoch, self._generation), self._plan_blob
 
     @property
     def schema(self) -> Schema:
@@ -295,11 +246,13 @@ class BulkReasoner:
         with obs.span("batch.prefetch", pending=len(pending),
                       workers=min(workers, len(pending)), parallel=True):
             obs.add("batch.pool_dispatches")
-            pool = self._pool_for(workers, obs.enabled)
-            for mask, closure_mask, blocks, passes, spans, fired in pool.map(
-                _solve_mask, pending,
-                chunksize=max(1, len(pending) // workers),
-            ):
+            key, plan_blob = self._plan_payload()
+            task = partial(worker.solve, key, plan_blob,
+                           span="batch.worker" if obs.enabled else None)
+            for (mask, closure_mask, blocks, passes, fired, _kernel_ns,
+                 spans) in self._pool_for(workers).map(
+                    task, pending,
+                    chunksize=max(1, len(pending) // workers)):
                 session.seed(
                     mask,
                     ClosureResult(encoding, mask, closure_mask, blocks,

@@ -16,7 +16,6 @@ from .membership import (
     dependency_basis,
     equivalent,
     implies,
-    implies_all,
     implies_every,
     is_redundant,
     minimal_cover,
@@ -34,7 +33,7 @@ __all__ = [
     "CompiledPlan", "compile_plan", "ClosureIntervalCache", "PlanCacheInfo",
     "Session", "SessionCacheInfo",
     "closure", "dependency_basis", "analyse", "implies", "implies_every",
-    "implies_all", "equivalent", "is_redundant", "minimal_cover",
+    "equivalent", "is_redundant", "minimal_cover",
     "reference_closure", "reference_dependency_basis",
     "TraceRecorder", "TraceStep",
 ]

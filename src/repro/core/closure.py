@@ -47,7 +47,7 @@ outer loop runs at most ``|SubB(N)|`` times; the overall complexity is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..attributes.encoding import BasisEncoding, iter_bits
 from ..attributes.nested import NestedAttribute
@@ -55,10 +55,8 @@ from ..dependencies.dependency import Dependency, FunctionalDependency
 from ..dependencies.sigma import DependencySet
 from ..obs import get_observer
 from .engine import KernelStats, closure_of_masks_fast
+from .plan import CompiledPlan
 from .trace import TraceRecorder
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .plan import CompiledPlan
 
 __all__ = [
     "ClosureResult",
@@ -197,7 +195,7 @@ def compute_closure(
     trace: TraceRecorder | None = None,
     kernel: str = "auto",
     stats: KernelStats | None = None,
-    plan: "CompiledPlan | None" = None,
+    plan: CompiledPlan | None = None,
 ) -> ClosureResult:
     """Run Algorithm 5.1 for ``X`` with respect to ``Σ``.
 
@@ -229,8 +227,10 @@ def compute_closure(
         Optional :class:`~repro.core.plan.CompiledPlan` compiled from
         the *same* ``(encoding, Σ)``.  When supplied (and not tracing),
         the mask tables come from the plan — Σ is not re-encoded — and
-        plan-aware engines consume the compiled arrays directly.
-        Results are bit-identical with the plan on or off.
+        the worklist engine runs off it directly; without one the
+        worklist engine compiles Σ for this call.  Callers asking many
+        questions of one Σ should compile once (or hold a
+        :class:`~repro.core.session.Session`) and pass the plan.
     """
     # Local import: ``engines`` registers adapters over this module's
     # kernels, so the dependency must point engines → closure only.
@@ -280,15 +280,12 @@ def compute_closure(
 
 
 def closure_of_masks_instrumented(
-    encoding: BasisEncoding,
+    plan: CompiledPlan,
     x_mask: int,
-    fd_masks: Sequence[tuple[int, int]],
-    mvd_masks: Sequence[tuple[int, int]],
     *,
     stats: KernelStats | None = None,
     fired: set[int] | None = None,
     warm_start: tuple[int, Iterable[int], Sequence[int]] | None = None,
-    plan: "CompiledPlan | None" = None,
 ) -> tuple[int, frozenset[int], int]:
     """The worklist kernel behind the observability layer.
 
@@ -305,25 +302,24 @@ def closure_of_masks_instrumented(
     """
     obs = get_observer()
     if not obs.enabled:
-        return closure_of_masks_fast(encoding, x_mask, fd_masks, mvd_masks,
-                                     stats=stats, fired=fired,
-                                     warm_start=warm_start, plan=plan)
+        return closure_of_masks_fast(plan, x_mask, stats=stats, fired=fired,
+                                     warm_start=warm_start)
 
+    encoding = plan.encoding
     run_stats = KernelStats()
     hits_before, misses_before = encoding.cache_totals()
     with obs.span(
         "closure.compute",
         lhs=format(x_mask, "#x"),
         size=encoding.size,
-        sigma=len(fd_masks) + len(mvd_masks),
-        fds=len(fd_masks),
-        mvds=len(mvd_masks),
+        sigma=plan.sigma_size,
+        fds=plan.fd_total,
+        mvds=plan.mvd_total,
         kernel="worklist",
-        plan=plan is not None,
     ) as span:
         closure_mask, blocks, passes = closure_of_masks_fast(
-            encoding, x_mask, fd_masks, mvd_masks, stats=run_stats,
-            fired=fired, warm_start=warm_start, plan=plan,
+            plan, x_mask, stats=run_stats, fired=fired,
+            warm_start=warm_start,
         )
         hits_after, misses_after = encoding.cache_totals()
         cache_hits = hits_after - hits_before

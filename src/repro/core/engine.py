@@ -35,29 +35,26 @@ generation count is reported as ``passes`` for API compatibility; like
 the naive pass count it is bounded by the number of state changes
 (Theorem 6.3's termination argument).
 
-A :class:`repro.core.plan.CompiledPlan` (optional ``plan=`` argument)
-replaces the per-run Σ set-up with one-time compiled structure: the
-folded dependency arrays, an *inverted* requeue index (basis bit →
-bitmask of dependency positions) that turns the per-dirty-event
-``O(|Σ|)`` relevance scan into ``O(popcount(dirty))`` lookups plus one
-walk of exactly the woken positions, and per-dependency ``Ū = 0``
-constants that skip the RHS derivations entirely once a left-hand side
-is covered.  The plan path wakes positions in the same ascending order
-the scan would and fires the same folded dependency exactly when the
-scan would fire any of its duplicates first, so ``(X⁺, DB, passes)`` —
-and ``fired`` provenance, via the plan's ``origin`` remap — are
-bit-identical with the plan on or off.
+The kernel runs off a :class:`repro.core.plan.CompiledPlan`, which
+carries all of its per-Σ set-up: the folded dependency arrays (exact
+duplicates fire once, ``fired`` provenance is remapped to original Σ
+indices through the plan's ``origin``), the *inverted* requeue index
+(basis bit → bitmask of dependency positions, so waking the dependents
+of a dirty event costs ``O(popcount(dirty))`` lookups plus one walk of
+exactly the woken positions, in ascending order), and per-dependency
+``Ū = 0`` constants that skip the RHS derivations entirely once a
+left-hand side is covered.  The plan is the kernel's only requeue path:
+callers that hold none go through the ``worklist`` engine, which
+compiles one on demand.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ..attributes.encoding import BasisEncoding, iter_bits
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan ← engine)
-    from .plan import CompiledPlan
+from ..attributes.encoding import iter_bits
+from .plan import CompiledPlan
 
 __all__ = ["KernelStats", "closure_of_masks_fast"]
 
@@ -119,83 +116,61 @@ class KernelStats:
 
 
 def closure_of_masks_fast(
-    encoding: BasisEncoding,
+    plan: CompiledPlan,
     x_mask: int,
-    fd_masks: Sequence[tuple[int, int]],
-    mvd_masks: Sequence[tuple[int, int]],
     *,
     stats: KernelStats | None = None,
     fired: set[int] | None = None,
     warm_start: tuple[int, Iterable[int], Sequence[int]] | None = None,
-    plan: "CompiledPlan | None" = None,
 ) -> tuple[int, frozenset[int], int]:
     """Worklist kernel for Algorithm 5.1; returns ``(X⁺, DB, passes)``.
 
-    Drop-in replacement for the mask-level naive kernel
-    :func:`repro.core.closure.closure_of_masks` (same inputs, same
-    outputs, no trace support — tracing wants the pass-by-pass shape).
+    Computes the same ``(X⁺, DB)`` as the mask-level naive kernel
+    :func:`repro.core.closure.closure_of_masks` over the Σ compiled into
+    ``plan`` (no trace support — tracing wants the pass-by-pass shape).
+    Callers without a plan go through the ``worklist`` engine or
+    :func:`repro.core.closure.compute_closure`, which compile one.
 
     Parameters
     ----------
+    plan:
+        The :class:`repro.core.plan.CompiledPlan` of ``(encoding, Σ)``:
+        the encoding, the folded dependency arrays, the inverted requeue
+        index and the ``Ū = 0`` constants all come from it.
     fired:
         Optional caller-supplied set collecting **provenance**: the
-        index (position in the FDs-then-MVDs firing order) of every
-        dependency whose firing *changed* ``(X_new, DB_new)``.  A
-        dependency absent from ``fired`` only ever fired as a no-op, so
-        removing it from Σ replays the identical run — the invariant
+        original Σ index (position in the FDs-then-MVDs firing order,
+        through the plan's ``origin`` remap) of every dependency whose
+        firing *changed* ``(X_new, DB_new)``.  A dependency absent from
+        ``fired`` only ever fired as a no-op, so removing it from Σ
+        replays the identical run — the invariant
         :class:`repro.core.session.Session` uses for cache retention.
     warm_start:
         Optional ``(x_plus, blocks, pending)`` resume state.  Instead of
         initialising from ``X``, the kernel starts at the supplied
         fixpoint of a *smaller* Σ (same left-hand side ``x_mask``) and
-        seeds the worklist with only the ``pending`` dependency indices
-        — the ones added since that fixpoint was computed.  Because the
+        seeds the worklist with only the ``pending`` dependencies — the
+        ones added since that fixpoint was computed, as original Σ
+        indices (mapped through the plan's ``folded_of``).  Because the
         algorithm is a monotone fixpoint computation and the old
         dependencies cannot fire productively at their own fixpoint
         (they are re-queued if the new ones dirty their inputs), the
         result is the same ``(X⁺, DB)`` as a cold run over the full Σ.
-    plan:
-        Optional :class:`repro.core.plan.CompiledPlan` compiled from the
-        *same* ``(encoding, fd_masks, mvd_masks)``.  When supplied, the
-        dependency arrays, the inverted requeue index and the ``Ū = 0``
-        constants come from the plan instead of being re-derived, and
-        exact duplicates in Σ fire once per wave (module doc).  ``fired``
-        still collects original Σ indices (the plan's ``origin`` remap)
-        and ``warm_start`` pending lists are still original indices
-        (mapped through ``folded_of``).
     """
+    encoding = plan.encoding
     pseudo_difference = encoding.pseudo_difference
     double_complement = encoding.double_complement
     possessed = encoding.possessed
     below = encoding.below
 
-    use_plan = plan is not None
-    if use_plan:
-        if (plan.fd_total != len(fd_masks)
-                or plan.mvd_total != len(mvd_masks)):
-            raise ValueError(
-                "compiled plan does not match the supplied Σ: plan has "
-                f"{plan.fd_total} FDs / {plan.mvd_total} MVDs, call has "
-                f"{len(fd_masks)} / {len(mvd_masks)}"
-            )
-        # Folded arrays and compiled indexes (module doc, plan.py).
-        deps: Sequence[tuple[int, int, bool]] = plan.deps
-        origin = plan.origin
-        requeue_masks = plan.requeue_masks
-        rhs_tilde = plan.rhs_tilde
-        rhs_singletons = plan.rhs_singletons
-        rhs_suspects = plan.rhs_suspects
-        rhs_overlap = plan.rhs_overlap
-        relevance: Sequence[int] = ()
-    else:
-        # Dependencies in the paper's firing order: FDs first, then MVDs.
-        deps = [(u, v, True) for (u, v) in fd_masks] + [
-            (u, v, False) for (u, v) in mvd_masks
-        ]
-        # Relevance mask per dependency: dirty bits meeting it trigger a
-        # re-fire.
-        relevance = [u | v for (u, v, _) in deps]
-    n_deps = len(deps)
+    # Folded arrays and compiled indexes (module doc, plan.py).
+    deps = plan.deps
+    origin = plan.origin
+    requeue_masks = plan.requeue_masks
+    rhs_tilde = plan.rhs_tilde
+    rhs_singletons = plan.rhs_singletons
+    rhs_suspects = plan.rhs_suspects
+    rhs_overlap = plan.rhs_overlap
 
     x_new = x_mask
 
@@ -279,34 +254,23 @@ def closure_of_masks_fast(
             stats.u_bar_blocks += len(seen)
         return result
 
-    # Worklist: initially every dependency, in order (or, on warm
-    # starts, only the pending ones); generations mirror the naive
-    # REPEAT passes for reporting purposes.
+    # Worklist: initially every folded position, in order (or, on warm
+    # starts, only the pending ones — original Σ indices mapped onto
+    # folded positions, deduplicated in first-seen order); generations
+    # mirror the naive REPEAT passes for reporting purposes.
     if warm_start is None:
-        queue: deque[int] = deque(range(n_deps))
-    elif use_plan:
-        # Pending entries are original Σ indices; map them onto folded
-        # positions, deduplicating while preserving first-seen order.
+        queue: deque[int] = deque(range(len(deps)))
+        queued_mask = (1 << len(deps)) - 1
+    else:
         folded_of = plan.folded_of
-        pending: list[int] = []
-        pending_mask = 0
+        queue = deque()
+        queued_mask = 0  # int bitmask over folded positions
         for index in warm_start[2]:
             position = folded_of[index]
             bit = 1 << position
-            if not pending_mask & bit:
-                pending_mask |= bit
-                pending.append(position)
-        queue = deque(pending)
-    else:
-        queue = deque(warm_start[2])
-    if use_plan:
-        queued_mask = 0  # int bitmask over folded positions
-        for position in queue:
-            queued_mask |= 1 << position
-    else:
-        queued = [False] * n_deps
-        for position in queue:
-            queued[position] = True
+            if not queued_mask & bit:
+                queued_mask |= bit
+                queue.append(position)
     passes = 1
     firings = 0
     requeues = 0
@@ -325,17 +289,14 @@ def closure_of_masks_fast(
         generation_left -= 1
 
         position = queue.popleft()
-        if use_plan:
-            queued_mask &= ~(1 << position)
-        else:
-            queued[position] = False
+        queued_mask &= ~(1 << position)
         u_mask, v_mask, is_fd = deps[position]
         firings += 1
 
         ub = u_bar(u_mask)
         # Ū = λ is the steady state once X_new covers the LHS; the plan
         # carries Ṽ = V ∸ λ (and everything derived from it) precomputed.
-        zero_u = use_plan and not ub
+        zero_u = not ub
         v_tilde = rhs_tilde[position] if zero_u else pseudo_difference(v_mask, ub)
         if not v_tilde:
             skipped += 1
@@ -416,31 +377,21 @@ def closure_of_masks_fast(
                 changed = True
 
         if changed and fired is not None:
-            fired.add(origin[position] if use_plan else position)
+            fired.add(origin[position])
         if dirty:
             if track_dirty:
                 dirty_total += dirty.bit_count()
-            if use_plan:
-                # Inverted index: OR the position-masks of the dirty
-                # bits, drop the already-queued, wake the rest in
-                # ascending order — exactly the positions (and order)
-                # the plan-less relevance scan below would enqueue.
-                wake = 0
-                for i in iter_bits(dirty):
-                    wake |= requeue_masks[i]
-                scanned += wake.bit_count()
-                wake &= ~queued_mask
-                queued_mask |= wake
-                for other in iter_bits(wake):
-                    queue.append(other)
-                    requeues += 1
-            else:
-                scanned += n_deps
-                for other, mask in enumerate(relevance):
-                    if mask & dirty and not queued[other]:
-                        queued[other] = True
-                        queue.append(other)
-                        requeues += 1
+            # Inverted index: OR the position-masks of the dirty bits,
+            # drop the already-queued, wake the rest in ascending order.
+            wake = 0
+            for i in iter_bits(dirty):
+                wake |= requeue_masks[i]
+            scanned += wake.bit_count()
+            wake &= ~queued_mask
+            queued_mask |= wake
+            for other in iter_bits(wake):
+                queue.append(other)
+                requeues += 1
 
     if stats is not None:
         stats.runs += 1

@@ -9,7 +9,7 @@ entry point with a uniform mask-level calling convention::
     engine = get_engine("worklist")          # or None for the default
     x_plus, blocks, passes = engine.run(
         encoding, x_mask, fd_masks, mvd_masks,
-        stats=stats, fired=fired, warm_start=warm_start,
+        stats=stats, fired=fired, warm_start=warm_start, plan=plan,
     )
 
 All registered engines are bit-identical on ``(X⁺, DB)`` — the corpus
@@ -18,7 +18,9 @@ and capabilities:
 
 ``worklist``
     The dirty-set kernel (:func:`repro.core.engine.closure_of_masks_fast`
-    behind the observability wrapper).  Supports warm starts and exact
+    behind the observability wrapper), run off the supplied
+    :class:`~repro.core.plan.CompiledPlan` — or off one compiled for the
+    call when ``plan`` is ``None``.  Supports warm starts and exact
     provenance.  The default.
 ``naive``
     The pass-by-pass transcription of the paper's pseudocode.  Supports
@@ -30,6 +32,9 @@ and capabilities:
     The structural implementation over ``NestedAttribute`` values —
     deliberately slow, deliberately encoding-free.  No warm starts; its
     provenance is the conservative "all of Σ".
+
+Only the worklist engine reads ``plan``; the other two take it and
+ignore it, so a caller can always pass the plan it holds.
 
 The *default* engine is process-global state consulted by every caller
 that does not pin a name (``get_engine(None)``); the CLI's ``--engine``
@@ -45,7 +50,7 @@ from typing import Iterable, Protocol, Sequence
 from ..attributes.encoding import BasisEncoding
 from ..dependencies.dependency import FunctionalDependency, MultivaluedDependency
 from .engine import KernelStats
-from .plan import CompiledPlan
+from .plan import CompiledPlan, compile_plan
 from .reference import reference_closure
 
 __all__ = [
@@ -69,7 +74,7 @@ class _RunFn(Protocol):
         stats: KernelStats | None = None,
         fired: set[int] | None = None,
         warm_start: tuple[int, Iterable[int], Sequence[int]] | None = None,
-        plan: "CompiledPlan | None" = None,
+        plan: CompiledPlan | None = None,
     ) -> tuple[int, frozenset[int], int]: ...
 
 
@@ -91,19 +96,12 @@ class Engine:
     supports_trace:
         Whether the underlying kernel can replay pass-by-pass traces
         (only the naive transcription can).
-    supports_plan:
-        Whether :meth:`run` consumes a
-        :class:`~repro.core.plan.CompiledPlan`.  Engines without plan
-        support silently ignore the argument — every engine's result is
-        bit-identical with or without a plan, so dropping it only costs
-        the speed-up, never correctness.
     """
 
     name: str
     description: str
     supports_warm_start: bool
     supports_trace: bool
-    supports_plan: bool
     _run: _RunFn = field(repr=False)
 
     def run(
@@ -125,14 +123,12 @@ class Engine:
         smaller-Σ fixpoint ``(x_plus, blocks, pending_indices)`` when
         :attr:`supports_warm_start` — it is a programming error to pass
         one otherwise.  ``plan`` optionally supplies the compiled form
-        of the same Σ; it is ignored unless :attr:`supports_plan`.
+        of the same Σ (module doc).
         """
         if warm_start is not None and not self.supports_warm_start:
             raise ValueError(
                 f"engine {self.name!r} does not support warm starts"
             )
-        if plan is not None and not self.supports_plan:
-            plan = None
         return self._run(
             encoding, x_mask, fd_masks, mvd_masks,
             stats=stats, fired=fired, warm_start=warm_start, plan=plan,
@@ -209,9 +205,16 @@ def _worklist_run(
     # direct — shows up as a ``closure.compute`` span when tracing is on.
     from .closure import closure_of_masks_instrumented
 
+    if plan is None:
+        plan = compile_plan(encoding, fd_masks, mvd_masks)
+    elif plan.fd_total != len(fd_masks) or plan.mvd_total != len(mvd_masks):
+        raise ValueError(
+            "compiled plan does not match the supplied Σ: plan has "
+            f"{plan.fd_total} FDs / {plan.mvd_total} MVDs, call has "
+            f"{len(fd_masks)} / {len(mvd_masks)}"
+        )
     return closure_of_masks_instrumented(
-        encoding, x_mask, fd_masks, mvd_masks,
-        stats=stats, fired=fired, warm_start=warm_start, plan=plan,
+        plan, x_mask, stats=stats, fired=fired, warm_start=warm_start,
     )
 
 
@@ -274,10 +277,9 @@ def _reference_run(
 
 register_engine(Engine(
     name="worklist",
-    description="dirty-set worklist kernel (fast; warm starts, provenance, plans)",
+    description="dirty-set worklist kernel over a compiled plan (fast; warm starts, provenance)",
     supports_warm_start=True,
     supports_trace=False,
-    supports_plan=True,
     _run=_worklist_run,
 ))
 register_engine(Engine(
@@ -285,7 +287,6 @@ register_engine(Engine(
     description="pass-by-pass pseudocode transcription (traceable)",
     supports_warm_start=True,
     supports_trace=True,
-    supports_plan=False,
     _run=_naive_run,
 ))
 register_engine(Engine(
@@ -293,6 +294,5 @@ register_engine(Engine(
     description="structural NestedAttribute implementation (slow; differential oracle)",
     supports_warm_start=False,
     supports_trace=False,
-    supports_plan=False,
     _run=_reference_run,
 ))

@@ -18,7 +18,6 @@ facade does this automatically).
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable
 
 from ..attributes.encoding import BasisEncoding
@@ -32,7 +31,6 @@ __all__ = [
     "dependency_basis",
     "implies",
     "implies_every",
-    "implies_all",
     "equivalent",
     "is_redundant",
     "minimal_cover",
@@ -101,45 +99,16 @@ def implies_every(sigma: DependencySet, dependencies: Iterable[Dependency],
                   *, encoding: BasisEncoding | None = None) -> bool:
     """Whether ``Σ`` implies **every** given dependency (one boolean).
 
-    Dependencies sharing a left-hand side reuse a single Algorithm 5.1
-    run.  Formerly named ``implies_all``; renamed to resolve the
-    collision with :func:`repro.batch.implies_all`, which answers the
-    same kind of batch with one verdict *per query* (and optional
-    process-pool fan-out) instead of a single conjunction.
+    The questions run on one :class:`~repro.core.session.Session`, so
+    Σ is compiled once and dependencies sharing a left-hand side reuse
+    a single Algorithm 5.1 run.  For one verdict *per query* (and
+    optional process-pool fan-out) use :func:`repro.batch.implies_all`.
     """
-    enc = _encoding_for(sigma.root, encoding)
-    results: dict[NestedAttribute, ClosureResult] = {}
-    for dependency in dependencies:
-        dependency.validate(sigma.root)
-        result = results.get(dependency.lhs)
-        if result is None:
-            result = compute_closure(enc, dependency.lhs, sigma)
-            results[dependency.lhs] = result
-        rhs_mask = enc.encode(dependency.rhs)
-        if isinstance(dependency, FunctionalDependency):
-            if not result.implies_fd_rhs(rhs_mask):
-                return False
-        else:
-            if not result.implies_mvd_rhs(rhs_mask):
-                return False
-    return True
+    from .session import Session
 
-
-def implies_all(sigma: DependencySet, dependencies: Iterable[Dependency],
-                *, encoding: BasisEncoding | None = None) -> bool:
-    """Deprecated alias of :func:`implies_every`.
-
-    Kept for one release so existing imports keep working; prefer
-    :func:`implies_every` (boolean conjunction) or
-    :func:`repro.batch.implies_all` (per-query verdicts).
-    """
-    warnings.warn(
-        "repro.core.membership.implies_all was renamed to implies_every "
-        "(repro.batch.implies_all is the per-query batch API)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return implies_every(sigma, dependencies, encoding=encoding)
+    session = Session(sigma.root, sigma,
+                      encoding=_encoding_for(sigma.root, encoding))
+    return all(session.implies(dependency) for dependency in dependencies)
 
 
 def equivalent(first: DependencySet, second: DependencySet,

@@ -6,9 +6,9 @@ dependency, and the per-dependency right-hand-side constants the firing
 rules recompute on every productive pass.  All of it is invariant for
 the life of a ``(encoding, Σ)`` pair, so :func:`compile_plan` derives it
 **once** into a :class:`CompiledPlan` — a frozen, picklable artifact the
-worklist kernel (:func:`repro.core.engine.closure_of_masks_fast`),
-:class:`repro.core.session.Session`, the :mod:`repro.batch` pool workers
-and the :mod:`repro.serve` offload workers all consume.
+worklist kernel (:func:`repro.core.engine.closure_of_masks_fast`) runs
+off, which :class:`repro.core.session.Session` owns and the shared pool
+worker (:mod:`repro.core.worker`) receives pickled.
 
 The plan holds three things:
 
@@ -17,7 +17,7 @@ The plan holds three things:
    folded to their first occurrence.  Duplicates cannot change the
    fixpoint — Algorithm 5.1's output is the semantic ``(X⁺, DepB(X))``
    and ``Σ`` is logically a set — so firing each distinct dependency
-   once per dirty wave is bit-identical on ``(X⁺, DB, passes)``.  The
+   once per dirty wave reaches the same ``(X⁺, DB)``.  The
    ``origin`` remap (folded position → first original index) keeps
    ``ClosureResult.fired`` provenance in the *original* Σ indexing, and
    ``folded_of`` (original index → folded position) maps warm-start
@@ -27,8 +27,8 @@ The plan holds three things:
    bitmask over folded positions of every dependency whose relevance
    mask contains that basis bit.  The kernel's requeue step ORs the
    masks of the dirty bits and wakes exactly those positions —
-   ``O(popcount(dirty))`` index lookups instead of the ``O(|Σ|)``
-   ``enumerate(relevance)`` scan per dirty event.
+   ``O(popcount(dirty))`` index lookups instead of an ``O(|Σ|)`` scan
+   of every relevance mask per dirty event.
 
 3. **Per-dependency Ū = 0 constants.**  When ``Ū = λ`` (the common case
    once ``X_new`` covers a left-hand side), ``Ṽ = V ∸ λ`` and everything
@@ -39,7 +39,7 @@ The plan holds three things:
 
 Every field is an ``int`` or a tuple built in deterministic order, so
 compiling the same Σ twice produces **byte-identical pickles** — the
-property the serve workers' ``(epoch, generation)`` memo and the CI
+property the pool workers' ``(epoch, generation)`` memo and the CI
 determinism smoke rely on.
 
 :class:`ClosureIntervalCache` rides on top: a bounded

@@ -384,9 +384,9 @@ class Session:
         Compiled lazily on first use after an edit; recompilation is
         incremental — per-dependency constants are reused from the
         previous plan for every Σ-member the edit kept (see
-        :func:`repro.core.plan.compile_plan`).  The batch pool and the
-        serve offload workers ship this object, pickled, once per
-        ``(session, epoch, generation)``.
+        :func:`repro.core.plan.compile_plan`).  The pool workers of
+        :mod:`repro.core.worker` receive this object pickled and memoise
+        it per ``(epoch, generation)``.
         """
         plan = self._plan
         if plan is None:
@@ -421,7 +421,7 @@ class Session:
     def _run(self, mask: int, fired: set[int], warm_start, *, warm: bool,
              counter: str) -> tuple[int, frozenset[int], int]:
         fd_masks, mvd_masks, _ = self._mask_tables()
-        plan = self.plan if self._engine.supports_plan else None
+        plan = self.plan
         obs = get_observer()
         if not obs.enabled:
             return self._engine.run(

@@ -32,7 +32,7 @@ from ..attributes.encoding import BasisEncoding, iter_bits
 from ..attributes.nested import NestedAttribute
 from ..dependencies.dependency import MultivaluedDependency
 from ..dependencies.sigma import DependencySet
-from ..core.closure import compute_closure
+from ..core.session import Session
 
 __all__ = ["DecompositionStep", "Decomposition", "decompose_4nf"]
 
@@ -119,6 +119,9 @@ def decompose_4nf(sigma: DependencySet,
     2
     """
     enc = BasisEncoding.of(sigma.root, encoding)
+    # One session for every component: Σ is compiled once and a
+    # left-hand side shared by several components is computed once.
+    session = Session(sigma.root, sigma, encoding=enc)
 
     final: list[int] = []
     steps: list[DecompositionStep] = []
@@ -126,7 +129,7 @@ def decompose_4nf(sigma: DependencySet,
 
     while pending:
         z_mask = pending.pop()
-        split = _find_split(enc, sigma, z_mask, exhaustive)
+        split = _find_split(session, z_mask, exhaustive)
         if split is None:
             final.append(z_mask)
             continue
@@ -154,7 +157,7 @@ def decompose_4nf(sigma: DependencySet,
     )
 
 
-def _find_split(enc: BasisEncoding, sigma: DependencySet, z_mask: int,
+def _find_split(session: Session, z_mask: int,
                 exhaustive: bool) -> tuple[int, int] | None:
     """A violating ``(X, Y)`` inside the component, or ``None`` if clean.
 
@@ -162,8 +165,10 @@ def _find_split(enc: BasisEncoding, sigma: DependencySet, z_mask: int,
     non-trivial *within Z* and have ``X`` short of determining all of
     ``Z`` (the component-superkey condition: ``X⁺ ⊉ Z``).
     """
-    for lhs_mask in _candidate_lhs_masks(enc, sigma, z_mask, exhaustive):
-        result = compute_closure(enc, lhs_mask, sigma)
+    enc = session.encoding
+    for lhs_mask in _candidate_lhs_masks(enc, session.sigma, z_mask,
+                                         exhaustive):
+        result = session.result_for_mask(lhs_mask)
         if z_mask & ~result.closure_mask == 0:
             continue  # lhs determines the whole component
         for member in result.dependency_basis_masks():

@@ -19,6 +19,7 @@ from ..attributes.encoding import BasisEncoding
 from ..attributes.nested import NestedAttribute
 from ..dependencies.sigma import DependencySet
 from ..core.closure import compute_closure
+from ..core.session import Session
 
 __all__ = ["is_superkey", "candidate_keys"]
 
@@ -54,15 +55,9 @@ def candidate_keys(sigma: DependencySet,
     found at a smaller size.
     """
     enc = BasisEncoding.of(sigma.root, encoding)
-
-    closures: dict[int, int] = {}
-
-    def closure_mask(mask: int) -> int:
-        cached = closures.get(mask)
-        if cached is None:
-            cached = compute_closure(enc, mask, sigma).closure_mask
-            closures[mask] = cached
-        return cached
+    # One session for the whole search: Σ is compiled once, and its
+    # closure caches answer repeated and interval-covered candidates.
+    closure_mask = Session(sigma.root, sigma, encoding=enc).closure_mask_for
 
     found: list[int] = []
     # Only generators that are maximal within their own down-set matter;

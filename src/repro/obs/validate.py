@@ -23,8 +23,7 @@ __all__ = ["REQUIRED_ATTRS", "COMPLETION_ATTRS", "validate_records",
 
 #: Attribute keys every span of a given name must carry (set at open).
 REQUIRED_ATTRS: dict[str, tuple[str, ...]] = {
-    "closure.compute": ("lhs", "size", "sigma", "fds", "mvds", "kernel",
-                        "plan"),
+    "closure.compute": ("lhs", "size", "sigma", "fds", "mvds", "kernel"),
     "plan.compile": ("size", "sigma", "fds", "mvds", "incremental"),
     "reasoner.query": ("lhs", "cached"),
     "session.query": ("lhs", "cached", "engine", "warm"),

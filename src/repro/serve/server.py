@@ -12,22 +12,21 @@ server:
   (``serve.evict`` spans, reason ``"lru"`` or ``"idle"``).
 
 * **Worker offload** — cold closures are CPU-bound kernel runs; with
-  ``workers > 0`` they are dispatched to a ``ProcessPoolExecutor`` so
-  the event loop stays responsive and multiple cold requests compute in
-  parallel.  The parent ships the session's pickled
+  ``workers > 0`` they are dispatched to a ``ProcessPoolExecutor``
+  running the shared worker of :mod:`repro.core.worker`, so the event
+  loop stays responsive and multiple cold requests compute in parallel.
+  The parent ships the session's pickled
   :class:`~repro.core.plan.CompiledPlan` — serialised **once** per
   ``(session, epoch, generation)`` (:meth:`ManagedSession.plan_payload`)
   — and workers memoise the unpickled plan per ``(epoch, generation)``
-  (the :class:`repro.batch.BulkReasoner` pickled-plan warm-up; the
-  epoch is a server-unique id minted per opened session so a name
-  re-opened after close/eviction/``replace`` never hits a plan warmed
-  for its predecessor, and the generation changes because served
-  sessions *edit* Σ), and
-  ship back ``(X⁺, DB, fired)`` so the parent seeds its session cache
-  with exact provenance — hot left-hand sides are then answered inline
-  from the cache without touching the pool.  Σ edits bump the session's
-  generation; an offloaded result computed against a stale generation
-  is discarded and re-dispatched, never seeded.
+  (the epoch is minted per opened session so a name re-opened after
+  close/eviction/``replace`` never hits a plan warmed for its
+  predecessor, and the generation changes because served sessions
+  *edit* Σ), and ship back ``(X⁺, DB, fired)`` so the parent seeds its
+  session cache with exact provenance — hot left-hand sides are then
+  answered inline from the cache without touching the pool.  Σ edits
+  bump the session's generation; an offloaded result computed against
+  a stale generation is discarded and re-dispatched, never seeded.
 
 * **Backpressure + deadlines** — at most ``max_inflight`` requests run
   server-wide and at most ``max_pending_per_conn`` per connection;
@@ -58,9 +57,8 @@ from typing import Any, Iterable
 
 from ..attributes.nested import NestedAttribute
 from ..attributes.parser import parse_attribute
-from ..core import commands
+from ..core import commands, worker
 from ..core.closure import ClosureResult
-from ..core.engine import closure_of_masks_fast
 from ..core.session import Session
 from ..dependencies.dependency import Dependency
 from ..exceptions import ReproError
@@ -79,65 +77,6 @@ from .protocol import (
 )
 
 __all__ = ["ServeConfig", "SessionManager", "ReasoningServer"]
-
-
-# --------------------------------------------------------------------------
-# Worker side (runs in pool processes)
-
-#: Per-worker memo of unpickled plans, keyed by (session epoch, generation).
-_WORKER_TABLES: OrderedDict | None = None
-
-#: How many (session, generation) plans one worker keeps warm.
-_WORKER_MEMO_LIMIT = 8
-
-
-def _init_serve_worker() -> None:
-    """Pool initializer: create the per-worker plan memo."""
-    global _WORKER_TABLES
-    _WORKER_TABLES = OrderedDict()
-
-
-def _solve_serve(epoch: int, generation: int, plan_blob: bytes,
-                 mask: int) -> tuple[int, int, frozenset[int], int, tuple, int]:
-    """Run the worklist kernel for one LHS mask in a worker process.
-
-    The expensive part — unpickling the
-    :class:`~repro.core.plan.CompiledPlan` (which rebuilds the
-    encoding's structural tables) — is memoised per
-    ``(epoch, generation)`` so a burst of cold closures against one
-    session pays it once per worker, exactly the
-    :func:`repro.batch._init_worker` pickled-plan warm-up adapted to
-    mutable Σ.  On a memo hit ``plan_blob`` is not even deserialised.
-    ``epoch`` is the session's server-unique id
-    (:attr:`ManagedSession.epoch`), *not* its name: a name re-opened
-    after close/eviction/``replace`` restarts at generation 0, so
-    keying by name would silently serve a plan warmed for the previous
-    session's schema and Σ.
-    Returns ``(mask, X⁺, blocks, passes, fired, kernel_ns)``; ``fired``
-    uses the FDs-then-MVDs index order the parent's
-    :meth:`Session.seed` expects (the plan's ``origin`` remap reports
-    original Σ indices even though duplicates fire folded).
-    """
-    global _WORKER_TABLES
-    if _WORKER_TABLES is None:   # tolerate pools without the initializer
-        _WORKER_TABLES = OrderedDict()
-    key = (epoch, generation)
-    plan = _WORKER_TABLES.get(key)
-    if plan is None:
-        plan = pickle.loads(plan_blob)
-        _WORKER_TABLES[key] = plan
-        while len(_WORKER_TABLES) > _WORKER_MEMO_LIMIT:
-            _WORKER_TABLES.popitem(last=False)
-    else:
-        _WORKER_TABLES.move_to_end(key)
-    fired: set[int] = set()
-    started = time.monotonic_ns()
-    closure_mask, blocks, passes = closure_of_masks_fast(
-        plan.encoding, mask, plan.fd_masks, plan.mvd_masks, fired=fired,
-        plan=plan,
-    )
-    return (mask, closure_mask, blocks, passes, tuple(sorted(fired)),
-            time.monotonic_ns() - started)
 
 
 # --------------------------------------------------------------------------
@@ -214,31 +153,6 @@ class ServeConfig:
 # --------------------------------------------------------------------------
 # Session management
 
-class _EpochMint:
-    """Mints :attr:`ManagedSession.epoch` values; ``reserve`` lets
-    recovery jump the mint past every epoch it restored from disk, so
-    a session opened after a restart can never collide with a restored
-    one in a worker's plan memo."""
-
-    __slots__ = ("_next",)
-
-    def __init__(self) -> None:
-        self._next = 1
-
-    def next(self) -> int:
-        value = self._next
-        self._next += 1
-        return value
-
-    def reserve(self, floor: int) -> None:
-        self._next = max(self._next, floor)
-
-
-#: Module-global so epochs stay unique even across several managers
-#: sharing one worker pool.
-_SESSION_EPOCHS = _EpochMint()
-
-
 class ManagedSession:
     """A named :class:`Session` plus its server-side bookkeeping."""
 
@@ -251,7 +165,7 @@ class ManagedSession:
         #: Server-unique id for this *opening* of the name — two sessions
         #: never share an epoch, even when one replaces the other under
         #: the same name.  Worker-side plan memos key on it.
-        self.epoch = _SESSION_EPOCHS.next()
+        self.epoch = worker.EPOCHS.next()
         #: Bumped on every Σ edit; offloaded results are only seeded
         #: when the generation they were computed for is still current.
         self.generation = 0
@@ -348,7 +262,7 @@ class SessionManager:
                             replace=True)
         managed.epoch = epoch
         managed.generation = generation
-        _SESSION_EPOCHS.reserve(epoch + 1)
+        worker.EPOCHS.reserve(epoch + 1)
         self.counters["serve.sessions_opened"] -= 1
         self.counters["serve.sessions_restored"] += 1
         return managed
@@ -550,7 +464,7 @@ class ReasoningServer:
 
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.config.workers,
-                initializer=_init_serve_worker,
+                initializer=worker.init_worker,
             )
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
@@ -1122,9 +1036,10 @@ class ReasoningServer:
                           lhs=format(mask, "#x")) as span:
                 try:
                     (_mask, closure_mask, blocks, passes, fired,
-                     kernel_ns) = await loop.run_in_executor(
-                        self._pool, _solve_serve, managed.epoch, generation,
-                        managed.plan_payload(), mask)
+                     kernel_ns, _spans) = await loop.run_in_executor(
+                        self._pool, worker.solve,
+                        (managed.epoch, generation), managed.plan_payload(),
+                        mask)
                 except RuntimeError:
                     # Pool torn down mid-flight (shutdown race): fall
                     # back to the inline path below.

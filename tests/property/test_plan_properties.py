@@ -5,11 +5,13 @@ Three families of laws back the plan subsystem:
 * the **closure operator laws** (extensive, monotone, idempotent) — the
   exact algebraic facts the interval rule ``X' ≤ X ≤ X'⁺ ⇒ X⁺ = X'⁺``
   is derived from, so they are pinned here on random ``(root, Σ)``;
-* **plan transparency** — the kernel with a compiled plan is
-  bit-identical to the plan-less kernel on ``(X⁺, DB, passes)`` *and*
-  provenance, for arbitrary Σ including exact duplicates;
+* **plan transparency** — the kernel over a compiled plan is
+  bit-identical to the naive transcription (which takes Σ as given) on
+  ``(X⁺, DB)``, for arbitrary Σ including exact duplicates, and its
+  provenance is exact: Σ cut down to the dependencies in ``fired``
+  reaches the same fixpoint;
 * **interval answers are real answers** — every ``closure_mask_for``
-  from a lived-in session equals a cold plan-less kernel run.
+  from a lived-in session equals a cold kernel run.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Session
-from repro.core.closure import _as_mask_sigma
+from repro.core.closure import _as_mask_sigma, closure_of_masks
 from repro.core.engine import closure_of_masks_fast
 from repro.core.plan import compile_plan
 
@@ -33,7 +35,7 @@ def _sigma_masks(encoding, sigma):
 @given(roots_with_sigma(), st.data())
 def test_closure_operator_laws(root_encoding_sigma, data):
     root, encoding, sigma = root_encoding_sigma
-    fd_masks, mvd_masks = _sigma_masks(encoding, sigma)
+    plan = compile_plan(encoding, *_sigma_masks(encoding, sigma))
 
     x = encoding.down_close(
         data.draw(st.integers(min_value=0, max_value=encoding.full))
@@ -43,7 +45,7 @@ def test_closure_operator_laws(root_encoding_sigma, data):
     )
 
     def plus(mask):
-        return closure_of_masks_fast(encoding, mask, fd_masks, mvd_masks)[0]
+        return closure_of_masks_fast(plan, mask)[0]
 
     x_plus = plus(x)
     assert x & ~x_plus == 0                     # extensive: X ≤ X⁺
@@ -67,25 +69,28 @@ def test_plan_is_transparent_to_the_kernel(root_encoding_sigma, data):
     x = encoding.down_close(
         data.draw(st.integers(min_value=0, max_value=encoding.full))
     )
-    fired_off: set[int] = set()
-    fired_on: set[int] = set()
-    off = closure_of_masks_fast(encoding, x, fd_masks, mvd_masks,
-                                fired=fired_off)
-    on = closure_of_masks_fast(encoding, x, fd_masks, mvd_masks,
-                               fired=fired_on, plan=plan)
-    assert on == off                            # (X⁺, DB, passes)
-    # Plan provenance folds duplicates to their first original index;
-    # modulo that remap the fired sets must agree.
-    folded = plan.folded_of
-    assert ({folded[i] for i in fired_on}
-            == {folded[i] for i in fired_off})
+    fired_planned: set[int] = set()
+    naive = closure_of_masks(encoding, x, fd_masks, mvd_masks)
+    planned = closure_of_masks_fast(plan, x, fired=fired_planned)
+    assert planned[:2] == naive[:2]             # (X⁺, DB)
+    # Provenance names original indices (duplicates fold to the first).
+    # Every other dependency only fired as a no-op, so dropping all of
+    # them at once reaches the same fixpoint.
+    fds = len(fd_masks)
+    kept = closure_of_masks(
+        encoding, x,
+        [pair for i, pair in enumerate(fd_masks) if i in fired_planned],
+        [pair for i, pair in enumerate(mvd_masks)
+         if fds + i in fired_planned],
+    )
+    assert kept[:2] == naive[:2]
 
 
 @settings(max_examples=40, deadline=None)
 @given(roots_with_sigma(), st.data())
 def test_session_interval_answers_equal_cold_runs(root_encoding_sigma, data):
     root, encoding, sigma = root_encoding_sigma
-    fd_masks, mvd_masks = _sigma_masks(encoding, sigma)
+    plan = compile_plan(encoding, *_sigma_masks(encoding, sigma))
     session = Session(root, sigma, encoding=encoding)
 
     masks = [
@@ -100,7 +105,7 @@ def test_session_interval_answers_equal_cold_runs(root_encoding_sigma, data):
         if index and data.draw(st.booleans()):
             mask |= masks[data.draw(st.integers(min_value=0,
                                                 max_value=index - 1))]
-        cold = closure_of_masks_fast(encoding, mask, fd_masks, mvd_masks)[0]
+        cold = closure_of_masks_fast(plan, mask)[0]
         assert session.closure_mask_for(mask) == cold, format(mask, "#x")
     info = session.cache_info()
     answered = (info.hits + info.plan.exact_hits + info.plan.interval_hits

@@ -7,6 +7,7 @@ from repro.attributes import BasisEncoding
 from repro.attributes.nested import Flat, ListAttr, Record
 from repro.core.closure import closure_of_masks, compute_closure
 from repro.core.engine import KernelStats, closure_of_masks_fast
+from repro.core.plan import compile_plan
 from repro.core.trace import TraceRecorder
 
 
@@ -42,7 +43,7 @@ class TestBitIdentical:
         enc = BasisEncoding(root)
         fds = [(120, 21)]
         naive = closure_of_masks(enc, 29, fds, [])
-        fast = closure_of_masks_fast(enc, 29, fds, [])
+        fast = closure_of_masks_fast(compile_plan(enc, fds, []), 29)
         assert naive[0] == fast[0]
         assert naive[1] == fast[1]
 

@@ -61,7 +61,6 @@ class TestRegistry:
             description="test-only",
             supports_warm_start=False,
             supports_trace=False,
-            supports_plan=False,
             _run=lambda *a, **k: (0, frozenset(), 0),
         )
         register_engine(probe)

@@ -94,28 +94,18 @@ class TestImpliesEvery:
     def test_empty_targets(self, sigma):
         assert implies_every(sigma, [])
 
-    def test_implies_all_alias_warns_and_agrees(self, root, sigma):
-        from repro.core.membership import implies_all
+    def test_membership_alias_is_gone(self):
+        """``implies_all`` names only the per-query batch API now."""
+        import repro
+        import repro.core
+        import repro.core.membership
 
-        targets = [parse_dependency("R(A) -> R(C)", root)]
-        with pytest.warns(DeprecationWarning, match="implies_every"):
-            assert implies_all(sigma, targets) == implies_every(sigma, targets)
-
-    def test_alias_warning_disambiguates_both_surfaces(self, root, sigma):
-        """The message must steer readers to *both* replacements: the
-        conjunction (implies_every) and the per-query batch API."""
-        from repro.core.membership import implies_all
-
-        targets = [parse_dependency("R(A) -> R(C)", root)]
-        with pytest.warns(DeprecationWarning) as caught:
-            implies_all(sigma, targets)
-        message = str(caught[0].message)
-        assert "implies_every" in message
-        assert "repro.batch.implies_all" in message
+        for module in (repro, repro.core, repro.core.membership):
+            assert not hasattr(module, "implies_all"), module
+            assert "implies_all" not in module.__all__, module
 
     def test_batch_implies_all_does_not_warn(self, root, sigma):
-        """Only the membership alias is deprecated — the batch facade of
-        the same name is the blessed per-query API and stays silent."""
+        """The batch facade is the per-query API and stays silent."""
         import warnings as _warnings
 
         from repro.batch import implies_all as batch_implies_all

@@ -76,6 +76,19 @@ class TestCandidateKeys:
         keys = candidate_keys(sigma)
         assert keys == (s("R(L[B])", root),)
 
+    def test_sigma_is_compiled_once_per_search(self):
+        from repro.obs import Observer, install
+
+        root = p("R(A, B, C, D)")
+        sigma = DependencySet.parse(root, ["R(A) -> R(B)", "R(B) -> R(C)",
+                                           "R(C, D) ->> R(A)"])
+        with install(Observer()) as observer:
+            keys = candidate_keys(sigma)
+            counters = observer.metrics.snapshot()["counters"]
+        assert keys == (s("R(A, D)", root),)
+        assert counters["closure.runs"] > 1     # many closures asked ...
+        assert counters["plan.compiles"] == 1   # ... of one compiled Σ
+
     def test_generator_budget_respected(self):
         root = p("R(A, B, C, D, E)")
         sigma = DependencySet(root)  # only the root itself is a key

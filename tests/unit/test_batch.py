@@ -259,24 +259,29 @@ class TestPoolLifecycle:
                 bulk.implies_all(["Pubcrawl(Nope) -> Pubcrawl(Person)"])
         assert bulk._pool is None
 
-    def test_sigma_edit_retires_the_warmed_pool(self, schema, sigma):
+    def test_sigma_edit_keeps_the_warmed_pool(self, schema, sigma):
+        edit = "Pubcrawl(Visit[λ]) -> Pubcrawl(Person)"
         with BulkReasoner(schema, sigma, workers=2) as bulk:
             bulk.implies_all(QUERIES)
-            stale = bulk._pool
-            bulk.reasoner.session.add(
-                "Pubcrawl(Visit[λ]) -> Pubcrawl(Person)")
+            warm = bulk._pool
+            bulk.reasoner.session.add(edit)
             bulk.cache_clear()
-            bulk.implies_all(QUERIES)
-            # workers initialised with the old Σ must not answer for the new
-            assert bulk._pool is not stale
+            edited = bulk.implies_all(QUERIES)
+            # the edit changes the plan key, not the pool: workers
+            # answer from the new plan, never the memoised old one
+            assert bulk._pool is warm
+        assert edited == [True, True, True, True, True]   # was [..., F, F]
 
-    def test_observer_toggle_retires_the_warmed_pool(self, schema, sigma):
-        from repro.obs import Observer, install
+    def test_observer_toggle_keeps_the_warmed_pool(self, schema, sigma):
+        from repro.obs import InMemorySink, Observer, install
 
         with BulkReasoner(schema, sigma, workers=2) as bulk:
             bulk.implies_all(QUERIES)
             plain = bulk._pool
             bulk.cache_clear()
-            with install(Observer()):
+            sink = InMemorySink()
+            with install(Observer([sink])):
                 bulk.implies_all(QUERIES)
-                assert bulk._pool is not plain  # span-collecting workers
+            # span collection is asked for per task
+            assert bulk._pool is plain
+            assert len(sink.by_name("batch.worker")) == 3

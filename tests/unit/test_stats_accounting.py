@@ -19,6 +19,7 @@ from repro.attributes import BasisEncoding, parse_attribute, parse_subattribute
 from repro.batch import BulkReasoner
 from repro.core.closure import closure_of_masks_instrumented
 from repro.core.engine import KernelStats, closure_of_masks_fast
+from repro.core.plan import compile_plan
 from repro.reasoner import Reasoner
 
 
@@ -40,7 +41,7 @@ class TestKernelStatsExactCounts:
     def test_empty_sigma(self, flat):
         encoding, a, _, _ = flat
         stats = KernelStats()
-        closure_of_masks_fast(encoding, a, [], [], stats=stats)
+        closure_of_masks_fast(compile_plan(encoding, [], []), a, stats=stats)
         assert stats.as_dict() == {
             "runs": 1, "passes": 1, "firings": 0, "requeues": 0,
             "requeue_scanned": 0, "skipped_firings": 0,
@@ -51,11 +52,11 @@ class TestKernelStatsExactCounts:
     def test_single_firing_fd(self, flat):
         # A -> B from X = A: one productive firing (rewriting the B|C
         # block into B and C singletons, 2 dirty bits), one requeued
-        # re-fire that changes nothing.  The one dirty event scans the
-        # whole (singleton) Σ: requeue_scanned = 1.
+        # re-fire that changes nothing.  The one dirty event wakes its
+        # one dependent (A -> B itself): requeue_scanned = 1.
         encoding, a, b, _ = flat
         stats = KernelStats()
-        closure_of_masks_fast(encoding, a, [(a, b)], [], stats=stats)
+        closure_of_masks_fast(compile_plan(encoding, [(a, b)], []), a, stats=stats)
         assert stats.as_dict() == {
             "runs": 1, "passes": 2, "firings": 2, "requeues": 1,
             "requeue_scanned": 1, "skipped_firings": 0,
@@ -69,7 +70,8 @@ class TestKernelStatsExactCounts:
         # adds nothing to X+.
         encoding, a, b, _ = flat
         stats = KernelStats()
-        result, _, _ = closure_of_masks_fast(encoding, a, [], [(a, b)], stats=stats)
+        plan = compile_plan(encoding, [], [(a, b)])
+        result, _, _ = closure_of_masks_fast(plan, a, stats=stats)
         assert result == a
         assert stats.as_dict() == {
             "runs": 1, "passes": 2, "firings": 2, "requeues": 1,
@@ -85,7 +87,7 @@ class TestKernelStatsExactCounts:
         # state change.
         encoding, a, b, c = flat
         stats = KernelStats()
-        closure_of_masks_fast(encoding, a, [(b, c)], [], stats=stats)
+        closure_of_masks_fast(compile_plan(encoding, [(b, c)], []), a, stats=stats)
         assert stats.as_dict() == {
             "runs": 1, "passes": 1, "firings": 1, "requeues": 0,
             "requeue_scanned": 0, "skipped_firings": 1,
@@ -96,8 +98,8 @@ class TestKernelStatsExactCounts:
     def test_accumulates_across_runs(self, flat):
         encoding, a, b, _ = flat
         stats = KernelStats()
-        closure_of_masks_fast(encoding, a, [(a, b)], [], stats=stats)
-        closure_of_masks_fast(encoding, a, [(a, b)], [], stats=stats)
+        closure_of_masks_fast(compile_plan(encoding, [(a, b)], []), a, stats=stats)
+        closure_of_masks_fast(compile_plan(encoding, [(a, b)], []), a, stats=stats)
         assert stats.runs == 2
         assert stats.passes == 4
         assert stats.firings == 4
@@ -121,8 +123,9 @@ class TestKernelStatsExactCounts:
         # private per-run instance must not double-count.
         encoding, a, b, _ = flat
         direct, via_obs = KernelStats(), KernelStats()
-        closure_of_masks_fast(encoding, a, [(a, b)], [], stats=direct)
-        closure_of_masks_instrumented(encoding, a, [(a, b)], [], stats=via_obs)
+        closure_of_masks_fast(compile_plan(encoding, [(a, b)], []), a, stats=direct)
+        closure_of_masks_instrumented(compile_plan(encoding, [(a, b)], []), a,
+                                      stats=via_obs)
         assert via_obs.as_dict() == direct.as_dict()
 
 
@@ -185,7 +188,7 @@ class TestEncodingCacheInfoExactCounts:
 
     def test_cache_totals_matches_cache_info(self, flat):
         encoding, a, b, c = flat
-        closure_of_masks_fast(encoding, a, [(a, b)], [(b, c)])
+        closure_of_masks_fast(compile_plan(encoding, [(a, b)], [(b, c)]), a)
         info = encoding.cache_info()
         hits = sum(row[0] for row in info.values())
         misses = sum(row[1] for row in info.values())
