@@ -1,0 +1,218 @@
+"""Text codec cost of served requests: parse and print, per call and per
+request.
+
+Every served request carries its attributes in the paper's abbreviated
+notation (§3.3), and on a warm cache turning that text into masks and
+back is most of what a request costs.  This benchmark measures the
+text layers on requests shaped like the served ``hot-read`` workload:
+one session over ``mixed_family(16)`` (``|N|`` = 64) holding a random
+200-dependency Σ, a 16-LHS working set warmed before timing, and the
+read mix FD ``implies`` 35%, MVD ``implies`` 35%, ``closure`` 10%,
+``basis`` 20%.
+
+It records:
+
+* the median µs per ``parse_dependency``, ``parse_subattribute`` and
+  ``unparse_abbreviated`` call (``_timing.median_of`` over the request
+  texts and the answers' elements);
+* the in-process µs per request of the server's path
+  ``bind → lhs_masks → commands.execute``, paired
+  (``_timing.paired_speedup``) against the same path without ``bind``,
+  where the prefetch and the run each parse the text;
+* parses per request on both paths, counted by wrapping
+  ``parse_subattribute`` wherever it was imported.  The bound path must
+  parse each text side exactly once (asserted).
+
+Answers of both paths are asserted identical before anything is timed.
+Results land in ``BENCH_text_codec.json``.
+
+Run:  pytest benchmarks/bench_text_codec.py -s --benchmark-disable
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+from pathlib import Path
+
+from repro.attributes import parser
+from repro.attributes.encoding import BasisEncoding
+from repro.attributes.parser import parse_subattribute
+from repro.attributes.printer import unparse_abbreviated
+from repro.core import commands
+from repro.core.session import Session
+from repro.dependencies.dependency import (
+    FunctionalDependency,
+    MultivaluedDependency,
+    parse_dependency,
+)
+from repro.workloads.random_schemas import mixed_family
+from repro.workloads.random_sigma import random_element_mask, random_sigma
+
+from _timing import cpus, median_of, paired_speedup
+
+ROOT = Path(__file__).resolve().parent.parent
+JSON_PATH = ROOT / "BENCH_text_codec.json"
+
+SCALE = 16            # mixed_family(16): |N| = 64
+SIGMA_SIZE = 200
+WORKING_SET = 16
+REQUESTS = 240
+READ_MIX = (("fd", 35), ("mvd", 35), ("closure", 10), ("basis", 20))
+REPEATS = 31          # median_of repeats per text-layer primitive
+ROUNDS = 9            # paired rounds of the per-request comparison
+
+
+def _build():
+    root = mixed_family(SCALE)
+    encoding = BasisEncoding(root)
+    sigma = random_sigma(random.Random(0), encoding, SIGMA_SIZE)
+    rng = random.Random(7)
+    rhs_pool = [random_element_mask(rng, encoding, 0.35) for _ in range(64)]
+    working = [random_element_mask(rng, encoding, 0.25)
+               for _ in range(WORKING_SET)]
+    session = Session(root, sigma, encoding=encoding)
+    for mask in working:
+        session.result_for_mask(mask)
+
+    names = [name for name, _ in READ_MIX]
+    weights = [weight for _, weight in READ_MIX]
+    requests: list[commands.Command] = []
+    for kind in rng.choices(names, weights, k=REQUESTS):
+        lhs = encoding.decode(rng.choice(working))
+        if kind in ("fd", "mvd"):
+            rhs = encoding.decode(rng.choice(rhs_pool))
+            cls = FunctionalDependency if kind == "fd" else MultivaluedDependency
+            requests.append(commands.Implies(
+                dependency=cls(lhs, rhs).display(root)))
+        else:
+            cls = commands.Closure if kind == "closure" else commands.Basis
+            requests.append(cls(x=unparse_abbreviated(lhs, root)))
+    return root, session, requests
+
+
+def _serve(session: Session, command: commands.Command, *,
+           bind: bool) -> dict:
+    """The server's per-request path on a warm session, in-process."""
+    if bind:
+        command = command.bind(session)
+    for mask in command.lhs_masks(session):
+        session.result_for_mask(mask)
+    return commands.execute(command, session).result
+
+
+def _count_parses(function) -> int:
+    """Real ``parse_subattribute`` calls made by ``function()``."""
+    original = parser.parse_subattribute
+    calls = 0
+
+    def counting(text, root):
+        nonlocal calls
+        calls += 1
+        return original(text, root)
+
+    patched = [module for module in list(sys.modules.values())
+               if getattr(module, "parse_subattribute", None) is original]
+    for module in patched:
+        module.parse_subattribute = counting
+    try:
+        function()
+    finally:
+        for module in patched:
+            module.parse_subattribute = original
+    return calls
+
+
+def _measure() -> dict:
+    root, session, requests = _build()
+
+    bound_answers = [_serve(session, command, bind=True)
+                     for command in requests]
+    unbound_answers = [_serve(session, command, bind=False)
+                       for command in requests]
+    assert bound_answers == unbound_answers
+
+    dependency_texts = [command.dependency for command in requests
+                        if isinstance(command, commands.Implies)]
+    side_texts = [side.strip() for text in dependency_texts
+                  for side in text.replace("->>", "->").split("->")]
+    side_texts += [command.x for command in requests
+                   if not isinstance(command, commands.Implies)]
+    printed = []
+    for command in requests:
+        if isinstance(command, commands.Closure):
+            printed.append(session.closure(command.x))
+        elif isinstance(command, commands.Basis):
+            printed.extend(session.dependency_basis(command.x))
+
+    def per_call(function, items) -> float:
+        def sweep():
+            for item in items:
+                function(item)
+        return median_of(sweep, repeats=REPEATS) / len(items) * 1e6
+
+    parse_dependency_us = per_call(
+        lambda text: parse_dependency(text, root), dependency_texts)
+    parse_subattribute_us = per_call(
+        lambda text: parse_subattribute(text, root), side_texts)
+    unparse_us = per_call(
+        lambda element: unparse_abbreviated(element, root), printed)
+
+    def bound():
+        for command in requests:
+            _serve(session, command, bind=True)
+
+    def unbound():
+        for command in requests:
+            _serve(session, command, bind=False)
+
+    unbound_s, bound_s, speedup = paired_speedup(unbound, bound,
+                                                 rounds=ROUNDS)
+
+    sides = len(side_texts)
+    bound_parses = _count_parses(bound)
+    unbound_parses = _count_parses(unbound)
+    assert bound_parses == sides, (bound_parses, sides)
+
+    return {
+        "requests": len(requests),
+        "text_sides": sides,
+        "printed_elements": len(printed),
+        "parse_dependency_us": parse_dependency_us,
+        "parse_subattribute_us": parse_subattribute_us,
+        "unparse_abbreviated_us": unparse_us,
+        "bound_request_us": bound_s / len(requests) * 1e6,
+        "unbound_request_us": unbound_s / len(requests) * 1e6,
+        "paired_median_speedup": speedup,
+        "bound_parses_per_request": bound_parses / len(requests),
+        "unbound_parses_per_request": unbound_parses / len(requests),
+    }
+
+
+def test_text_codec_report(benchmark):
+    row = benchmark.pedantic(_measure, rounds=1, iterations=1)
+
+    report = {
+        "workload": f"hot-read-shaped requests over mixed_family({SCALE}), "
+                    f"random Σ of {SIGMA_SIZE}, {WORKING_SET}-LHS warm "
+                    f"working set, read mix {dict(READ_MIX)}",
+        "path": "bind -> lhs_masks -> commands.execute, in-process, "
+                "warm session",
+        "baseline": "the same path without bind (prefetch and run each "
+                    "parse the text)",
+        "cpus": cpus(),
+        **row,
+    }
+    JSON_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+
+    print("\nText codec on hot-read-shaped requests:")
+    print(f"  parse_dependency    {row['parse_dependency_us']:8.1f} us/call")
+    print(f"  parse_subattribute  {row['parse_subattribute_us']:8.1f} us/call")
+    print(f"  unparse_abbreviated {row['unparse_abbreviated_us']:8.1f} us/call")
+    print(f"  bound request   {row['bound_request_us']:8.1f} us "
+          f"({row['bound_parses_per_request']:.2f} parses/request)")
+    print(f"  unbound request {row['unbound_request_us']:8.1f} us "
+          f"({row['unbound_parses_per_request']:.2f} parses/request)")
+    print(f"  paired-median speedup {row['paired_median_speedup']:.2f}x")
+    print(f"report written to {JSON_PATH.name}")

@@ -231,7 +231,7 @@ class Record(NestedAttribute):
         (Definition 3.2 demands ``k ≥ 1``).
     """
 
-    __slots__ = ("label", "components")
+    __slots__ = ("label", "components", "_head_index")
 
     def __init__(self, label: str, components: tuple[NestedAttribute, ...]) -> None:
         if not label or not isinstance(label, str):
@@ -259,6 +259,24 @@ class Record(NestedAttribute):
         components = list(self.components)
         components[index] = component
         return Record(self.label, tuple(components))
+
+    def head_index(self) -> dict[str | None, tuple[int, ...]]:
+        """Component positions by head symbol, built once per record.
+
+        The abbreviated notation identifies record components by head
+        (Section 3.3); the parser and the printer look heads up here
+        instead of rescanning the components.  The mapping is shared:
+        treat it as read-only.
+        """
+        try:
+            return self._head_index
+        except AttributeError:
+            index: dict[str | None, tuple[int, ...]] = {}
+            for position, component in enumerate(self.components):
+                head = component.head()
+                index[head] = index.get(head, ()) + (position,)
+            object.__setattr__(self, "_head_index", index)
+            return index
 
     def depth(self) -> int:
         return 1 + max(component.depth() for component in self.components)

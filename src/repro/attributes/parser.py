@@ -22,8 +22,8 @@ Two entry points:
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Iterator, NamedTuple
 
 from .nested import NULL, Flat, ListAttr, NestedAttribute, Null, Record
 from .printer import unparse
@@ -32,104 +32,96 @@ from ..exceptions import AmbiguousAbbreviationError, AttributeSyntaxError
 
 __all__ = ["parse_attribute", "parse_subattribute"]
 
+# One token: λ, a NAME or punctuation.  ``lambda`` is λ only where a
+# NAME cannot continue, so ``lambda-x`` and ``lambda_x`` are names.
+_TOKEN = r"λ|lambda(?![A-Za-z0-9_-])|[A-Za-z_][A-Za-z0-9_-]*|[()\[\],]"
+_TOKEN_RE = re.compile(_TOKEN)
+# The longest prefix made of tokens and whitespace: where it stops short
+# of the end is the first character no token starts with.
+_TOKENS_RE = re.compile(rf"(?:\s+|{_TOKEN})*")
 
-class _Token(NamedTuple):
-    kind: str  # "name", "lambda", "(", ")", "[", "]", ","
-    text: str
-    position: int
-
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<lam>λ|lambda\b)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_-]*)
-  | (?P<punct>[()\[\],])
-    """,
-    re.VERBOSE,
-)
+_LAMBDAS = frozenset({"λ", "lambda"})
+_PUNCTUATION = frozenset("()[],")
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise AttributeSyntaxError(
-                f"unexpected character {text[position]!r} at offset {position} in {text!r}"
-            )
-        position = match.end()
-        if match.lastgroup == "ws":
-            continue
-        if match.lastgroup == "lam":
-            yield _Token("lambda", match.group(), match.start())
-        elif match.lastgroup == "name":
-            yield _Token("name", match.group(), match.start())
-        else:
-            yield _Token(match.group(), match.group(), match.start())
+def _tokenize(text: str) -> list[str]:
+    """The token strings of ``text``, whitespace dropped (two C-level
+    regex passes: one to find a bad character, one to split)."""
+    end = _TOKENS_RE.match(text).end()
+    if end < len(text):
+        raise AttributeSyntaxError(
+            f"unexpected character {text[end]!r} at offset {end} in {text!r}"
+        )
+    return _TOKEN_RE.findall(text)
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over the token list.
+
+    Token offsets are only needed for error messages, so they are
+    recomputed (:meth:`_offset`) on the error path alone.
+    """
 
     def __init__(self, text: str) -> None:
         self._text = text
-        self._tokens = list(_tokenize(text))
+        self._tokens = _tokenize(text)
+        self._tokens.append("")  # end-of-input sentinel
         self._cursor = 0
 
-    def _peek(self) -> _Token | None:
-        return self._tokens[self._cursor] if self._cursor < len(self._tokens) else None
+    def _offset(self, index: int) -> int:
+        return [match.start() for match in _TOKEN_RE.finditer(self._text)][index]
 
-    def _next(self) -> _Token:
-        token = self._peek()
-        if token is None:
+    def _next(self) -> str:
+        token = self._tokens[self._cursor]
+        if not token:
             raise AttributeSyntaxError(f"unexpected end of input in {self._text!r}")
         self._cursor += 1
         return token
 
-    def _expect(self, kind: str) -> _Token:
-        token = self._next()
-        if token.kind != kind:
+    def _expect(self, expected: str) -> None:
+        if self._next() != expected:
+            index = self._cursor - 1
             raise AttributeSyntaxError(
-                f"expected {kind!r} but found {token.text!r} at offset "
-                f"{token.position} in {self._text!r}"
+                f"expected {expected!r} but found {self._tokens[index]!r} at offset "
+                f"{self._offset(index)} in {self._text!r}"
             )
-        return token
 
     def parse(self) -> NestedAttribute:
         attribute = self._attr()
-        trailing = self._peek()
-        if trailing is not None:
+        trailing = self._tokens[self._cursor]
+        if trailing:
             raise AttributeSyntaxError(
-                f"trailing input {trailing.text!r} at offset {trailing.position} "
+                f"trailing input {trailing!r} at offset {self._offset(self._cursor)} "
                 f"in {self._text!r}"
             )
         return attribute
 
     def _attr(self) -> NestedAttribute:
         token = self._next()
-        if token.kind == "lambda":
+        if token in _LAMBDAS:
             return NULL
-        if token.kind != "name":
+        if token in _PUNCTUATION:
+            index = self._cursor - 1
             raise AttributeSyntaxError(
-                f"expected an attribute but found {token.text!r} at offset "
-                f"{token.position} in {self._text!r}"
+                f"expected an attribute but found {token!r} at offset "
+                f"{self._offset(index)} in {self._text!r}"
             )
-        following = self._peek()
-        if following is not None and following.kind == "(":
-            self._next()
+        tokens = self._tokens
+        following = tokens[self._cursor]
+        if following == "(":
+            self._cursor += 1
             components = [self._attr()]
-            while self._peek() is not None and self._peek().kind == ",":
-                self._next()
+            while tokens[self._cursor] == ",":
+                self._cursor += 1
                 components.append(self._attr())
             self._expect(")")
-            return Record(token.text, tuple(components))
-        if following is not None and following.kind == "[":
-            self._next()
+            return Record(token, tuple(components))
+        if following == "[":
+            self._cursor += 1
             element = self._attr()
             self._expect("]")
-            return ListAttr(token.text, element)
-        return Flat(token.text)
+            return ListAttr(token, element)
+        return Flat(token)
 
 
 def parse_attribute(text: str) -> NestedAttribute:
@@ -179,7 +171,8 @@ def resolve_subattribute(loose: NestedAttribute, root: NestedAttribute) -> Neste
         raise AttributeSyntaxError(f"{unparse(loose)} does not match flat attribute {root.name}")
     if isinstance(root, ListAttr):
         if isinstance(loose, ListAttr) and loose.label == root.label:
-            return ListAttr(root.label, resolve_subattribute(loose.element, root.element))
+            element = resolve_subattribute(loose.element, root.element)
+            return root if element is root.element else ListAttr(root.label, element)
         raise AttributeSyntaxError(
             f"{unparse(loose)} does not match list attribute {unparse(root)}"
         )
@@ -204,12 +197,14 @@ def _try_positional(loose: Record, root: Record) -> Record | None:
             resolved.append(resolve_subattribute(component, component_root))
         except AttributeSyntaxError:
             return None
-    return Record(root.label, tuple(resolved))
+    return _rebuilt(root, resolved)
 
 
 def _resolve_by_heads(loose: Record, root: Record) -> Record:
     """Match abbreviated components to root components by head symbol."""
-    resolved: list[NestedAttribute | None] = [None] * root.arity
+    positions = root.head_index()
+    resolved = list(bottom(root).components)
+    taken: set[int] = set()
     for component in loose.components:
         head = component.head()
         if head is None:
@@ -217,16 +212,12 @@ def _resolve_by_heads(loose: Record, root: Record) -> Record:
                 f"bare λ cannot identify a component of {unparse(root)}; "
                 "use the full positional form"
             )
-        matches = [
-            index
-            for index, component_root in enumerate(root.components)
-            if component_root.head() == head
-        ]
-        free_matches = [index for index in matches if resolved[index] is None]
+        matches = positions.get(head, ())
         if not matches:
             raise AttributeSyntaxError(
                 f"no component of {unparse(root)} has head {head!r}"
             )
+        free_matches = [index for index in matches if index not in taken]
         if len(free_matches) != 1:
             raise AmbiguousAbbreviationError(
                 f"component head {head!r} matches {len(matches)} components of "
@@ -234,9 +225,15 @@ def _resolve_by_heads(loose: Record, root: Record) -> Record:
                 "use the full positional form"
             )
         index = free_matches[0]
+        taken.add(index)
         resolved[index] = resolve_subattribute(component, root.components[index])
-    filled = tuple(
-        value if value is not None else bottom(component_root)
-        for value, component_root in zip(resolved, root.components)
-    )
-    return Record(root.label, filled)
+    return _rebuilt(root, resolved)
+
+
+def _rebuilt(root: Record, components: list[NestedAttribute]) -> Record:
+    """The record of ``components``; ``root`` itself when they all are
+    the root's own, so a fully written subtree shares the root's objects
+    (and later ``≤`` checks against it stop at the identity test)."""
+    if all(map(operator.is_, components, root.components)):
+        return root
+    return Record(root.label, tuple(components))

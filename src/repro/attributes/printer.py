@@ -16,7 +16,6 @@ Two renderers are provided:
 from __future__ import annotations
 
 from .nested import Flat, ListAttr, NestedAttribute, Null, Record
-from .subattribute import bottom, is_subattribute
 from ..exceptions import NotASubattributeError
 
 __all__ = ["unparse", "unparse_abbreviated", "LAMBDA"]
@@ -39,14 +38,10 @@ def unparse(attribute: NestedAttribute) -> str:
     raise TypeError(f"not a nested attribute: {attribute!r}")  # pragma: no cover
 
 
-def _heads_unambiguous(root: Record) -> bool:
-    """Record components can be identified by head symbol alone."""
-    heads = [component.head() for component in root.components]
-    return len(set(heads)) == len(heads)
-
-
 def unparse_abbreviated(element: NestedAttribute, root: NestedAttribute) -> str:
     """Render ``element ∈ Sub(root)`` with the paper's λ-omission rules.
+
+    One walk both checks ``element ≤ root`` (Definition 3.4) and renders.
 
     Parameters
     ----------
@@ -68,31 +63,46 @@ def unparse_abbreviated(element: NestedAttribute, root: NestedAttribute) -> str:
     >>> unparse_abbreviated(p("L1(A, λ, L2[L3(λ, λ)])"), root)
     'L1(A, L2[λ])'
     """
-    if not is_subattribute(element, root):
+    text = _abbreviate(element, root)
+    if text is None:
         raise NotASubattributeError(f"{unparse(element)} is not a subattribute of {unparse(root)}")
-    return _abbreviate(element, root)
+    return text or LAMBDA
 
 
-def _abbreviate(element: NestedAttribute, root: NestedAttribute) -> str:
+def _abbreviate(element: NestedAttribute, root: NestedAttribute) -> str | None:
+    """The abbreviated text of ``element``, ``""`` when it is the bottom
+    of ``Sub(root)`` and ``None`` when ``element ≰ root``."""
     if isinstance(element, Null):
-        return LAMBDA
+        # λ ≤ A, λ ≤ L[N] and λ ≤ λ; λ is below no record (Definition 3.4)
+        return "" if isinstance(root, (Flat, ListAttr, Null)) else None
     if isinstance(element, Flat):
-        return element.name
+        return element.name if element == root else None
     if isinstance(element, ListAttr):
-        assert isinstance(root, ListAttr)
-        return f"{element.label}[{_abbreviate(element.element, root.element)}]"
+        if not isinstance(root, ListAttr) or element.label != root.label:
+            return None
+        inner = _abbreviate(element.element, root.element)
+        if inner is None:
+            return None
+        return f"{element.label}[{inner or LAMBDA}]"
     if isinstance(element, Record):
-        assert isinstance(root, Record)
-        if element == bottom(root):
-            return LAMBDA
-        pairs = list(zip(element.components, root.components))
-        if _heads_unambiguous(root):
-            shown = [
-                _abbreviate(component, component_root)
-                for component, component_root in pairs
-                if component != bottom(component_root)
-            ]
-        else:
-            shown = [_abbreviate(component, component_root) for component, component_root in pairs]
+        if (not isinstance(root, Record) or element.label != root.label
+                or len(element.components) != len(root.components)):
+            return None
+        # λ components are omitted only when heads identify the rest
+        omit = len(root.head_index()) == len(root.components)
+        shown = []
+        bottoms = 0
+        for component, component_root in zip(element.components, root.components):
+            text = _abbreviate(component, component_root)
+            if text is None:
+                return None
+            if not text:
+                bottoms += 1
+                if omit:
+                    continue
+                text = LAMBDA
+            shown.append(text)
+        if bottoms == len(root.components):
+            return ""
         return f"{element.label}({', '.join(shown)})"
-    raise TypeError(f"not a nested attribute: {element!r}")  # pragma: no cover
+    return None

@@ -54,18 +54,21 @@ def is_subattribute(candidate: NestedAttribute, parent: NestedAttribute) -> bool
     >>> is_subattribute(parse_attribute("λ"), parse_attribute("Drink(Beer, Pub)"))
     False
     """
-    if candidate == parent:
+    if candidate is parent:
         return True
     if isinstance(candidate, Null):
-        # λ ≤ A for flat A, λ ≤ L[N] for lists; λ ≤ record does NOT hold.
-        return isinstance(parent, (Flat, ListAttr))
+        # λ ≤ A for flat A, λ ≤ L[N] for lists, λ ≤ λ; λ ≤ record does NOT hold.
+        return isinstance(parent, (Flat, ListAttr, Null))
+    if candidate == parent:
+        return True
     if isinstance(candidate, Record) and isinstance(parent, Record):
-        if candidate.label != parent.label or candidate.arity != parent.arity:
+        if (candidate.label != parent.label
+                or len(candidate.components) != len(parent.components)):
             return False
-        return all(
-            is_subattribute(c, p)
-            for c, p in zip(candidate.components, parent.components)
-        )
+        for component, component_parent in zip(candidate.components, parent.components):
+            if not is_subattribute(component, component_parent):
+                return False
+        return True
     if isinstance(candidate, ListAttr) and isinstance(parent, ListAttr):
         if candidate.label != parent.label:
             return False

@@ -51,7 +51,7 @@ ones the wire protocol has always produced.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping
 
 from ..attributes.printer import unparse_abbreviated
@@ -306,12 +306,24 @@ class Command:
         """Execute against ``ctx.session``; implemented per command."""
         raise NotImplementedError  # pragma: no cover - abstract
 
+    def bind(self, session: "Session") -> "Command":
+        """This command with its text fields parsed against ``session``.
+
+        The server binds each session-scope command once, before the
+        :meth:`lhs_masks` prefetch, so the prefetch and :meth:`run`
+        share one parse.  Commands whose text is first read inside
+        :meth:`run` (add, retract, …) and commands without text return
+        themselves, so a bad text fails where it always did.
+        """
+        return self
+
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
         """Left-hand-side masks this command will need closures for.
 
-        The server prefetches these through its worker-offload seam
-        (cold masks compute on the pool, results seed the session
-        cache) before running the command inline against a warm cache.
+        The server calls this on the bound command (:meth:`bind`) and
+        prefetches the masks through its worker-offload seam (cold
+        masks compute on the pool, results seed the session cache)
+        before running the command inline against a warm cache.
         Commands whose cold work is not expressible as LHS closures
         (cover, keys, …) return ``()`` and are shed entirely near
         capacity.
@@ -342,17 +354,25 @@ class Command:
     # -- shared parsing helpers (session-scope commands) -------------------
 
     @staticmethod
+    def _parsed(session: "Session",
+                dependency: "Dependency | str") -> Dependency:
+        return (session.dependency(dependency)
+                if isinstance(dependency, str) else dependency)
+
+    @staticmethod
     def _dependency(session: "Session",
                     dependency: "Dependency | str") -> Dependency:
-        parsed = (session.dependency(dependency)
-                  if isinstance(dependency, str) else dependency)
+        parsed = Command._parsed(session, dependency)
         parsed.validate(session.root)
         return parsed
 
     @staticmethod
+    def _attribute(session: "Session", x: Any) -> Any:
+        return session.attribute(x) if isinstance(x, str) else x
+
+    @staticmethod
     def _attribute_mask(session: "Session", x: Any) -> int:
-        attribute = session.attribute(x) if isinstance(x, str) else x
-        return session.encoding.encode(attribute)
+        return session.encoding.encode(Command._attribute(session, x))
 
 
 def wire_ops() -> frozenset[str]:
@@ -592,8 +612,13 @@ class Implies(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        verdict = session.implies(self._dependency(session, self.dependency))
+        # Session.implies validates the dependency before encoding it
+        verdict = session.implies(self._parsed(session, self.dependency))
         return Outcome({"implied": verdict}, value=verdict)
+
+    def bind(self, session: "Session") -> "Implies":
+        return replace(self,
+                       dependency=self._parsed(session, self.dependency))
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
         dependency = self._dependency(session, self.dependency)
@@ -658,6 +683,11 @@ class ImpliesBatch(Command):
         return (result.implies_fd_rhs(rhs_mask) if is_fd
                 else result.implies_mvd_rhs(rhs_mask))
 
+    def bind(self, session: "Session") -> "ImpliesBatch":
+        return replace(self, dependencies=tuple(
+            self._parsed(session, dependency)
+            for dependency in self.dependencies))
+
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
         encode = session.encoding.encode
         seen: dict[int, None] = {}
@@ -700,6 +730,9 @@ class Closure(Command):
              "passes": result.passes},
             value=result)
 
+    def bind(self, session: "Session") -> Command:
+        return replace(self, x=self._attribute(session, self.x))
+
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
         return (self._attribute_mask(session, self.x),)
 
@@ -733,6 +766,9 @@ class Basis(Command):
             {"basis": [unparse_abbreviated(member, session.root)
                        for member in members]},
             value=members)
+
+    def bind(self, session: "Session") -> Command:
+        return replace(self, x=self._attribute(session, self.x))
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
         return (self._attribute_mask(session, self.x),)

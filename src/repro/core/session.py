@@ -550,12 +550,12 @@ class Session:
         """Decide ``Σ ⊨ σ`` using the per-LHS cache (Proposition 4.10)."""
         dependency = self.dependency(dependency)
         dependency.validate(self.root)
+        lhs_mask = self.encoding.encode(dependency.lhs)
         rhs_mask = self.encoding.encode(dependency.rhs)
         if isinstance(dependency, FunctionalDependency):
             # Σ ⊨ X → Y iff Y ≤ X⁺: closure-derived, interval-eligible.
-            lhs_mask = self.encoding.encode(dependency.lhs)
             return rhs_mask & ~self.closure_mask_for(lhs_mask) == 0
-        return self.result_for(dependency.lhs).implies_mvd_rhs(rhs_mask)
+        return self.result_for_mask(lhs_mask).implies_mvd_rhs(rhs_mask)
 
     def closure(self, x: NestedAttribute | str) -> NestedAttribute:
         """The attribute-set closure ``X⁺``."""

@@ -769,7 +769,9 @@ class ReasoningServer:
 
         No per-op branching lives here any more — the command registry
         (:mod:`repro.core.commands`) supplies validation
-        (:func:`~repro.core.commands.from_wire`), the offload seam
+        (:func:`~repro.core.commands.from_wire`), binding
+        (:meth:`~repro.core.commands.Command.bind`: each text field is
+        parsed once, before the prefetch), the offload seam
         (:meth:`~repro.core.commands.Command.lhs_masks`, prefetched
         through the worker pool) and execution under the uniform
         ``command.run`` span.  Server-scope commands (ping, open, …)
@@ -808,6 +810,9 @@ class ReasoningServer:
 
         managed = self.sessions.get(command.session)
         session = managed.session
+        # Parse the request's text once; the prefetch and the command
+        # both see the parsed objects.
+        command = command.bind(session)
         # The offload seam: every LHS closure the command declares is
         # resolved first — cold masks compute on the worker pool (with
         # shed-cold backpressure and stale-generation protection) and

@@ -16,8 +16,10 @@ from tests.strategies import nested_attributes
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
+# "lmbd" lets the fuzzer spell ``lambda`` and names that start with it
+# (``lambda-x``, ``lambda_1``).
 _notation_alphabet = st.text(
-    alphabet="ABLR()[]λ,->> aZ19_",
+    alphabet="ABLR()[]λ,->> aZ19_lmbd",
     max_size=40,
 )
 

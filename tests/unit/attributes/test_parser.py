@@ -133,3 +133,34 @@ class TestParseSubattribute:
         # List-valued components bottom out at λ itself (Definition 3.7).
         explicit = parse_attribute("L1(λ, λ, L7(F, L8[L9(λ, L10[λ])], λ))")
         assert u3 == explicit
+
+
+class TestLambdaPrefixedNames:
+    """``lambda`` is λ only as a whole word of the NAME grammar."""
+
+    def test_hyphenated_name(self):
+        assert parse_attribute("lambda-x") == Flat("lambda-x")
+
+    def test_underscored_name(self):
+        assert parse_attribute("lambda_x") == Flat("lambda_x")
+
+    def test_inside_a_record(self):
+        assert parse_attribute("A(lambda-x, B)") == Record(
+            "A", (Flat("lambda-x"), Flat("B"))
+        )
+
+    def test_bare_lambda_is_still_null(self):
+        assert parse_attribute("lambda") == NULL
+        assert parse_attribute("R(lambda, B)") == Record("R", (NULL, Flat("B")))
+
+    def test_roundtrip_through_unparse(self):
+        for text in ("lambda-x", "lambda_x", "A(lambda-x, B)", "L[lambda-x]"):
+            attribute = parse_attribute(text)
+            assert unparse(attribute) == text
+            assert parse_attribute(unparse(attribute)) == attribute
+
+    def test_abbreviated_against_a_root(self):
+        root = parse_attribute("R(lambda-x, B)")
+        assert parse_subattribute("R(lambda-x)", root) == Record(
+            "R", (Flat("lambda-x"), NULL)
+        )

@@ -1,0 +1,74 @@
+"""Each text side of a served request is parsed exactly once.
+
+The server binds a command (:meth:`repro.core.commands.Command.bind`)
+before its ``lhs_masks`` prefetch, so the prefetch and the run share one
+parse.  The counts here are real parses: every module that imported
+:func:`repro.attributes.parser.parse_subattribute` by name sees the
+counting wrapper.
+"""
+
+import asyncio
+import sys
+
+import pytest
+
+from repro.attributes import parser
+from repro.batch import BulkReasoner
+from repro.serve import AsyncClient, ReasoningServer, ServeConfig
+
+SCHEMA = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])"
+MVD = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"
+QUERIES = [
+    "Pubcrawl(Person) -> Pubcrawl(Visit[λ])",
+    "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Beer)])",
+    "Pubcrawl(Visit[λ]) -> Pubcrawl(Person)",
+]
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """A list that grows by one entry per real ``parse_subattribute``."""
+    original = parser.parse_subattribute
+    calls = []
+
+    def counting(text, root):
+        calls.append(text)
+        return original(text, root)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "parse_subattribute", None) is original:
+            monkeypatch.setattr(module, "parse_subattribute", counting)
+    return calls
+
+
+def test_served_requests_parse_each_side_once(parses):
+    async def scenario():
+        async with ReasoningServer(ServeConfig()) as server:
+            host, port = server.address
+            async with await AsyncClient.connect(host, port) as client:
+                await client.open("pub", SCHEMA, [MVD])
+                counts = {}
+
+                async def count(name, request):
+                    before = len(parses)
+                    await request
+                    counts[name] = len(parses) - before
+
+                await count("implies", client.implies("pub", QUERIES[0]))
+                await count("closure",
+                            client.closure("pub", "Pubcrawl(Person)"))
+                await count("basis", client.basis("pub", "Pubcrawl(Person)"))
+                await count("implies_batch",
+                            client.implies_batch("pub", QUERIES))
+                return counts
+
+    counts = asyncio.run(scenario())
+    assert counts == {"implies": 2, "closure": 1, "basis": 1,
+                      "implies_batch": 6}
+
+
+def test_bulk_reasoner_parses_each_side_once(parses):
+    bulk = BulkReasoner(SCHEMA, [MVD])
+    before = len(parses)
+    assert bulk.implies_all(QUERIES) == [True, True, False]
+    assert len(parses) - before == 6
