@@ -131,8 +131,9 @@ def _measure_throughput() -> dict:
 
     def baseline() -> int:
         # Pre-PR shape: one stateless naive-kernel closure per query.
-        # The per-query cache_clear models the pre-PR encoding, which
-        # had no memo layer (in-run warmth still makes this baseline
+        # The per-query cache_clear (of the double-complement memo, the
+        # encoding's only one) models the pre-PR encoding, which had no
+        # memo layer (in-run warmth still makes this baseline
         # faster than the real pre-PR code, so the speedup reported
         # here is an under-estimate).
         answered = 0

@@ -28,6 +28,11 @@ Possession (Definition 4.11 via the §6 characterisation): basis attribute
 ``i`` is possessed by ``X`` iff every basis attribute above ``i`` lies in
 ``SubB(X)``, i.e. ``above[i] & ~x == 0``.
 
+Only ``X^CC`` is memoised: Algorithm 5.1 normalises the same blocks on
+every pass.  ``X ∸ Y``, ``X^C`` and possession are computed directly —
+a down-closure is one table OR per byte of the mask, cheaper than a memo
+that cold queries (every one a new left-hand side) would almost never hit.
+
 The encoding is cross-checked against the structural implementation in
 :mod:`repro.attributes.lattice` by property tests.
 """
@@ -43,12 +48,10 @@ from ..exceptions import NotAnElementError
 
 __all__ = ["BasisEncoding", "EncodingCacheInfo", "iter_bits"]
 
-#: Default bound for the pairwise ``pseudo_difference`` cache.  Pairs are
-#: evicted FIFO once the bound is hit, so a long-lived encoding (shell
-#: sessions, servers) cannot grow without limit.
-PAIR_CACHE_MAXSIZE = 8192
-
-#: Default bound for the unary ``complement``/``double_complement`` caches.
+#: Bound of the ``double_complement`` memo.  The memo is emptied in one
+#: ``clear()`` when it reaches the bound, so a long-lived encoding (shell
+#: sessions, servers) cannot grow without limit and no miss pays for an
+#: eviction walk.
 UNARY_CACHE_MAXSIZE = 16384
 
 
@@ -111,13 +114,9 @@ class BasisEncoding:
         "_index",
         "_encode_cache",
         "_decode_cache",
-        "_possessed_cache",
         "_down_tables",
-        "_complement_cache",
         "_dc_cache",
-        "_pd_cache",
-        "_pd_maxsize",
-        "_unary_maxsize",
+        "_dc_maxsize",
         "_hits",
         "_misses",
     )
@@ -151,7 +150,6 @@ class BasisEncoding:
             self.full: root,
             0: bottom(root),
         }
-        self._possessed_cache: dict[int, int] = {}
 
         # Byte-chunked down-closure tables: ``_down_tables[c][b]`` is the
         # union of ``below[8c + j]`` over the set bits ``j`` of the byte
@@ -170,20 +168,16 @@ class BasisEncoding:
             tables.append(table)
         self._down_tables = tuple(tables)
 
-        # Bounded memo caches for the Brouwerian operations (§6 hot path).
-        self._complement_cache: dict[int, int] = {}
+        # The one memoised Brouwerian operation: Algorithm 5.1 asks for
+        # the double complement of the same blocks on every pass.
         self._dc_cache: dict[int, int] = {}
-        self._pd_cache: dict[tuple[int, int], int] = {}
-        self._pd_maxsize = PAIR_CACHE_MAXSIZE
-        self._unary_maxsize = UNARY_CACHE_MAXSIZE
-        self._hits = {"complement": 0, "double_complement": 0,
-                      "pseudo_difference": 0, "possessed": 0}
-        self._misses = {"complement": 0, "double_complement": 0,
-                        "pseudo_difference": 0, "possessed": 0}
+        self._dc_maxsize = UNARY_CACHE_MAXSIZE
+        self._hits = 0
+        self._misses = 0
 
     def __reduce__(self):
         # Rebuild from the root on unpickling: the tables are derived
-        # data, and the memo caches are per-process state.  This is what
+        # data, and the memo is per-process state.  This is what
         # lets a process-pool worker receive one encoding cheaply.
         return (type(self), (self.root,))
 
@@ -332,42 +326,17 @@ class BasisEncoding:
         return left & ~right == 0
 
     def pseudo_difference(self, left: int, right: int) -> int:
-        """``X ∸ Y`` — the paper's §6 quadratic-time set recipe.
+        """``X ∸ Y`` — the paper's §6 set recipe.
 
         Remove ``SubB(Y)`` from ``SubB(X)``, then down-close the survivors
-        (every ``A`` kept pulls all of ``SubB(A)`` back in).  Memoised
-        with a bounded pair cache: Algorithm 5.1 recomputes the same
-        ``(W, Ṽ)`` differences on every REPEAT pass.
+        (every ``A`` kept pulls all of ``SubB(A)`` back in): one table OR
+        per byte of the mask, cheaper than a memo lookup on cold work.
         """
-        key = (left, right)
-        cache = self._pd_cache
-        cached = cache.get(key)
-        if cached is not None:
-            self._hits["pseudo_difference"] += 1
-            return cached
-        self._misses["pseudo_difference"] += 1
-        result = self.down_close(left & ~right)
-        if len(cache) >= self._pd_maxsize:
-            # FIFO eviction: drop the oldest entry (dict preserves
-            # insertion order); the working set of one closure run is far
-            # below the bound, so this only trims cross-run leftovers.
-            del cache[next(iter(cache))]
-        cache[key] = result
-        return result
+        return self.down_close(left & ~right)
 
     def complement(self, mask: int) -> int:
-        """``X^C = N ∸ X`` (memoised)."""
-        cache = self._complement_cache
-        cached = cache.get(mask)
-        if cached is not None:
-            self._hits["complement"] += 1
-            return cached
-        self._misses["complement"] += 1
-        result = self.down_close(self.full & ~mask)
-        if len(cache) >= self._unary_maxsize:
-            del cache[next(iter(cache))]
-        cache[mask] = result
-        return result
+        """``X^C = N ∸ X``."""
+        return self.down_close(self.full & ~mask)
 
     def double_complement(self, mask: int) -> int:
         """``X^CC`` — down-closure of the basis attributes possessed by X.
@@ -375,17 +344,18 @@ class BasisEncoding:
         A basis attribute is possessed by ``X`` iff everything above it is
         in ``SubB(X)``; the double complement keeps exactly the possessed
         part, which equals the join of the maximal basis attributes of X.
-        Memoised like :meth:`complement`.
+        Memoised: the memo is emptied in one ``clear()`` when it reaches
+        its bound, so a miss never pays for an eviction.
         """
         cache = self._dc_cache
         cached = cache.get(mask)
         if cached is not None:
-            self._hits["double_complement"] += 1
+            self._hits += 1
             return cached
-        self._misses["double_complement"] += 1
+        self._misses += 1
         result = self.down_close(self.possessed(mask))
-        if len(cache) >= self._unary_maxsize:
-            del cache[next(iter(cache))]
+        if len(cache) >= self._dc_maxsize:
+            cache.clear()
         cache[mask] = result
         return result
 
@@ -394,61 +364,42 @@ class BasisEncoding:
 
         Definition 4.11 / §6: ``i`` possessed iff ``i ∈ SubB(X)`` and
         ``i ∉ SubB(X^C)``, equivalently iff ``above[i] ⊆ SubB(X)``.
-        Memoised: Algorithm 5.1 queries the same blocks on every pass.
         """
-        cached = self._possessed_cache.get(mask)
-        if cached is not None:
-            self._hits["possessed"] += 1
-            return cached
-        self._misses["possessed"] += 1
+        above = self.above
         result = 0
         for i in iter_bits(mask):
-            if self.above[i] & ~mask == 0:
+            if above[i] & ~mask == 0:
                 result |= 1 << i
-        if len(self._possessed_cache) >= self._unary_maxsize:
-            del self._possessed_cache[next(iter(self._possessed_cache))]
-        self._possessed_cache[mask] = result
         return result
 
     # -- cache management --------------------------------------------------
 
     def cache_info(self) -> EncodingCacheInfo:
         """``{op: (hits, misses, current size, maxsize)}`` for the memo
-        caches of the Brouwerian operations."""
-        sizes = {
-            "complement": (len(self._complement_cache), self._unary_maxsize),
-            "double_complement": (len(self._dc_cache), self._unary_maxsize),
-            "pseudo_difference": (len(self._pd_cache), self._pd_maxsize),
-            "possessed": (len(self._possessed_cache), self._unary_maxsize),
-        }
-        return EncodingCacheInfo(
-            (op, (self._hits[op], self._misses[op]) + sizes[op])
-            for op in sizes
-        )
+        of the Brouwerian operations (``double_complement``, the only
+        operation that is memoised)."""
+        return EncodingCacheInfo(double_complement=(
+            self._hits, self._misses, len(self._dc_cache), self._dc_maxsize))
 
     def cache_totals(self) -> tuple[int, int]:
-        """Aggregate ``(hits, misses)`` across the operation memo caches.
+        """``(hits, misses)`` of the double-complement memo.
 
         Cheaper than :meth:`cache_info` for the observability layer,
         which samples the totals around each closure run to attribute
         cache traffic to spans.
         """
-        return sum(self._hits.values()), sum(self._misses.values())
+        return self._hits, self._misses
 
     def cache_clear(self) -> None:
-        """Drop the operation memo caches and reset their counters.
+        """Drop the operation memo and reset its counters.
 
         The structural tables (``below``/``above``/down-closure tables)
         and the encode/decode caches are kept — they are derived from the
         root, not from the query stream.
         """
-        self._complement_cache.clear()
         self._dc_cache.clear()
-        self._pd_cache.clear()
-        self._possessed_cache.clear()
-        for counter in (self._hits, self._misses):
-            for op in counter:
-                counter[op] = 0
+        self._hits = 0
+        self._misses = 0
 
     def maximal_of(self, mask: int) -> int:
         """``MaxB(X)``: the maximal-in-N basis attributes below ``X``."""

@@ -612,7 +612,7 @@ class Implies(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        # Session.implies validates the dependency before encoding it
+        # Session.implies checks each side once, while encoding it
         verdict = session.implies(self._parsed(session, self.dependency))
         return Outcome({"implied": verdict}, value=verdict)
 
@@ -621,8 +621,8 @@ class Implies(Command):
                        dependency=self._parsed(session, self.dependency))
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
-        dependency = self._dependency(session, self.dependency)
-        return (session.encoding.encode(dependency.lhs),)
+        dependency = self._parsed(session, self.dependency)
+        return (session.dependency_masks(dependency)[0],)
 
     @classmethod
     def render(cls, result: dict[str, Any]) -> tuple[list[str], int]:
@@ -669,11 +669,10 @@ class ImpliesBatch(Command):
 
     def _queries(self, session: "Session"
                  ) -> list[tuple[Dependency, int, int]]:
-        encode = session.encoding.encode
         queries = []
         for dependency in self.dependencies:
-            parsed = self._dependency(session, dependency)
-            queries.append((parsed, encode(parsed.lhs), encode(parsed.rhs)))
+            parsed = self._parsed(session, dependency)
+            queries.append((parsed, *session.dependency_masks(parsed)))
         return queries
 
     @staticmethod
@@ -689,12 +688,8 @@ class ImpliesBatch(Command):
             for dependency in self.dependencies))
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
-        encode = session.encoding.encode
-        seen: dict[int, None] = {}
-        for dependency in self.dependencies:
-            seen.setdefault(encode(self._dependency(session,
-                                                    dependency).lhs))
-        return tuple(seen)
+        return tuple(dict.fromkeys(
+            lhs_mask for _, lhs_mask, _ in self._queries(session)))
 
     @classmethod
     def render(cls, result: dict[str, Any]) -> tuple[list[str], int]:

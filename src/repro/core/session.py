@@ -54,6 +54,7 @@ from ..dependencies.dependency import (
     parse_dependency,
 )
 from ..dependencies.sigma import DependencySet
+from ..exceptions import NotAnElementError
 from ..obs import get_observer
 from .closure import ClosureResult
 from .engine import KernelStats
@@ -546,12 +547,26 @@ class Session:
             return cached
         return self.result_for_mask(mask).closure_mask
 
+    def dependency_masks(self, dependency: Dependency) -> tuple[int, int]:
+        """The ``(lhs, rhs)`` masks of a dependency, each side checked once.
+
+        Encoding a side checks that it lies in ``Sub(N)`` (a side found
+        in the encode cache was checked when it was first encoded), so
+        this is the only validation a query pays.  A side outside
+        ``Sub(N)`` raises :class:`~repro.exceptions.NotAnElementError`
+        with :meth:`Dependency.validate`'s message, which names the side.
+        """
+        encode = self.encoding.encode
+        try:
+            return encode(dependency.lhs), encode(dependency.rhs)
+        except NotAnElementError:
+            dependency.validate(self.root)
+            raise
+
     def implies(self, dependency: Dependency | str) -> bool:
         """Decide ``Σ ⊨ σ`` using the per-LHS cache (Proposition 4.10)."""
         dependency = self.dependency(dependency)
-        dependency.validate(self.root)
-        lhs_mask = self.encoding.encode(dependency.lhs)
-        rhs_mask = self.encoding.encode(dependency.rhs)
+        lhs_mask, rhs_mask = self.dependency_masks(dependency)
         if isinstance(dependency, FunctionalDependency):
             # Σ ⊨ X → Y iff Y ≤ X⁺: closure-derived, interval-eligible.
             return rhs_mask & ~self.closure_mask_for(lhs_mask) == 0

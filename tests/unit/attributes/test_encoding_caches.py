@@ -5,8 +5,9 @@ import pickle
 import pytest
 
 from repro.attributes import BasisEncoding, parse_attribute
+from repro.attributes import lattice
+from repro.attributes.basis import is_possessed_by
 from repro.attributes.encoding import (
-    PAIR_CACHE_MAXSIZE,
     UNARY_CACHE_MAXSIZE,
     EncodingCacheInfo,
     iter_bits,
@@ -46,22 +47,21 @@ class TestMemoisation:
     def test_hit_and_miss_counting(self, encoding):
         encoding.cache_clear()
         x = encoding.full >> 1
-        encoding.complement(x)
-        encoding.complement(x)
+        encoding.double_complement(x)
+        encoding.double_complement(x)
         info = encoding.cache_info()
-        hits, misses, size, maxsize = info["complement"]
+        hits, misses, size, maxsize = info["double_complement"]
         assert (hits, misses) == (1, 1)
         assert size == 1
         assert maxsize == UNARY_CACHE_MAXSIZE
 
-    def test_pair_cache_counts(self, encoding):
+    def test_direct_operations_count_nothing(self, encoding):
         encoding.cache_clear()
         encoding.pseudo_difference(encoding.full, 1)
-        encoding.pseudo_difference(encoding.full, 1)
-        encoding.pseudo_difference(encoding.full, 3)
-        hits, misses, size, maxsize = encoding.cache_info()["pseudo_difference"]
-        assert (hits, misses, size) == (1, 2, 2)
-        assert maxsize == PAIR_CACHE_MAXSIZE
+        encoding.complement(1)
+        encoding.possessed(encoding.full)
+        assert set(encoding.cache_info()) == {"double_complement"}
+        assert encoding.cache_totals() == (0, 0)
 
     def test_memoised_values_stay_correct(self, encoding):
         for mask in range(1 << encoding.size):
@@ -73,12 +73,12 @@ class TestMemoisation:
     def test_hit_rate(self, encoding):
         encoding.cache_clear()
         assert encoding.cache_info().hit_rate() == 0.0
-        encoding.complement(0)
-        encoding.complement(0)
-        assert 0.0 < encoding.cache_info().hit_rate() <= 1.0
+        encoding.double_complement(0)
+        encoding.double_complement(0)
+        assert encoding.cache_info().hit_rate() == 0.5
 
     def test_cache_clear_resets(self, encoding):
-        encoding.complement(0)
+        encoding.double_complement(0)
         encoding.cache_clear()
         info = encoding.cache_info()
         assert all(value == (0, 0, 0, value[3]) for value in info.values())
@@ -86,30 +86,56 @@ class TestMemoisation:
 
 
 class TestEviction:
-    def test_fifo_eviction_bounds_the_pair_cache(self, encoding):
+    def test_clear_bounds_the_memo(self, encoding):
         encoding.cache_clear()
-        encoding._pd_maxsize = 4
-        try:
-            for right in range(10):
-                encoding.pseudo_difference(encoding.full, right)
-            assert len(encoding._pd_cache) <= 4
-            # The most recent entry survives; the oldest was evicted.
-            assert (encoding.full, 9) in encoding._pd_cache
-            assert (encoding.full, 0) not in encoding._pd_cache
-        finally:
-            encoding._pd_maxsize = PAIR_CACHE_MAXSIZE
+        encoding._dc_maxsize = 4
+        masks = list(encoding.all_elements())[:10]
+        assert len(masks) == 10
+        for mask in masks:
+            assert (encoding.double_complement(mask)
+                    == encoding.down_close(encoding.possessed(mask)))
+            assert len(encoding._dc_cache) <= 4
+        hits, misses, size, maxsize = encoding.cache_info()["double_complement"]
+        assert (hits, misses, maxsize) == (0, 10, 4)
+        assert 1 <= size <= 4
 
     def test_evicted_entries_recompute_correctly(self, encoding):
         encoding.cache_clear()
-        encoding._pd_maxsize = 2
-        try:
-            expected = encoding.down_close(encoding.full & ~1)
-            assert encoding.pseudo_difference(encoding.full, 1) == expected
-            encoding.pseudo_difference(encoding.full, 2)
-            encoding.pseudo_difference(encoding.full, 3)
-            assert encoding.pseudo_difference(encoding.full, 1) == expected
-        finally:
-            encoding._pd_maxsize = PAIR_CACHE_MAXSIZE
+        encoding._dc_maxsize = 2
+        masks = list(encoding.all_elements())[:5]
+        expected = [encoding.down_close(encoding.possessed(m)) for m in masks]
+        for _ in range(2):
+            assert [encoding.double_complement(m) for m in masks] == expected
+
+
+class TestDirectOperations:
+    """``∸``, ``^C`` and possession are computed without a memo; each one
+    must equal the structural operation of :mod:`repro.attributes.lattice`
+    on every element of the small roots."""
+
+    def test_complement_and_possession(self, small_roots):
+        for root in small_roots:
+            encoding = BasisEncoding(root)
+            for mask in encoding.all_elements():
+                element = encoding.decode(mask)
+                assert encoding.complement(mask) == encoding.encode(
+                    lattice.complement(root, element))
+                assert encoding.possessed(mask) == sum(
+                    1 << i for i, b in enumerate(encoding.basis)
+                    if is_possessed_by(root, b, element))
+                assert encoding.double_complement(mask) == encoding.encode(
+                    lattice.double_complement(root, element))
+
+    def test_pseudo_difference(self, small_roots):
+        for root in small_roots:
+            encoding = BasisEncoding(root)
+            elements = [(m, encoding.decode(m))
+                        for m in encoding.all_elements()]
+            for left, x in elements:
+                for right, y in elements:
+                    assert encoding.pseudo_difference(left, right) == (
+                        encoding.encode(
+                            lattice.pseudo_difference(root, x, y)))
 
 
 class TestPickling:
@@ -121,9 +147,9 @@ class TestPickling:
         assert clone.above == encoding.above
 
     def test_caches_are_not_shipped(self, encoding):
-        encoding.complement(0)
+        encoding.double_complement(0)
         clone = pickle.loads(pickle.dumps(encoding))
-        hits, misses, size, _ = clone.cache_info()["complement"]
+        hits, misses, size, _ = clone.cache_info()["double_complement"]
         assert (hits, misses, size) == (0, 0, 0)
 
     def test_attribute_classes_round_trip(self):

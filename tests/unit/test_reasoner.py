@@ -104,7 +104,7 @@ class TestCaching:
         assert info.evictions == 0
         assert info.maxsize is None
         assert info.kernel.runs == 1
-        assert "pseudo_difference" in info.encoding
+        assert "double_complement" in info.encoding
 
     def test_cache_clear(self, reasoner):
         reasoner.closure("Pubcrawl(Person)")
