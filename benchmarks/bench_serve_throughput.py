@@ -6,15 +6,12 @@ load generator would (same wire protocol, real TCP sockets on
 loopback):
 
 * **cold closures** — every query has a distinct left-hand side, so
-  each one pays a full worklist-kernel run.  Measured twice: inline
-  (``workers=0``, the single-process baseline) and offloaded to a
-  warmed worker pool.  This is the workload the pool exists for; the
-  ≥2× QPS criterion applies here *when the machine has ≥2 CPUs*
-  (``cpus`` is recorded in the report — on a single-core box the pool
-  can only add IPC overhead, so the assertion is gated).
+  each one pays a full worklist-kernel run, inline in the server's
+  event loop (the server has no worker pool; reads scale across cores
+  through read replicas, see ``bench_replicate_scaleout.py``).
 * **hot LHS repeats** — the steady state: every query re-asks a
   left-hand side the session has already closed, answered from the
-  per-LHS cache without touching kernel or pool.  The p50 here must be
+  per-LHS cache without touching the kernel.  The p50 here must be
   far below the cold p50 (the session-cache criterion, CPU-count
   independent).
 * **add/retract churn** — the interactive-editing shape: each cycle
@@ -22,7 +19,7 @@ loopback):
   server keeps invalidating and recomputing.
 
 ``BENCH_serve_throughput.json`` at the repository root records QPS,
-p50/p95/p99 client-observed latency, and the environment.
+p50/p95/p99 client-observed latency, and the environment (``cpus``).
 
 Run:  pytest benchmarks/bench_serve_throughput.py -s
 """
@@ -48,7 +45,6 @@ COLD_QUERIES = 48    # distinct left-hand sides per cold run
 HOT_QUERIES = 300    # repeats of one already-closed left-hand side
 CHURN_CYCLES = 40    # add → probe → retract → probe cycles
 CONCURRENCY = 24     # client-side pipelining depth
-SPEEDUP_TARGET = 2.0
 HOT_OVER_COLD = 5.0  # hot p50 must beat cold p50 by at least this factor
 
 SCHEMA_ROOT = mixed_family(SCALE)
@@ -156,74 +152,56 @@ async def _churn_run(client: AsyncClient) -> dict:
     return _stats(latencies, time.perf_counter() - started)
 
 
-async def _measure(workers: int, sigma: list[str]) -> dict:
-    config = ServeConfig(workers=workers, max_inflight=256,
+async def _measure(sigma: list[str]) -> dict:
+    config = ServeConfig(max_inflight=256,
                          max_pending_per_conn=256, idle_ttl=None,
                          request_timeout=None)
     async with ReasoningServer(config) as server:
         host, port = server.address
         async with await AsyncClient.connect(host, port) as client:
-            warmup = await _cold_run(client, sigma)   # warm pool + JIT paths
+            warmup = await _cold_run(client, sigma)   # warm code paths
             cold = await _cold_run(client, sigma)
             hot = await _hot_run(client)
             churn = await _churn_run(client)
-            dispatches = server.counters["serve.pool_dispatches"]
     return {"warmup_qps": warmup["qps"], "cold": cold, "hot": hot,
-            "churn": churn, "pool_dispatches": dispatches}
+            "churn": churn}
 
 
 def test_serve_throughput_report(benchmark):
     sigma = _sigma_texts()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else (os.cpu_count() or 1)
-    pool_workers = min(4, cpus) if cpus >= 2 else 2
 
     def measure():
-        inline = asyncio.run(_measure(0, sigma))
-        pooled = asyncio.run(_measure(pool_workers, sigma))
         return {
             "cpus": cpus,
-            "pool_workers": pool_workers,
             "sigma_size": len(sigma),
             "cold_queries": COLD_QUERIES,
             "concurrency": CONCURRENCY,
-            "inline": inline,
-            "pool": pooled,
-            "cold_speedup": round(
-                pooled["cold"]["qps"] / inline["cold"]["qps"], 2),
+            "inline": asyncio.run(_measure(sigma)),
         }
 
     row = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    report = {"serve_throughput": row, "speedup_target": SPEEDUP_TARGET,
-              "hot_over_cold_target": HOT_OVER_COLD}
+    report = {"serve_throughput": row, "hot_over_cold_target": HOT_OVER_COLD}
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
+    stats = row["inline"]
     print(f"\nserve throughput (|Σ|={row['sigma_size']}, "
           f"{COLD_QUERIES} cold LHS, pipeline depth {CONCURRENCY}, "
           f"{cpus} cpu(s)):")
-    for mode in ("inline", "pool"):
-        stats = row[mode]
-        print(f"  {mode:7s} cold {stats['cold']['qps']:8.1f} qps "
-              f"(p50 {stats['cold']['p50_ms']:.2f}ms  "
-              f"p99 {stats['cold']['p99_ms']:.2f}ms)   "
-              f"hot {stats['hot']['qps']:8.1f} qps "
-              f"(p50 {stats['hot']['p50_ms']:.3f}ms)   "
-              f"churn {stats['churn']['qps']:8.1f} qps")
-    print(f"  cold speedup (pool/inline): {row['cold_speedup']:.2f}x")
+    print(f"  cold {stats['cold']['qps']:8.1f} qps "
+          f"(p50 {stats['cold']['p50_ms']:.2f}ms  "
+          f"p99 {stats['cold']['p99_ms']:.2f}ms)   "
+          f"hot {stats['hot']['qps']:8.1f} qps "
+          f"(p50 {stats['hot']['p50_ms']:.3f}ms)   "
+          f"churn {stats['churn']['qps']:8.1f} qps")
     print(f"report written to {JSON_PATH.name}")
 
     # The session cache must make hot left-hand sides far cheaper than
     # cold ones — true regardless of CPU count.
-    for mode in ("inline", "pool"):
-        assert (row[mode]["hot"]["p50_ms"] * HOT_OVER_COLD
-                <= row[mode]["cold"]["p50_ms"]), row[mode]
-    # Offload must actually reach the pool.
-    assert row["pool"]["pool_dispatches"] >= COLD_QUERIES
-    # Parallel speedup needs parallel hardware; on a single-CPU machine
-    # the pool can only add IPC overhead, so the ≥2x gate is CI-only.
-    if cpus >= 2:
-        assert row["cold_speedup"] >= SPEEDUP_TARGET, row
+    assert (stats["hot"]["p50_ms"] * HOT_OVER_COLD
+            <= stats["cold"]["p50_ms"]), stats
 
 
 # -- registry dispatch overhead (PR 8 guard) -------------------------------

@@ -48,10 +48,10 @@ from ..exceptions import NotAnElementError
 
 __all__ = ["BasisEncoding", "EncodingCacheInfo", "iter_bits"]
 
-#: Bound of the ``double_complement`` memo.  The memo is emptied in one
-#: ``clear()`` when it reaches the bound, so a long-lived encoding (shell
-#: sessions, servers) cannot grow without limit and no miss pays for an
-#: eviction walk.
+#: Bound of each memo of an encoding (``double_complement``, encode,
+#: decode).  A memo is emptied in one ``clear()`` when it reaches the
+#: bound, so a long-lived encoding (shell sessions, servers) cannot grow
+#: without limit and no miss pays for an eviction walk.
 UNARY_CACHE_MAXSIZE = 16384
 
 
@@ -116,7 +116,7 @@ class BasisEncoding:
         "_decode_cache",
         "_down_tables",
         "_dc_cache",
-        "_dc_maxsize",
+        "_memo_maxsize",
         "_hits",
         "_misses",
     )
@@ -145,6 +145,7 @@ class BasisEncoding:
                 maximal |= 1 << i
         self.maximal = maximal
 
+        self._memo_maxsize = UNARY_CACHE_MAXSIZE
         self._encode_cache: dict[NestedAttribute, int] = {root: self.full}
         self._decode_cache: dict[int, NestedAttribute] = {
             self.full: root,
@@ -171,14 +172,12 @@ class BasisEncoding:
         # The one memoised Brouwerian operation: Algorithm 5.1 asks for
         # the double complement of the same blocks on every pass.
         self._dc_cache: dict[int, int] = {}
-        self._dc_maxsize = UNARY_CACHE_MAXSIZE
         self._hits = 0
         self._misses = 0
 
     def __reduce__(self):
         # Rebuild from the root on unpickling: the tables are derived
-        # data, and the memo is per-process state.  This is what
-        # lets a process-pool worker receive one encoding cheaply.
+        # data, and the memo is per-process state.
         return (type(self), (self.root,))
 
     def require_root(self, root: NestedAttribute) -> "BasisEncoding":
@@ -216,6 +215,15 @@ class BasisEncoding:
 
     # -- conversions -----------------------------------------------------
 
+    def _remember(self, element: NestedAttribute, mask: int) -> None:
+        """Memoise ``element ↦ mask``; a full memo restarts from the root
+        (bounded like the ``double_complement`` memo)."""
+        cache = self._encode_cache
+        if len(cache) >= self._memo_maxsize:
+            cache.clear()
+            cache[self.root] = self.full
+        cache[element] = mask
+
     def encode(self, element: NestedAttribute) -> int:
         """Mask of ``SubB(element)`` for ``element ∈ Sub(root)``.
 
@@ -233,7 +241,7 @@ class BasisEncoding:
         for i, candidate in enumerate(self.basis):
             if is_subattribute(candidate, element):
                 mask |= 1 << i
-        self._encode_cache[element] = mask
+        self._remember(element, mask)
         return mask
 
     def decode(self, mask: int) -> NestedAttribute:
@@ -252,8 +260,13 @@ class BasisEncoding:
 
         generators = [self.basis[i] for i in iter_bits(self.generators(mask))]
         element = join_all(self.root, generators)
-        self._decode_cache[mask] = element
-        self._encode_cache[element] = mask
+        cache = self._decode_cache
+        if len(cache) >= self._memo_maxsize:
+            cache.clear()
+            cache[self.full] = self.root
+            cache[0] = bottom(self.root)
+        cache[mask] = element
+        self._remember(element, mask)
         return element
 
     def index_of(self, basis_attribute: NestedAttribute) -> int:
@@ -354,7 +367,7 @@ class BasisEncoding:
             return cached
         self._misses += 1
         result = self.down_close(self.possessed(mask))
-        if len(cache) >= self._dc_maxsize:
+        if len(cache) >= self._memo_maxsize:
             cache.clear()
         cache[mask] = result
         return result
@@ -379,7 +392,7 @@ class BasisEncoding:
         of the Brouwerian operations (``double_complement``, the only
         operation that is memoised)."""
         return EncodingCacheInfo(double_complement=(
-            self._hits, self._misses, len(self._dc_cache), self._dc_maxsize))
+            self._hits, self._misses, len(self._dc_cache), self._memo_maxsize))
 
     def cache_totals(self) -> tuple[int, int]:
         """``(hits, misses)`` of the double-complement memo.
@@ -394,8 +407,9 @@ class BasisEncoding:
         """Drop the operation memo and reset its counters.
 
         The structural tables (``below``/``above``/down-closure tables)
-        and the encode/decode caches are kept — they are derived from the
-        root, not from the query stream.
+        are kept — they are derived from the root, not from the query
+        stream — and so are the encode/decode caches, which bound
+        themselves.
         """
         self._dc_cache.clear()
         self._hits = 0

@@ -28,7 +28,7 @@ paper's Figures 1–4.
 
 Serving (see docs/SERVER.md)::
 
-    python -m repro serve --port 7474 --workers 4
+    python -m repro serve --port 7474
     python -m repro query --connect 127.0.0.1:7474 open \\
         --session pub --schema "Pubcrawl(Person, Visit[Drink(Beer, Pub)])" \\
         -d "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"
@@ -184,10 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=7474,
         help="TCP port (0 = ephemeral; the bound address is printed)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="process-pool width for cold-closure offload (0 = inline)",
     )
     serve.add_argument("--max-sessions", type=int, default=64,
                        help="LRU cap on open sessions")
@@ -430,7 +426,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         max_sessions=args.max_sessions,
         idle_ttl=args.idle_ttl if args.idle_ttl > 0 else None,
         max_inflight=args.max_inflight,

@@ -30,8 +30,8 @@ truth:
   :func:`from_wire`) is what the five surfaces consume:
   ``serve/protocol.py`` derives its ``OPS`` set from
   :func:`wire_ops`; ``server.py`` looks commands up here instead of
-  branching per op (cold closures still ride the worker-offload seam
-  via :meth:`Command.lhs_masks`); the CLI and shell build their verb
+  branching per op (near capacity, its shed-cold check asks
+  :meth:`Command.lhs_masks` which closures a request needs); the CLI and shell build their verb
   tables and help text from the specs; ``Reasoner`` and
   ``BulkReasoner`` execute command objects.
 
@@ -167,8 +167,8 @@ class Outcome:
     returns and what the CLI renders); ``value`` is the rich in-process
     object for local façades (a verdict, a :class:`ClosureResult`, a
     :class:`~repro.dependencies.sigma.DependencySet`, …); ``mutated``
-    tells the server whether to bump the session generation so stale
-    offloaded results are never seeded.
+    tells the server whether to bump the session generation and log
+    the request to its WAL.
     """
 
     result: dict[str, Any]
@@ -309,9 +309,9 @@ class Command:
     def bind(self, session: "Session") -> "Command":
         """This command with its text fields parsed against ``session``.
 
-        The server binds each session-scope command once, before the
-        :meth:`lhs_masks` prefetch, so the prefetch and :meth:`run`
-        share one parse.  Commands whose text is first read inside
+        The server binds each session-scope command once, before its
+        shed-cold check calls :meth:`lhs_masks`, so the check and
+        :meth:`run` share one parse.  Commands whose text is first read inside
         :meth:`run` (add, retract, …) and commands without text return
         themselves, so a bad text fails where it always did.
         """
@@ -320,13 +320,12 @@ class Command:
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
         """Left-hand-side masks this command will need closures for.
 
-        The server calls this on the bound command (:meth:`bind`) and
-        prefetches the masks through its worker-offload seam (cold
-        masks compute on the pool, results seed the session cache)
-        before running the command inline against a warm cache.
-        Commands whose cold work is not expressible as LHS closures
-        (cover, keys, …) return ``()`` and are shed entirely near
-        capacity.
+        Asked only by the server's shed-cold check, on the bound
+        command (:meth:`bind`), once inflight work crosses
+        ``shed_cold_at``: a request is shed if any of its masks is
+        uncached, and served from the cache otherwise.  Commands whose
+        cold work is not expressible as LHS closures (cover, keys, …)
+        return ``()`` and are shed entirely near capacity.
         """
         return ()
 
@@ -551,7 +550,8 @@ class Add(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        added = session.add(self._dependency(session, self.dependency))
+        # Session.add validates; _dependency would check each side twice
+        added = session.add(self._parsed(session, self.dependency))
         return Outcome({"added": added, "sigma": len(session)},
                        mutated=added, value=added)
 

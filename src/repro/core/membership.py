@@ -101,8 +101,8 @@ def implies_every(sigma: DependencySet, dependencies: Iterable[Dependency],
 
     The questions run on one :class:`~repro.core.session.Session`, so
     Σ is compiled once and dependencies sharing a left-hand side reuse
-    a single Algorithm 5.1 run.  For one verdict *per query* (and
-    optional process-pool fan-out) use :func:`repro.batch.implies_all`.
+    a single Algorithm 5.1 run.  For one verdict *per query* use
+    :func:`repro.batch.implies_all`.
     """
     from .session import Session
 

@@ -7,8 +7,7 @@ rules recompute on every productive pass.  All of it is invariant for
 the life of a ``(encoding, Σ)`` pair, so :func:`compile_plan` derives it
 **once** into a :class:`CompiledPlan` — a frozen, picklable artifact the
 worklist kernel (:func:`repro.core.engine.closure_of_masks_fast`) runs
-off, which :class:`repro.core.session.Session` owns and the shared pool
-worker (:mod:`repro.core.worker`) receives pickled.
+off and :class:`repro.core.session.Session` owns.
 
 The plan holds three things:
 
@@ -39,8 +38,8 @@ The plan holds three things:
 
 Every field is an ``int`` or a tuple built in deterministic order, so
 compiling the same Σ twice produces **byte-identical pickles** — the
-property the pool workers' ``(epoch, generation)`` memo and the CI
-determinism smoke rely on.
+property the plan tests (incremental compile == fresh compile) and the
+CI determinism smoke rely on.
 
 :class:`ClosureIntervalCache` rides on top: a bounded
 ``x_mask → closure_mask`` memo that can answer a *miss* ``X`` without

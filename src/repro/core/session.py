@@ -385,9 +385,7 @@ class Session:
         Compiled lazily on first use after an edit; recompilation is
         incremental — per-dependency constants are reused from the
         previous plan for every Σ-member the edit kept (see
-        :func:`repro.core.plan.compile_plan`).  The pool workers of
-        :mod:`repro.core.worker` receive this object pickled and memoise
-        it per ``(epoch, generation)``.
+        :func:`repro.core.plan.compile_plan`).
         """
         plan = self._plan
         if plan is None:
@@ -480,7 +478,7 @@ class Session:
     def _store(self, mask: int, entry: _CacheEntry) -> None:
         self._entries[mask] = entry
         self._entries.move_to_end(mask)
-        # Every freshly computed (or seeded) fixpoint also feeds the
+        # Every freshly computed fixpoint also feeds the
         # interval cache — it is current for today's Σ by construction.
         self._interval.store(mask, entry.result.closure_mask)
         if self.maxsize is not None:
@@ -493,7 +491,7 @@ class Session:
                 self._evictions += 1
                 get_observer().add(f"{self._label}.cache.evictions")
 
-    # -- prefetch hooks (the batch API) ---------------------------------------
+    # -- cache membership ------------------------------------------------------
 
     def is_cached(self, mask: int) -> bool:
         """Whether ``mask`` has a cache entry current for today's Σ."""
@@ -503,24 +501,6 @@ class Session:
     def cached_masks(self) -> frozenset[int]:
         """The cached left-hand-side masks (current and stale alike)."""
         return frozenset(self._entries)
-
-    def seed(self, mask: int, result: ClosureResult,
-             fired: Iterable[int] | None = None) -> None:
-        """Install an externally computed result (process-pool prefetch).
-
-        ``fired`` carries the kernel's provenance indices in the current
-        FDs-then-MVDs order; when the caller cannot supply one (nor does
-        ``result.fired``), the conservative "all of Σ" provenance keeps
-        retraction sound.
-        """
-        _fd_masks, _mvd_masks, ordered = self._mask_tables()
-        if fired is None:
-            fired = result.fired
-        if fired is None:
-            provenance = set(ordered)
-        else:
-            provenance = {ordered[i] for i in fired}
-        self._store(mask, _CacheEntry(result, provenance, set(self._dep_set)))
 
     # -- queries -------------------------------------------------------------
 

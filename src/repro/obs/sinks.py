@@ -13,9 +13,7 @@ Three sinks cover the use cases the engine has today:
   documented in docs/OBSERVABILITY.md.
 
 A sink receives plain dicts (the :meth:`~repro.obs.spans.Span.as_dict`
-shape), never live ``Span`` objects — the same records that cross the
-process boundary from batch workers, so every sink handles local and
-adopted spans identically.
+shape), never live ``Span`` objects.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ class Sink:
     """Interface: override any subset; defaults all no-op."""
 
     def on_span(self, record: dict[str, Any]) -> None:
-        """A span finished (or was adopted from a worker)."""
+        """A span finished."""
 
     def on_metrics(self, snapshot: dict[str, Any]) -> None:
         """A metrics snapshot was flushed."""

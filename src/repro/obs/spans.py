@@ -19,17 +19,12 @@ hook must cost no more than an attribute check.  :data:`NULL_SPAN` is a
 singleton stand-in whose methods all no-op, and
 :meth:`Observer.span` on a disabled observer returns it without
 allocating anything.
-
-Spans from other processes (the batch fan-out workers) are merged with
-:meth:`Observer.adopt`, which re-numbers foreign span ids into the
-local id space and grafts the forest under the current (or a given)
-span — see :mod:`repro.batch` for the producer side.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .metrics import MetricsRegistry
 from .sinks import Sink
@@ -147,8 +142,7 @@ class Observer:
         which is what keeps the un-observed engine at native speed.
 
     Not thread-safe by design: the engine is single-threaded per
-    process, and the multi-process batch path merges worker spans
-    explicitly via :meth:`adopt`.
+    process.
     """
 
     def __init__(self, sinks: Iterable[Sink] = (), *, enabled: bool = True) -> None:
@@ -185,38 +179,6 @@ class Observer:
     def current_span_id(self) -> int | None:
         """Id of the innermost open span (``None`` at the top level)."""
         return self._stack[-1] if self._stack else None
-
-    def adopt(self, records: Sequence[dict], *,
-              parent_id: int | None = None) -> list[dict]:
-        """Merge foreign span records (e.g. from a pool worker).
-
-        Ids are re-numbered into this observer's id space, preserving
-        the foreign parent/child structure; foreign *root* spans are
-        re-parented under ``parent_id`` (default: the innermost open
-        span).  The re-numbered records go to the sinks and are
-        returned.
-        """
-        if not self.enabled or not records:
-            return []
-        if parent_id is None:
-            parent_id = self.current_span_id()
-        id_map: dict[int, int] = {}
-        for record in records:
-            id_map[record["id"]] = self._next_id
-            self._next_id += 1
-        adopted: list[dict] = []
-        for record in records:
-            merged = dict(record)
-            merged["id"] = id_map[record["id"]]
-            foreign_parent = record.get("parent")
-            merged["parent"] = (
-                id_map[foreign_parent]
-                if foreign_parent in id_map else parent_id
-            )
-            adopted.append(merged)
-            for sink in self.sinks:
-                sink.on_span(merged)
-        return adopted
 
     # -- metrics -----------------------------------------------------------
 

@@ -31,10 +31,8 @@ REQUIRED_ATTRS: dict[str, tuple[str, ...]] = {
     "session.retract": ("dependency", "sigma"),
     "reasoner.add": ("dependency", "sigma"),
     "reasoner.retract": ("dependency", "sigma"),
-    "batch.implies_all": ("queries", "distinct_lhs", "workers"),
-    "batch.prefetch": ("pending", "workers", "parallel"),
+    "batch.implies_all": ("queries", "distinct_lhs"),
     "batch.query": ("index", "kind", "lhs"),
-    "batch.worker": ("lhs", "pid"),
     "chase.run": ("tuples_in", "sigma", "fds", "mvds"),
     "serve.fault": ("op", "kind"),
     "client.retry": ("op", "attempt", "code", "sleep_s"),

@@ -1,7 +1,7 @@
 """``repro.serve`` — the network front-end over the reasoning engine.
 
 A versioned newline-delimited-JSON protocol (:mod:`repro.serve.protocol`),
-an asyncio TCP server with session management, worker-pool offload,
+an asyncio TCP server with session management, inline closures,
 backpressure, graceful shutdown and cold-work load shedding
 (:mod:`repro.serve.server`), sync/async clients
 (:mod:`repro.serve.client`), a client-side resilience layer — retry
@@ -19,7 +19,7 @@ it would cycle back into this package; see docs/REPLICATION.md).
 
 Quick start::
 
-    python -m repro serve --port 7474 --workers 4          # terminal 1
+    python -m repro serve --port 7474                      # terminal 1
     python -m repro query --connect 127.0.0.1:7474 --session pub \\
         --schema "Pubcrawl(Person, Visit[Drink(Beer, Pub)])" \\
         -d "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])" open  # terminal 2

@@ -2,8 +2,7 @@
 
 One request per line, one response per line, UTF-8, ``\\n``-terminated.
 Responses carry the request's ``id`` and may arrive **out of order** —
-the server pipelines requests per connection (that is what lets a single
-connection keep the worker pool busy), so clients must match responses
+the server pipelines requests per connection, so clients must match responses
 to requests by id, not by arrival order.
 
 Request::

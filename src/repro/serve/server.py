@@ -1,4 +1,4 @@
-"""The asyncio reasoning server: sessions over TCP with worker offload.
+"""The asyncio reasoning server: sessions over TCP.
 
 The server exposes :class:`repro.core.session.Session` as a network
 service speaking the :mod:`repro.serve.protocol` wire format.  Three
@@ -11,22 +11,11 @@ server:
   instead of accumulating it.  Every eviction is counted and traced
   (``serve.evict`` spans, reason ``"lru"`` or ``"idle"``).
 
-* **Worker offload** — cold closures are CPU-bound kernel runs; with
-  ``workers > 0`` they are dispatched to a ``ProcessPoolExecutor``
-  running the shared worker of :mod:`repro.core.worker`, so the event
-  loop stays responsive and multiple cold requests compute in parallel.
-  The parent ships the session's pickled
-  :class:`~repro.core.plan.CompiledPlan` — serialised **once** per
-  ``(session, epoch, generation)`` (:meth:`ManagedSession.plan_payload`)
-  — and workers memoise the unpickled plan per ``(epoch, generation)``
-  (the epoch is minted per opened session so a name re-opened after
-  close/eviction/``replace`` never hits a plan warmed for its
-  predecessor, and the generation changes because served sessions
-  *edit* Σ), and ship back ``(X⁺, DB, fired)`` so the parent seeds its
-  session cache with exact provenance — hot left-hand sides are then
-  answered inline from the cache without touching the pool.  Σ edits
-  bump the session's generation; an offloaded result computed against
-  a stale generation is discarded and re-dispatched, never seeded.
+* **Inline closures** — every closure is computed in the event loop
+  by the session itself (Algorithm 5.1 is a sequential fixpoint per
+  left-hand side; shipping one to another process costs more than
+  computing it).  Reads scale across cores through read replicas
+  (:mod:`repro.replicate`), one process each.
 
 * **Backpressure + deadlines** — at most ``max_inflight`` requests run
   server-wide and at most ``max_pending_per_conn`` per connection;
@@ -35,19 +24,17 @@ server:
   under ``request_timeout`` and times out to a typed ``timeout`` error.
   On SIGTERM/SIGINT the server stops accepting, answers new requests
   with ``shutting_down``, drains in-flight work (bounded by
-  ``drain_timeout``) and only then shuts the pool down.
+  ``drain_timeout``) and only then closes the store.
 
 Instrumentation: always-on plain counters surfaced through the
 ``metrics`` op, plus :mod:`repro.obs` spans (``serve.request``,
-``serve.queue_wait``, ``serve.evict``) and counters when an observer is
-installed.  Span parenting is best-effort under concurrency — see
+``serve.evict``) and counters when an observer is installed.  Span parenting is best-effort under concurrency — see
 docs/SERVER.md.
 """
 
 from __future__ import annotations
 
 import asyncio
-import pickle
 import signal
 import time
 from collections import Counter as TallyCounter
@@ -57,8 +44,7 @@ from typing import Any, Iterable
 
 from ..attributes.nested import NestedAttribute
 from ..attributes.parser import parse_attribute
-from ..core import commands, worker
-from ..core.closure import ClosureResult
+from ..core import commands
 from ..core.session import Session
 from ..dependencies.dependency import Dependency
 from ..exceptions import ReproError
@@ -90,8 +76,9 @@ class ServeConfig:
     #: ``0`` binds an ephemeral port; :meth:`ReasoningServer.start`
     #: returns the actual address.
     port: int = 0
-    #: Process-pool width for cold-closure offload; ``0`` computes
-    #: inline in the event loop (the single-process baseline).
+    #: Must be ``0``: closures are computed inline.  Kept so configs
+    #: that spell out ``workers=0`` still load; any other value is
+    #: refused.
     workers: int = 0
     #: LRU cap on concurrently open sessions.
     max_sessions: int = 64
@@ -149,6 +136,13 @@ class ServeConfig:
     #: deadline from being consumed entirely by the poll).
     replicate_max_wait: float = 25.0
 
+    def __post_init__(self) -> None:
+        if self.workers != 0:
+            raise ValueError(
+                f"workers={self.workers!r}: the server has no worker pool "
+                f"and computes closures inline; scale reads across cores "
+                f"with read replicas (replicate_from, docs/REPLICATION.md)")
+
 
 # --------------------------------------------------------------------------
 # Session management
@@ -157,37 +151,20 @@ class ManagedSession:
     """A named :class:`Session` plus its server-side bookkeeping."""
 
     __slots__ = ("name", "session", "epoch", "generation", "last_used",
-                 "opened_at", "_plan_blob", "_plan_generation")
+                 "opened_at")
 
-    def __init__(self, name: str, session: Session, now: float) -> None:
+    def __init__(self, name: str, session: Session, now: float,
+                 epoch: int) -> None:
         self.name = name
         self.session = session
         #: Server-unique id for this *opening* of the name — two sessions
         #: never share an epoch, even when one replaces the other under
-        #: the same name.  Worker-side plan memos key on it.
-        self.epoch = worker.EPOCHS.next()
-        #: Bumped on every Σ edit; offloaded results are only seeded
-        #: when the generation they were computed for is still current.
+        #: the same name.
+        self.epoch = epoch
+        #: Bumped on every Σ edit.
         self.generation = 0
         self.last_used = now
         self.opened_at = now
-        self._plan_blob: bytes | None = None
-        self._plan_generation = -1
-
-    def plan_payload(self) -> bytes:
-        """Pickled compiled plan for the session's *current* Σ.
-
-        The dump is memoised per generation: a burst of offloaded
-        closures between edits pickles once, and workers keyed on
-        ``(epoch, generation)`` unpickle once, so plan bytes cross the
-        process boundary one time per Σ revision per worker.
-        """
-        if self._plan_generation != self.generation:
-            self._plan_blob = pickle.dumps(
-                self.session.plan, protocol=pickle.HIGHEST_PROTOCOL
-            )
-            self._plan_generation = self.generation
-        return self._plan_blob
 
 
 class SessionManager:
@@ -208,6 +185,8 @@ class SessionManager:
         self.idle_ttl = idle_ttl
         self.counters = counters if counters is not None else TallyCounter()
         self._sessions: "OrderedDict[str, ManagedSession]" = OrderedDict()
+        #: The next session opening's epoch.
+        self._next_epoch = 1
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -237,7 +216,9 @@ class SessionManager:
         except (ReproError, ValueError) as error:
             raise ProtocolError(ErrorCode.BAD_PARAMS, str(error)) from error
         managed = ManagedSession(name, session,
-                                 time.monotonic() if now is None else now)
+                                 time.monotonic() if now is None else now,
+                                 self._next_epoch)
+        self._next_epoch += 1
         self._sessions[name] = managed
         self._sessions.move_to_end(name)
         self.counters["serve.sessions_opened"] += 1
@@ -254,15 +235,15 @@ class SessionManager:
 
         Unlike :meth:`open`, the session keeps the ``(epoch,
         generation)`` it had before the restart — clients tracking
-        lineage (and workers memoising plans by epoch) see one
-        continuous session — and the epoch mint is reserved past it so
-        later opens cannot collide.  Counted as a restore, not an open.
+        lineage see one continuous session — and the epoch counter
+        moves past it so later opens cannot collide.  Counted as a
+        restore, not an open.
         """
         managed = self.open(name, schema, dependencies, engine=engine,
                             replace=True)
         managed.epoch = epoch
         managed.generation = generation
-        worker.EPOCHS.reserve(epoch + 1)
+        self._next_epoch = max(self._next_epoch, epoch + 1)
         self.counters["serve.sessions_opened"] -= 1
         self.counters["serve.sessions_restored"] += 1
         return managed
@@ -303,12 +284,6 @@ class SessionManager:
             raise ProtocolError(ErrorCode.UNKNOWN_SESSION,
                                 f"no session named {name!r}")
         return managed
-
-    def is_current(self, managed: ManagedSession) -> bool:
-        """Whether ``managed`` is still the live session for its name
-        (a ``name in manager`` check is not enough — the name may have
-        been re-opened as a different session object)."""
-        return self._sessions.get(managed.name) is managed
 
     def sweep_idle(self, *, now: float | None = None) -> int:
         """Evict every session idle longer than ``idle_ttl``; returns count."""
@@ -374,10 +349,9 @@ class _Connection:
 class ReasoningServer:
     """The asyncio TCP front-end over :class:`SessionManager`.
 
-    Lifecycle follows the library's pool contract (shared with
-    :class:`repro.batch.BulkReasoner`): ``async with`` the server, or
-    call :meth:`start` / :meth:`shutdown` explicitly — the worker pool
-    is owned by the server and never leaks on exception paths.
+    ``async with`` the server, or call :meth:`start` / :meth:`shutdown`
+    explicitly — the store and connections are released on exception
+    paths too.
 
     >>> import asyncio
     >>> from repro.serve.client import AsyncClient
@@ -413,7 +387,6 @@ class ReasoningServer:
         #: Durable persistence, built (and recovered) in :meth:`start`
         #: when ``config.data_dir`` is set.
         self.store: SessionStore | None = None
-        self._pool = None
         self._server: asyncio.AbstractServer | None = None
         self._address: tuple[str, int] | None = None
         self._tasks: set[asyncio.Task] = set()
@@ -445,7 +418,7 @@ class ReasoningServer:
         return self._address
 
     async def start(self) -> tuple[str, int]:
-        """Recover durable state, bind, warm the pool, start the sweeper."""
+        """Recover durable state, bind, start the sweeper."""
         if self._server is not None:
             raise RuntimeError("server is already started")
         if self.config.data_dir is not None and self.store is None:
@@ -459,13 +432,6 @@ class ReasoningServer:
                 compact_bytes=self.config.store_compact_bytes,
                 counters=self.counters, faults=self.faults)
             self.store.start(self.sessions)
-        if self.config.workers > 0:
-            import concurrent.futures
-
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                initializer=worker.init_worker,
-            )
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port,
@@ -522,7 +488,7 @@ class ReasoningServer:
         await self._stopped.wait()
 
     async def shutdown(self, *, drain: bool = True) -> None:
-        """Stop accepting, optionally drain in-flight work, release the pool.
+        """Stop accepting, optionally drain in-flight work, close the store.
 
         Idempotent; concurrent callers all wait for the first shutdown
         to finish.  With ``drain=True`` (the SIGTERM path) requests
@@ -566,9 +532,6 @@ class ReasoningServer:
             task.cancel()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
         if self.store is not None:
             self.store.close()
         self._stopped.set()
@@ -771,12 +734,12 @@ class ReasoningServer:
         (:mod:`repro.core.commands`) supplies validation
         (:func:`~repro.core.commands.from_wire`), binding
         (:meth:`~repro.core.commands.Command.bind`: each text field is
-        parsed once, before the prefetch), the offload seam
-        (:meth:`~repro.core.commands.Command.lhs_masks`, prefetched
-        through the worker pool) and execution under the uniform
-        ``command.run`` span.  Server-scope commands (ping, open, …)
-        resolve through the handler table built from the same registry
-        in :meth:`_bind_admin_handlers`.
+        parsed once), the shed-cold seam
+        (:meth:`~repro.core.commands.Command.lhs_masks`, asked only
+        near capacity) and execution under the uniform ``command.run``
+        span.  Server-scope commands (ping, open, …) resolve through
+        the handler table built from the same registry in
+        :meth:`_bind_admin_handlers`.
         """
         self._count("serve.requests")
         self._count(f"serve.requests.{request.op}")
@@ -810,29 +773,23 @@ class ReasoningServer:
 
         managed = self.sessions.get(command.session)
         session = managed.session
-        # Parse the request's text once; the prefetch and the command
-        # both see the parsed objects.
+        # Parse the request's text once; the shed check and the
+        # command both see the parsed objects.
         command = command.bind(session)
-        # The offload seam: every LHS closure the command declares is
-        # resolved first — cold masks compute on the worker pool (with
-        # shed-cold backpressure and stale-generation protection) and
-        # seed the cache, so the command itself runs against warm state.
-        masks = tuple(dict.fromkeys(command.lhs_masks(session)))
-        if masks:
-            if len(masks) == 1:
-                await self._result_for_mask(managed, masks[0])
-            else:
-                await asyncio.gather(*(self._result_for_mask(managed, mask)
-                                       for mask in masks))
-        elif spec.cost == "cold" and self._shedding_cold():
+        if spec.cost == "cold" and self._shedding_cold():
+            # Graceful load shedding: near capacity the server keeps
+            # answering requests whose closures are all cached and
+            # sheds any that needs a kernel run — the retryable
+            # rejection is far cheaper than a closure we cannot afford.
             # Cold work not expressible as LHS closures (cover, keys,
-            # …) cannot be partially shed — near capacity it is
-            # rejected outright, like any other cold closure.
-            self._count("serve.shed_cold")
-            raise ProtocolError(
-                ErrorCode.OVERLOADED,
-                f"shedding cold closure work near capacity "
-                f"(inflight={self._inflight}); retry later")
+            # …) declares no masks and is shed outright.
+            masks = command.lhs_masks(session)
+            if not masks or not all(map(session.is_cached, masks)):
+                self._count("serve.shed_cold")
+                raise ProtocolError(
+                    ErrorCode.OVERLOADED,
+                    f"shedding cold closure work near capacity "
+                    f"(inflight={self._inflight}); retry later")
         outcome = commands.execute(command, session)
         if outcome.mutated:
             managed.generation += 1
@@ -1006,61 +963,6 @@ class ReasoningServer:
             status["followers"] = self._followers.stats(last_seq)
         return status
 
-    # -- closure evaluation (the offload seam) -------------------------------
-
-    async def _result_for_mask(self, managed: ManagedSession,
-                               mask: int) -> ClosureResult:
-        """A closure result, offloaded to the pool when cold and possible.
-
-        Cache hits (and every query when ``workers == 0``) are answered
-        inline.  Offloaded runs are tagged with the session generation
-        they computed against; if Σ was edited while the worker ran, the
-        stale result is discarded and the query re-dispatched (bounded,
-        then inline) — the session cache never sees a stale seed.
-        """
-        session = managed.session
-        if not session.is_cached(mask) and self._shedding_cold():
-            # Graceful load shedding: near capacity the server keeps
-            # answering hot cache hits (microseconds) and sheds the
-            # expensive cold kernel runs — the retryable rejection is
-            # far cheaper than computing a closure we cannot afford.
-            self._count("serve.shed_cold")
-            raise ProtocolError(
-                ErrorCode.OVERLOADED,
-                f"shedding cold closure work near capacity "
-                f"(inflight={self._inflight}); retry later")
-        if self._pool is None or session.is_cached(mask):
-            return session.result_for_mask(mask)
-        loop = asyncio.get_running_loop()
-        obs = get_observer()
-        for _attempt in range(3):
-            generation = managed.generation
-            self._count("serve.pool_dispatches")
-            dispatched_ns = time.monotonic_ns()
-            with obs.span("serve.queue_wait", session=managed.name,
-                          lhs=format(mask, "#x")) as span:
-                try:
-                    (_mask, closure_mask, blocks, passes, fired,
-                     kernel_ns, _spans) = await loop.run_in_executor(
-                        self._pool, worker.solve,
-                        (managed.epoch, generation), managed.plan_payload(),
-                        mask)
-                except RuntimeError:
-                    # Pool torn down mid-flight (shutdown race): fall
-                    # back to the inline path below.
-                    break
-                span.set(kernel_ns=kernel_ns,
-                         wait_ns=(time.monotonic_ns() - dispatched_ns
-                                  - kernel_ns))
-            if managed.generation == generation:
-                result = ClosureResult(session.encoding, mask, closure_mask,
-                                       blocks, passes, frozenset(fired))
-                if self.sessions.is_current(managed):
-                    session.seed(mask, result, fired)
-                return result
-            self._count("serve.stale_discards")
-        return session.result_for_mask(mask)
-
     # -- health / shedding ---------------------------------------------------
 
     def _shedding_cold(self) -> bool:
@@ -1104,7 +1006,6 @@ class ReasoningServer:
             "uptime_s": round(now - self._started_at, 3),
             "sessions": len(self.sessions),
             "inflight": self._inflight,
-            "workers": self.config.workers,
             "draining": self._draining,
             "counters": dict(self.counters),
         }

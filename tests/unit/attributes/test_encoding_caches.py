@@ -88,7 +88,7 @@ class TestMemoisation:
 class TestEviction:
     def test_clear_bounds_the_memo(self, encoding):
         encoding.cache_clear()
-        encoding._dc_maxsize = 4
+        encoding._memo_maxsize = 4
         masks = list(encoding.all_elements())[:10]
         assert len(masks) == 10
         for mask in masks:
@@ -99,9 +99,27 @@ class TestEviction:
         assert (hits, misses, maxsize) == (0, 10, 4)
         assert 1 <= size <= 4
 
+    def test_clear_bounds_the_encode_and_decode_memos(self, encoding):
+        encoding._memo_maxsize = 4
+        masks = list(encoding.all_elements())
+        assert len(masks) > 10
+        for mask in masks:
+            element = encoding.decode(mask)
+            assert encoding.encode(element) == mask
+            assert len(encoding._encode_cache) <= 4
+            assert len(encoding._decode_cache) <= 4
+        # a fresh encoding, so every side is an encode miss
+        fresh = BasisEncoding(encoding.root)
+        fresh._memo_maxsize = 4
+        for mask in masks:
+            assert fresh.encode(encoding.decode(mask)) == mask
+            assert len(fresh._encode_cache) <= 4
+        assert fresh.encode(encoding.root) == encoding.full
+        assert fresh.decode(0) == encoding.decode(0)
+
     def test_evicted_entries_recompute_correctly(self, encoding):
         encoding.cache_clear()
-        encoding._dc_maxsize = 2
+        encoding._memo_maxsize = 2
         masks = list(encoding.all_elements())[:5]
         expected = [encoding.down_close(encoding.possessed(m)) for m in masks]
         for _ in range(2):

@@ -201,29 +201,6 @@ class TestRetractionProvenance:
         assert session.closure("R(A)") == s("R(A, B)", root)
 
 
-class TestSeed:
-    def test_seed_installs_hit(self, root, sigma):
-        session = Session(root, sigma)
-        mask = session.encoding.encode(s("R(A)", root))
-        result = compute_closure(session.encoding, s("R(A)", root), sigma)
-        session.seed(mask, result, result.fired)
-        assert session.is_cached(mask)
-        assert session.result_for_mask(mask) is result
-        assert session.kernel_stats.runs == 0
-
-    def test_seed_without_provenance_is_conservative(self, root, sigma):
-        session = Session(root, sigma)
-        mask = session.encoding.encode(s("R(A)", root))
-        result = compute_closure(session.encoding, s("R(A)", root), sigma)
-        bare = type(result)(result.encoding, result.x_mask,
-                            result.closure_mask, result.blocks, result.passes)
-        assert bare.fired is None
-        session.seed(mask, bare)
-        # All of sigma is assumed fired: any retraction evicts the entry.
-        session.retract("R(C) -> R(D)")
-        assert session.cache_info().invalidations == 1
-
-
 class TestEngines:
     def test_engine_switch_mid_session(self, root, sigma):
         session = Session(root, sigma)

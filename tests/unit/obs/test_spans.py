@@ -93,48 +93,6 @@ class TestDisabledObserver:
         disabled.observe("histogram", 1)
         assert len(disabled.metrics) == 0
 
-    def test_adopt_returns_nothing(self):
-        disabled = Observer(enabled=False)
-        assert disabled.adopt([{"id": 1, "parent": None}]) == []
-
-
-class TestAdopt:
-    def _worker_records(self):
-        worker_sink = InMemorySink()
-        worker = Observer([worker_sink])
-        with worker.span("batch.worker", pid=123):
-            with worker.span("closure.compute"):
-                pass
-        return worker_sink.spans
-
-    def test_renumbers_and_reparents(self, observer, sink):
-        records = self._worker_records()
-        with observer.span("batch.prefetch") as prefetch:
-            adopted = observer.adopt(records)
-        by_name = {record["name"]: record for record in adopted}
-        assert by_name["batch.worker"]["parent"] == prefetch.span_id
-        assert by_name["closure.compute"]["parent"] == by_name["batch.worker"]["id"]
-        # adopted ids must not collide with local ones
-        local_ids = {record["id"] for record in sink.by_name("batch.prefetch")}
-        assert local_ids.isdisjoint(record["id"] for record in adopted)
-
-    def test_adopted_records_reach_sinks(self, observer, sink):
-        observer.adopt(self._worker_records())
-        assert len(sink.by_name("batch.worker")) == 1
-
-    def test_explicit_parent_wins(self, observer):
-        adopted = observer.adopt(self._worker_records(), parent_id=77)
-        roots = [record for record in adopted
-                 if record["name"] == "batch.worker"]
-        assert roots[0]["parent"] == 77
-
-    def test_two_workers_stay_disjoint(self, observer):
-        first = observer.adopt(self._worker_records())
-        second = observer.adopt(self._worker_records())
-        first_ids = {record["id"] for record in first}
-        second_ids = {record["id"] for record in second}
-        assert first_ids.isdisjoint(second_ids)
-
 
 class TestInstall:
     def test_default_observer_is_disabled(self):

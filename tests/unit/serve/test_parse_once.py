@@ -1,8 +1,7 @@
 """Each text side of a served request is parsed exactly once.
 
 The server binds a command (:meth:`repro.core.commands.Command.bind`)
-before its ``lhs_masks`` prefetch, so the prefetch and the run share one
-parse.  The counts here are real parses: every module that imported
+before it runs, so its shed-cold check and the run share one parse.  The counts here are real parses: every module that imported
 :func:`repro.attributes.parser.parse_subattribute` by name sees the
 counting wrapper.
 """

@@ -18,6 +18,8 @@ from repro.serve import (
     ServerError,
     SessionManager,
 )
+from repro.attributes import parse_attribute
+from repro.core.session import Session
 from repro.serve.protocol import ProtocolError
 
 SCHEMA = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])"
@@ -102,9 +104,8 @@ class TestSessionManager:
             SessionManager(max_sessions=0)
 
     def test_reopened_name_gets_a_fresh_epoch(self):
-        """close+open and replace both mint new epochs — the worker-side
-        table memo keys on the epoch, so a recycled name must never
-        look like the session it replaced."""
+        """close+open and replace both mint new epochs, so a recycled
+        name never looks like the session it replaced."""
         manager = SessionManager(max_sessions=4)
         first = manager.open("a", SCHEMA, [MVD])
         manager.close("a")
@@ -113,9 +114,6 @@ class TestSessionManager:
         assert second.generation == 0  # same (name, generation) as first had
         replaced = manager.open("a", SCHEMA, replace=True)
         assert replaced.epoch not in {first.epoch, second.epoch}
-        assert manager.is_current(replaced)
-        assert not manager.is_current(second)
-        assert not manager.is_current(first)
 
 
 class TestServerOps:
@@ -377,80 +375,65 @@ class TestIdleSweeper:
         run(scenario())
 
 
-class TestWorkerOffload:
-    def test_pool_seeds_the_session_cache(self):
-        config = ServeConfig(workers=1, idle_ttl=None)
+class TestInlineClosures:
+    """Every closure is computed inline by the session."""
+
+    def test_workers_other_than_zero_are_refused(self):
+        assert ServeConfig(workers=0).workers == 0
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="read replicas"):
+                ServeConfig(workers=workers)
+
+    def test_fd_implies_uses_the_closure_interval_cache(self):
+        """``closure X'`` then an FD ``implies`` with ``X' ≤ X ≤ X'⁺``:
+        answered from the interval cache, no kernel run — as locally."""
+        lhs = "Pubcrawl(Person, Visit[λ])"    # between X' and X'⁺
+        query = f"{lhs} -> Pubcrawl(Person)"
+
+        def counts(session):
+            return (session.cache_info().computed,
+                    session.cache_info().plan.interval_hits)
+
+        local = Session(parse_attribute(SCHEMA), [MVD])
+        local.closure("Pubcrawl(Person)")
+        before = counts(local)
+        assert local.implies(query) is True
+        local_delta = tuple(b - a for a, b in zip(before, counts(local)))
+        assert local_delta == (0, 1)
 
         async def scenario():
-            async with ReasoningServer(config) as server:
+            async with ReasoningServer(ServeConfig(idle_ttl=None)) as server:
                 host, port = server.address
                 async with await AsyncClient.connect(host, port) as client:
                     await client.open("pub", SCHEMA, [MVD])
-                    assert await client.implies("pub", IMPLIED_FD) is True
-                    dispatches = server.counters["serve.pool_dispatches"]
-                    assert dispatches >= 1
+                    assert (await client.closure("pub", "Pubcrawl(Person)")
+                            == lhs)
+                    session = server.sessions.peek("pub").session
+                    before = counts(session)
+                    assert await client.implies("pub", query) is True
+                    return tuple(b - a
+                                 for a, b in zip(before, counts(session)))
 
-                    # same LHS again: answered from the seeded cache
-                    assert await client.implies("pub", IMPLIED_MVD) is True
-                    assert (server.counters["serve.pool_dispatches"]
-                            == dispatches)
-                    metrics = await client.metrics("pub")
-                    assert metrics["sessions"]["pub"]["computed"] >= 1
-                    assert metrics["sessions"]["pub"]["hits"] >= 1
+        assert run(scenario()) == local_delta
 
-                    # Σ edits bump the generation; later closures still work
-                    await client.add("pub", NOT_IMPLIED)
-                    assert await client.implies("pub", NOT_IMPLIED) is True
-
-        run(scenario())
-
-    def test_offload_matches_inline_verdicts(self):
-        queries = [IMPLIED_FD, IMPLIED_MVD, NOT_IMPLIED,
-                   "Pubcrawl(Visit[λ]) ->> Pubcrawl(Person)",
-                   "λ -> Pubcrawl(Visit[λ])"]
-
-        async def verdicts(workers):
-            config = ServeConfig(workers=workers, idle_ttl=None)
-            async with ReasoningServer(config) as server:
-                host, port = server.address
-                async with await AsyncClient.connect(host, port) as client:
-                    await client.open("pub", SCHEMA, [MVD])
-                    return await client.implies_batch("pub", queries)
-
-        assert run(verdicts(0)) == run(verdicts(1))
-
-    def test_reopened_name_never_reuses_stale_worker_tables(self):
+    def test_reopened_name_answers_from_its_own_sigma(self):
         """A name re-opened after close (or replace) restarts at
-        generation 0; the worker memo must key on the session epoch, or
-        the pool would answer with the *previous* session's Σ tables."""
-        config = ServeConfig(workers=1, idle_ttl=None)
+        generation 0 and must never answer from its predecessor's Σ."""
 
         async def scenario():
-            async with ReasoningServer(config) as server:
+            async with ReasoningServer(ServeConfig(idle_ttl=None)) as server:
                 host, port = server.address
                 async with await AsyncClient.connect(host, port) as client:
                     await client.open("pub", SCHEMA, [MVD])
                     assert await client.implies("pub", IMPLIED_FD) is True
                     await client.close_session("pub")
 
-                    # Same name, same schema, empty Σ: a (name,
-                    # generation)-keyed memo would hit the old tables
-                    # and wrongly answer True.
+                    # Same name, same schema, empty Σ.
                     await client.open("pub", SCHEMA, [])
                     assert await client.implies("pub", IMPLIED_FD) is False
 
                     # replace=True is the same trap without a close.
                     await client.open("pub", SCHEMA, [MVD], replace=True)
                     assert await client.implies("pub", IMPLIED_FD) is True
-
-        run(scenario())
-
-    def test_pool_is_released_on_shutdown(self):
-        config = ServeConfig(workers=1, idle_ttl=None)
-
-        async def scenario():
-            async with ReasoningServer(config) as server:
-                assert server._pool is not None
-            assert server._pool is None
 
         run(scenario())

@@ -1,4 +1,5 @@
-"""Each side of a served ``implies`` is checked against the root once.
+"""Each side of a served ``implies`` or ``add`` is checked against the
+root once.
 
 Parsed text is in ``Sub(N)`` by construction; the one membership check a
 side pays is the one :meth:`repro.attributes.encoding.BasisEncoding.encode`
@@ -20,8 +21,8 @@ from repro.dependencies.dependency import (
     FunctionalDependency,
     MultivaluedDependency,
 )
-from repro.exceptions import NotAnElementError
-from repro.serve import AsyncClient, ReasoningServer, ServeConfig
+from repro.exceptions import NotAnElementError, ReproError
+from repro.serve import AsyncClient, ReasoningServer, ServeConfig, ServerError
 
 SCHEMA = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])"
 MVD = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"
@@ -97,3 +98,54 @@ def test_foreign_sides_keep_the_validate_message(index):
         with pytest.raises(NotAnElementError) as raised:
             attempt()
         assert str(raised.value) == message
+
+
+def test_served_add_checks_each_side_once(root_checks):
+    """``Add`` hands the parsed dependency to ``Session.add``, whose own
+    ``validate`` is the only check: 2 root checks for one add."""
+    async def scenario():
+        async with ReasoningServer(ServeConfig()) as server:
+            host, port = server.address
+            async with await AsyncClient.connect(host, port) as client:
+                await client.open("pub", SCHEMA, [MVD])
+                before = len(root_checks)
+                await client.add("pub", QUERY)
+                return len(root_checks) - before
+
+    assert asyncio.run(scenario()) == 2
+
+
+FOREIGN_TEXTS = ["Pubcrawl(Age) -> Pubcrawl(Person)",
+                 "Pubcrawl(Person) ->> Pubcrawl(Age)"]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_foreign_side_add_keeps_its_messages(index):
+    root, dependencies = _foreign_dependencies()
+    text = FOREIGN_TEXTS[index]
+    with pytest.raises(ReproError) as parsed:
+        Session(root).dependency(text)
+
+    async def scenario():
+        async with ReasoningServer(ServeConfig()) as server:
+            host, port = server.address
+            async with await AsyncClient.connect(host, port) as client:
+                await client.open("pub", SCHEMA, [MVD])
+                with pytest.raises(ServerError) as raised:
+                    await client.add("pub", text)
+                return raised.value
+
+    # Served text outside Sub(N) fails in the parser: bad_params with
+    # the parser's message.
+    error = asyncio.run(scenario())
+    assert (error.code, error.message) == ("bad_params", str(parsed.value))
+
+    # A dependency built outside the parser fails in Session.add with
+    # validate's message, which names the side.
+    dependency = dependencies[index]
+    with pytest.raises(NotAnElementError) as expected:
+        dependency.validate(root)
+    with pytest.raises(NotAnElementError) as raised:
+        commands.execute(commands.Add(dependency=dependency),
+                         Session(root, [MVD]))
+    assert str(raised.value) == str(expected.value)
