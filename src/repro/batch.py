@@ -80,12 +80,10 @@ class BulkReasoner:
         :func:`repro.core.membership.implies_every` (which was called
         ``implies_all`` there before the rename).
         """
+        # Each side is checked against the root once, when the session
+        # encodes it (Session.dependency_masks), with validate's message.
         schema = self.schema
-        parsed: list[Dependency] = []
-        for dependency in dependencies:
-            dependency = schema.dependency(dependency)
-            dependency.validate(schema.root)
-            parsed.append(dependency)
+        parsed = [schema.dependency(dependency) for dependency in dependencies]
 
         # The verdict sweep is the typed ImpliesBatch command — the
         # same object the wire dispatches — run against the session.

@@ -86,11 +86,11 @@ class ClosureResult:
         no-change pass).
     fired:
         Optional **provenance**: the indices (in Σ's FDs-then-MVDs
-        firing order) of the dependencies whose firing productively
-        changed the state during the run.  ``None`` when the kernel was
-        not asked to record provenance.  A dependency outside ``fired``
-        only ever fired as a no-op, so the result is independent of its
-        presence in Σ — the invariant behind
+        firing order, as Σ stood for the run) of the dependencies whose
+        firing productively changed the state during the run.  ``None``
+        when the kernel was not asked to record provenance.  A
+        dependency outside ``fired`` only ever fired as a no-op, so the
+        result is independent of its presence in Σ — the invariant behind
         :meth:`repro.core.session.Session.retract` cache retention.
     """
 

@@ -37,8 +37,8 @@ the naive pass count it is bounded by the number of state changes
 
 The kernel runs off a :class:`repro.core.plan.CompiledPlan`, which
 carries all of its per-Σ set-up: the folded dependency arrays (exact
-duplicates fire once, ``fired`` provenance is remapped to original Σ
-indices through the plan's ``origin``), the *inverted* requeue index
+duplicates fire once, ``fired`` provenance is remapped to the plan's
+member slots through its ``origin``), the *inverted* requeue index
 (basis bit → bitmask of dependency positions, so waking the dependents
 of a dirty event costs ``O(popcount(dirty))`` lookups plus one walk of
 exactly the woken positions, in ascending order), and per-dependency
@@ -138,22 +138,22 @@ def closure_of_masks_fast(
         the encoding, the folded dependency arrays, the inverted requeue
         index and the ``Ū = 0`` constants all come from it.
     fired:
-        Optional caller-supplied set collecting **provenance**: the
-        original Σ index (position in the FDs-then-MVDs firing order,
-        through the plan's ``origin`` remap) of every dependency whose
-        firing *changed* ``(X_new, DB_new)``.  A dependency absent from
-        ``fired`` only ever fired as a no-op, so removing it from Σ
-        replays the identical run — the invariant
+        Optional caller-supplied set collecting **provenance**: the slot
+        (for a freshly compiled plan, the index in the FDs-then-MVDs
+        firing order), through the plan's ``origin`` remap, of every
+        dependency whose firing *changed* ``(X_new, DB_new)``.  A
+        dependency absent from ``fired`` only ever fired as a no-op, so
+        removing it from Σ replays the identical run — the invariant
         :class:`repro.core.session.Session` uses for cache retention.
     warm_start:
         Optional ``(x_plus, blocks, pending)`` resume state.  Instead of
         initialising from ``X``, the kernel starts at the supplied
         fixpoint of a *smaller* Σ (same left-hand side ``x_mask``) and
         seeds the worklist with only the ``pending`` dependencies — the
-        ones added since that fixpoint was computed, as original Σ
-        indices (mapped through the plan's ``folded_of``).  Because the
-        algorithm is a monotone fixpoint computation and the old
-        dependencies cannot fire productively at their own fixpoint
+        ones added since that fixpoint was computed, as slots (mapped
+        through the plan's ``folded_of`` and queued in firing order).
+        Because the algorithm is a monotone fixpoint computation and the
+        old dependencies cannot fire productively at their own fixpoint
         (they are re-queued if the new ones dirty their inputs), the
         result is the same ``(X⁺, DB)`` as a cold run over the full Σ.
     """
@@ -237,23 +237,24 @@ def closure_of_masks_fast(
             stats.u_bar_blocks += blocks
         return result
 
-    # Worklist: initially every folded position, in order (or, on warm
-    # starts, only the pending ones — original Σ indices mapped onto
-    # folded positions, deduplicated in first-seen order); generations
-    # mirror the naive REPEAT passes for reporting purposes.
+    # Worklist: initially every live folded position, in order (or, on
+    # warm starts, only the pending ones — slots mapped onto folded
+    # positions, in firing order); generations mirror the naive REPEAT
+    # passes for reporting purposes.  Tombstoned positions of an edited
+    # plan are never queued: they are outside ``live_mask`` and have no
+    # bit in any requeue mask.
     if warm_start is None:
-        queue: deque[int] = deque(range(len(deps)))
-        queued_mask = (1 << len(deps)) - 1
+        queued_mask = plan.live_mask  # int bitmask over folded positions
+        if queued_mask == (1 << len(deps)) - 1:
+            queue: deque[int] = deque(range(len(deps)))
+        else:
+            queue = deque(iter_bits(queued_mask))
     else:
         folded_of = plan.folded_of
-        queue = deque()
-        queued_mask = 0  # int bitmask over folded positions
+        queued_mask = 0
         for index in warm_start[2]:
-            position = folded_of[index]
-            bit = 1 << position
-            if not queued_mask & bit:
-                queued_mask |= bit
-                queue.append(position)
+            queued_mask |= 1 << folded_of[index]
+        queue = deque(iter_bits(queued_mask))
     passes = 1
     firings = 0
     requeues = 0

@@ -33,8 +33,11 @@ and capabilities:
     deliberately slow, deliberately encoding-free.  No warm starts; its
     provenance is the conservative "all of Σ".
 
-Only the worklist engine reads ``plan``; the other two take it and
-ignore it, so a caller can always pass the plan it holds.
+Only the worklist engine reads ``plan`` (:attr:`Engine.reads_plan`);
+the other two take it and ignore it, so a caller can always pass the
+plan it holds.  A plan-reading engine given a plan takes Σ from it
+alone: a :class:`~repro.core.session.Session` passes ``None`` for the
+mask tables and speaks in the plan's member slots.
 
 The *default* engine is process-global state consulted by every caller
 that does not pin a name (``get_engine(None)``); the CLI's ``--engine``
@@ -96,6 +99,11 @@ class Engine:
     supports_trace:
         Whether the underlying kernel can replay pass-by-pass traces
         (only the naive transcription can).
+    reads_plan:
+        Whether :meth:`run` runs off the supplied ``plan``: Σ comes from
+        the plan (the mask arguments may be ``None``) and ``fired`` /
+        ``warm_start`` indices are the plan's slots.  Other engines take
+        Σ from the mask arguments, indexed FDs-then-MVDs.
     """
 
     name: str
@@ -103,13 +111,14 @@ class Engine:
     supports_warm_start: bool
     supports_trace: bool
     _run: _RunFn = field(repr=False)
+    reads_plan: bool = False
 
     def run(
         self,
         encoding: BasisEncoding,
         x_mask: int,
-        fd_masks: Sequence[tuple[int, int]],
-        mvd_masks: Sequence[tuple[int, int]],
+        fd_masks: Sequence[tuple[int, int]] | None,
+        mvd_masks: Sequence[tuple[int, int]] | None,
         *,
         stats: KernelStats | None = None,
         fired: set[int] | None = None,
@@ -123,7 +132,8 @@ class Engine:
         smaller-Σ fixpoint ``(x_plus, blocks, pending_indices)`` when
         :attr:`supports_warm_start` — it is a programming error to pass
         one otherwise.  ``plan`` optionally supplies the compiled form
-        of the same Σ (module doc).
+        of the same Σ (module doc); an engine that :attr:`reads_plan`
+        then accepts ``None`` for both mask arguments.
         """
         if warm_start is not None and not self.supports_warm_start:
             raise ValueError(
@@ -193,8 +203,8 @@ def set_default_engine(name: str) -> str:
 def _worklist_run(
     encoding: BasisEncoding,
     x_mask: int,
-    fd_masks: Sequence[tuple[int, int]],
-    mvd_masks: Sequence[tuple[int, int]],
+    fd_masks: Sequence[tuple[int, int]] | None,
+    mvd_masks: Sequence[tuple[int, int]] | None,
     *,
     stats: KernelStats | None = None,
     fired: set[int] | None = None,
@@ -207,7 +217,8 @@ def _worklist_run(
 
     if plan is None:
         plan = compile_plan(encoding, fd_masks, mvd_masks)
-    elif plan.fd_total != len(fd_masks) or plan.mvd_total != len(mvd_masks):
+    elif fd_masks is not None and (plan.fd_total != len(fd_masks)
+                                   or plan.mvd_total != len(mvd_masks)):
         raise ValueError(
             "compiled plan does not match the supplied Σ: plan has "
             f"{plan.fd_total} FDs / {plan.mvd_total} MVDs, call has "
@@ -281,6 +292,7 @@ register_engine(Engine(
     supports_warm_start=True,
     supports_trace=False,
     _run=_worklist_run,
+    reads_plan=True,
 ))
 register_engine(Engine(
     name="naive",

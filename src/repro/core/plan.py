@@ -5,9 +5,9 @@ dependency array, the relevance mask ``SubB(U) ∪ SubB(V)`` per
 dependency, and the per-dependency right-hand-side constants the firing
 rules recompute on every productive pass.  All of it is invariant for
 the life of a ``(encoding, Σ)`` pair, so :func:`compile_plan` derives it
-**once** into a :class:`CompiledPlan` — a frozen, picklable artifact the
+**once** into a :class:`CompiledPlan` — a picklable artifact the
 worklist kernel (:func:`repro.core.engine.closure_of_masks_fast`) runs
-off and :class:`repro.core.session.Session` owns.
+off and :class:`repro.core.session.Session` owns and edits in place.
 
 The plan holds three things:
 
@@ -16,11 +16,13 @@ The plan holds three things:
    folded to their first occurrence.  Duplicates cannot change the
    fixpoint — Algorithm 5.1's output is the semantic ``(X⁺, DepB(X))``
    and ``Σ`` is logically a set — so firing each distinct dependency
-   once per dirty wave reaches the same ``(X⁺, DB)``.  The
-   ``origin`` remap (folded position → first original index) keeps
-   ``ClosureResult.fired`` provenance in the *original* Σ indexing, and
-   ``folded_of`` (original index → folded position) maps warm-start
-   pending lists the other way.
+   once per dirty wave reaches the same ``(X⁺, DB)``.  Σ's members
+   are numbered by *slot* — a compile gives the ``i``-th member in
+   FDs-then-MVDs order slot ``i`` — and the ``origin`` remap (folded
+   position → first live slot) reports the kernel's ``fired``
+   provenance in slots (:meth:`CompiledPlan.sigma_indices` turns them
+   back into FDs-then-MVDs indices), while ``folded_of`` (slot → folded
+   position) maps warm-start pending lists the other way.
 
 2. **The inverted requeue index.**  ``requeue_masks[bit]`` is an int
    bitmask over folded positions of every dependency whose relevance
@@ -40,6 +42,30 @@ Every field is an ``int`` or a tuple built in deterministic order, so
 compiling the same Σ twice produces **byte-identical pickles** — the
 property the plan tests (incremental compile == fresh compile) and the
 CI determinism smoke rely on.
+
+**Delta maintenance.**  One Σ edit touches only the ``SubB(U) ∪
+SubB(V)`` bits of one dependency, so a plan is edited in place rather
+than recompiled (:meth:`CompiledPlan.add`, :meth:`CompiledPlan.retract`;
+``O(popcount(U | V))`` plus one dependency's constants).  Positions keep
+FDs before MVDs, each kind in Σ order: the first ``fd_count`` positions
+are the FD region, the rest the MVD region.  An add takes the next slot
+and the first free position after the live ones of its kind, and ORs
+the position's bit into the requeue masks of its bits (an exact
+duplicate shares its twin's position).  A compile leaves no free
+position between the regions, so an FD that finds the first live MVD in
+its place first moves the MVD region up by as many positions as there
+are live FDs (``O(size + |Σ|)`` shifts and no new constants); FD adds
+then fill that room, and a run of them moves the region ``O(log n)``
+times.  A retract frees the slot; the last member of a position clears
+its bits and leaves a *tombstone*.  The kernel queues only
+``live_mask``, and free positions are in no requeue mask, so they never
+fire and the firing order — hence ``(X⁺, DB, passes)`` and the
+provenance — is exactly a fresh compile's.  The plan asks its owner for
+a full recompile only on size-derived conditions, all checked on
+retract: free positions outnumbering live ones or dead slots live ones,
+and the retract of the first of several exact duplicates (the survivors
+fire from a later place).  A recompile produces tuples again and pickles
+byte-identically to a fresh compile of the same Σ.
 
 :class:`ClosureIntervalCache` rides on top: a bounded
 ``x_mask → closure_mask`` memo that can answer a *miss* ``X`` without
@@ -74,31 +100,49 @@ __all__ = [
 ]
 
 
+#: A plan's pickled state, in constructor order.
+_STATE = (
+    "encoding", "deps", "fd_count", "fd_total", "mvd_total", "origin",
+    "folded_of", "requeue_masks", "live_mask", "rhs_tilde", "rhs_dc",
+    "rhs_singletons", "rhs_suspects", "rhs_overlap",
+)
+#: Per-position tables (grown together when an add opens a position).
+_PER_POSITION = ("deps", "origin", "rhs_tilde", "rhs_dc", "rhs_singletons",
+                 "rhs_suspects", "rhs_overlap")
+
+
 class CompiledPlan:
-    """Frozen per-``(encoding, Σ)`` compilation artifact (see module doc).
+    """Per-``(encoding, Σ)`` compilation artifact (see module doc).
+
+    Σ's members are numbered by *slot*: a compile gives the ``i``-th
+    member in FDs-then-MVDs order slot ``i``, and every delta
+    :meth:`add` takes the next one.  Several slots share one
+    firing *position* when their ``(u, v, kind)`` coincide.  Tables are
+    tuples as compiled and become lists on the first delta operation;
+    retracted slots and positions hold ``None``.
 
     Attributes
     ----------
     encoding:
         The :class:`BasisEncoding` the masks are relative to (pickles as
         its root; tables are rebuilt on unpickle).
-    fd_masks / mvd_masks:
-        The *original* (unfolded) ``(lhs, rhs)`` mask pairs, in Σ order —
-        what :func:`repro.core.closure._as_mask_sigma` would produce.
     deps:
-        Folded ``(u, v, is_fd)`` triples, FDs first, first-occurrence
-        order.
+        Folded ``(u, v, is_fd)`` triple per firing position, FDs first,
+        each kind in Σ order.
     fd_count:
-        Number of folded FD positions (``deps[:fd_count]`` are FDs).
+        The FD region's size: positions below it hold FDs, the rest
+        MVDs.
+    fd_total / mvd_total:
+        Number of live *original* (unfolded) FDs / MVDs.
     origin:
-        Folded position → first original FDs-then-MVDs index (provenance
-        remap).
+        Folded position → its first live slot (provenance remap).
     folded_of:
-        Original FDs-then-MVDs index → folded position (warm-start
-        pending remap).
+        Slot → folded position (warm-start pending remap).
     requeue_masks:
         Per basis bit, an int bitmask over folded positions whose
         relevance mask ``u | v`` contains the bit.
+    live_mask:
+        Bitmask over the live positions: the initial worklist.
     rhs_tilde:
         Per folded position, ``V ∸ λ`` — the Ṽ of a Ū = 0 firing.
     rhs_dc:
@@ -114,71 +158,255 @@ class CompiledPlan:
         (``None`` for FDs).
     """
 
-    __slots__ = (
-        "encoding", "fd_masks", "mvd_masks", "deps", "fd_count",
-        "origin", "folded_of", "requeue_masks", "rhs_tilde", "rhs_dc",
-        "rhs_singletons", "rhs_suspects", "rhs_overlap",
-    )
+    __slots__ = _STATE + ("_masks", "_position_of", "_refs", "_fd_slots",
+                          "_mvd_slots")
 
-    def __init__(self, encoding: BasisEncoding,
-                 fd_masks: tuple, mvd_masks: tuple, deps: tuple,
-                 fd_count: int, origin: tuple, folded_of: tuple,
-                 requeue_masks: tuple, rhs_tilde: tuple, rhs_dc: tuple,
-                 rhs_singletons: tuple, rhs_suspects: tuple,
-                 rhs_overlap: tuple) -> None:
+    def __init__(self, encoding: BasisEncoding, deps: Sequence,
+                 fd_count: int, fd_total: int, mvd_total: int,
+                 origin: Sequence, folded_of: Sequence,
+                 requeue_masks: Sequence, live_mask: int,
+                 rhs_tilde: Sequence, rhs_dc: Sequence,
+                 rhs_singletons: Sequence, rhs_suspects: Sequence,
+                 rhs_overlap: Sequence, masks: tuple | None = None) -> None:
         self.encoding = encoding
-        self.fd_masks = fd_masks
-        self.mvd_masks = mvd_masks
         self.deps = deps
         self.fd_count = fd_count
+        self.fd_total = fd_total
+        self.mvd_total = mvd_total
         self.origin = origin
         self.folded_of = folded_of
         self.requeue_masks = requeue_masks
+        self.live_mask = live_mask
         self.rhs_tilde = rhs_tilde
         self.rhs_dc = rhs_dc
         self.rhs_singletons = rhs_singletons
         self.rhs_suspects = rhs_suspects
         self.rhs_overlap = rhs_overlap
+        self._masks = masks
+        # Delta indexes, built by the first add/retract (_thaw).
+        self._position_of: dict[tuple[int, int, bool], int] | None = None
+        self._refs: list[int] | None = None
+        self._fd_slots = 0    # bitmasks over the live slots of each kind
+        self._mvd_slots = 0
 
-    # Plans are conceptually immutable; pickling rebuilds through
-    # __init__ with the all-tuple state, so equal plans pickle to equal
-    # bytes (the encoding contributes only its root).
+    # Pickling rebuilds through __init__ with the all-tuple state, so
+    # equal plans pickle to equal bytes (the encoding contributes only
+    # its root).
     def __reduce__(self):
-        return (CompiledPlan, tuple(getattr(self, name)
-                                    for name in self.__slots__))
+        return (CompiledPlan, tuple(
+            tuple(value) if isinstance(value, list) else value
+            for value in (getattr(self, name) for name in _STATE)))
 
     @property
-    def fd_total(self) -> int:
-        """Number of *original* (unfolded) FDs."""
-        return len(self.fd_masks)
+    def fd_masks(self) -> tuple[tuple[int, int], ...]:
+        """The live FDs' ``(lhs, rhs)`` masks, unfolded, in slot order."""
+        return self._sigma_masks()[0]
 
     @property
-    def mvd_total(self) -> int:
-        """Number of *original* (unfolded) MVDs."""
-        return len(self.mvd_masks)
+    def mvd_masks(self) -> tuple[tuple[int, int], ...]:
+        """The live MVDs' ``(lhs, rhs)`` masks, unfolded, in slot order."""
+        return self._sigma_masks()[1]
+
+    def _sigma_masks(self) -> tuple[tuple, tuple]:
+        masks = self._masks
+        if masks is None:
+            fds: list[tuple[int, int]] = []
+            mvds: list[tuple[int, int]] = []
+            deps = self.deps
+            for position in self.folded_of:
+                if position is not None:
+                    u, v, is_fd = deps[position]
+                    (fds if is_fd else mvds).append((u, v))
+            masks = self._masks = (tuple(fds), tuple(mvds))
+        return masks
 
     @property
     def sigma_size(self) -> int:
         """``|Σ|`` before folding."""
-        return len(self.fd_masks) + len(self.mvd_masks)
+        return self.fd_total + self.mvd_total
 
     def __len__(self) -> int:
-        """Number of folded firing positions."""
-        return len(self.deps)
+        """Number of live folded firing positions."""
+        return self.live_mask.bit_count()
+
+    def sigma_indices(self, slots) -> frozenset[int]:
+        """Map slots to indices in Σ's FDs-then-MVDs order.
+
+        The numbering :attr:`ClosureResult.fired
+        <repro.core.closure.ClosureResult.fired>` uses.  Each kind's
+        slots follow Σ order, so a slot's index is its rank among the
+        live slots of its kind (after the live FDs, for an MVD).  The
+        identity until the first delta.
+        """
+        if self._refs is None:
+            return frozenset(slots)
+        fds = self._fd_slots
+        mvds = self._mvd_slots
+        indices = []
+        for slot in slots:
+            below = (1 << slot) - 1
+            if fds >> slot & 1:
+                indices.append((fds & below).bit_count())
+            else:
+                indices.append(self.fd_total + (mvds & below).bit_count())
+        return frozenset(indices)
 
     def _constants_memo(self) -> dict:
         """``(u, v, is_fd) → per-dep constants`` for incremental reuse."""
         memo = {}
         for position, key in enumerate(self.deps):
-            memo[key] = (self.rhs_tilde[position], self.rhs_dc[position],
-                         self.rhs_singletons[position],
-                         self.rhs_suspects[position],
-                         self.rhs_overlap[position])
+            if key is not None:
+                memo[key] = (self.rhs_tilde[position], self.rhs_dc[position],
+                             self.rhs_singletons[position],
+                             self.rhs_suspects[position],
+                             self.rhs_overlap[position])
         return memo
+
+    # -- delta maintenance -------------------------------------------------
+
+    def add(self, u: int, v: int, is_fd: bool) -> int:
+        """Add one Σ member in place; returns its slot.
+
+        A new ``(u, v, kind)`` takes the first free position after the
+        live ones of its kind (moving the MVD region up when an FD finds
+        no room, see the module doc), gets its constants, and ORs its
+        bit into the requeue masks of ``SubB(U) ∪ SubB(V)``; a duplicate
+        shares its twin's position.
+        """
+        self._thaw()
+        key = (u, v, is_fd)
+        position = self._position_of.get(key)
+        if position is None:
+            position = self._free_position(is_fd)
+            self._open(position, key)
+        slot = len(self.folded_of)
+        self.folded_of.append(position)
+        if not self._refs[position]:
+            self.origin[position] = slot
+        self._refs[position] += 1
+        if is_fd:
+            self.fd_total += 1
+            self._fd_slots |= 1 << slot
+        else:
+            self.mvd_total += 1
+            self._mvd_slots |= 1 << slot
+        self._masks = None
+        return slot
+
+    def retract(self, slot: int) -> bool:
+        """Retract the member at ``slot`` in place.
+
+        The last member of a position clears its bit from the requeue
+        masks and leaves a tombstone.  Returns ``False`` when the caller
+        must recompile before the next run: once free positions
+        outnumber live ones or dead slots live ones, and when the first
+        of several exact duplicates goes (the survivors fire from a
+        later place in Σ order).
+        """
+        self._thaw()
+        position = self.folded_of[slot]
+        self.folded_of[slot] = None
+        key = self.deps[position]
+        if key[2]:
+            self.fd_total -= 1
+            self._fd_slots &= ~(1 << slot)
+        else:
+            self.mvd_total -= 1
+            self._mvd_slots &= ~(1 << slot)
+        self._masks = None
+        refs = self._refs
+        refs[position] -= 1
+        if refs[position]:
+            if self.origin[position] == slot:
+                self.origin[position] = self.folded_of.index(position)
+                return False
+        else:
+            self._close(position, key)
+        live = self.live_mask.bit_count()
+        members = self.sigma_size
+        return (len(self.deps) - live <= live
+                and len(self.folded_of) - members <= members)
+
+    def _thaw(self) -> None:
+        if self._refs is not None:
+            return
+        for name in _PER_POSITION + ("folded_of", "requeue_masks"):
+            setattr(self, name, list(getattr(self, name)))
+        refs = [0] * len(self.deps)
+        deps = self.deps
+        for slot, position in enumerate(self.folded_of):
+            if position is not None:
+                refs[position] += 1
+                if deps[position][2]:
+                    self._fd_slots |= 1 << slot
+                else:
+                    self._mvd_slots |= 1 << slot
+        self._refs = refs
+        self._position_of = {key: position
+                             for position, key in enumerate(self.deps)
+                             if key is not None}
+
+    def _free_position(self, is_fd: bool) -> int:
+        live = self.live_mask
+        if not is_fd:
+            return max(live.bit_length(), self.fd_count)
+        fd_region = (1 << self.fd_count) - 1
+        fds = live & fd_region
+        position = fds.bit_length()
+        mvds = live & ~fd_region
+        if mvds and (mvds & -mvds).bit_length() <= position + 1:
+            # The first live MVD holds the FD's place: make room for
+            # this FD and as many again as are live.
+            self._shift(position, max(1, fds.bit_count()))
+        self.fd_count = max(self.fd_count, position + 1)
+        return position
+
+    def _shift(self, start: int, by: int) -> None:
+        """Move every position from ``start`` up by ``by`` places."""
+        for name in _PER_POSITION:
+            getattr(self, name)[start:start] = [None] * by
+        self._refs[start:start] = [0] * by
+        low = (1 << start) - 1
+        self.requeue_masks = [mask & low | (mask & ~low) << by
+                              for mask in self.requeue_masks]
+        self.live_mask = self.live_mask & low | (self.live_mask & ~low) << by
+        self.folded_of = [position if position is None or position < start
+                          else position + by for position in self.folded_of]
+        self._position_of = {key: position if position < start
+                             else position + by
+                             for key, position in self._position_of.items()}
+
+    def _open(self, position: int, key: tuple[int, int, bool]) -> None:
+        missing = position + 1 - len(self.deps)
+        if missing > 0:
+            for name in _PER_POSITION:
+                getattr(self, name).extend([None] * missing)
+            self._refs.extend([0] * missing)
+        u, v, is_fd = key
+        self.deps[position] = key
+        (self.rhs_tilde[position], self.rhs_dc[position],
+         self.rhs_singletons[position], self.rhs_suspects[position],
+         self.rhs_overlap[position]) = _dep_constants(self.encoding, v, is_fd)
+        bit = 1 << position
+        requeue_masks = self.requeue_masks
+        for i in iter_bits(u | v):
+            requeue_masks[i] |= bit
+        self.live_mask |= bit
+        self._position_of[key] = position
+
+    def _close(self, position: int, key: tuple[int, int, bool]) -> None:
+        keep = ~(1 << position)
+        requeue_masks = self.requeue_masks
+        for i in iter_bits(key[0] | key[1]):
+            requeue_masks[i] &= keep
+        self.live_mask &= keep
+        del self._position_of[key]
+        for name in _PER_POSITION:
+            getattr(self, name)[position] = None
 
     def __repr__(self) -> str:
         return (
-            f"CompiledPlan(|Σ|={self.sigma_size}, folded={len(self.deps)}, "
+            f"CompiledPlan(|Σ|={self.sigma_size}, folded={len(self)}, "
             f"fds={self.fd_total}, mvds={self.mvd_total}, "
             f"size={self.encoding.size})"
         )
@@ -210,11 +438,13 @@ def compile_plan(encoding: BasisEncoding,
 
     ``reuse`` makes recompilation incremental: per-dependency constants
     are carried over from a previous plan for every ``(u, v, kind)``
-    that survives the edit, so a ``Session.add``/``retract`` recompile
-    only derives constants for the dependencies it actually changed
-    (the index arrays are rebuilt — they are cheap ``O(|Σ| · popcount)``
-    integer work).  Emits a ``plan.compile`` span and a ``plan.compiles``
-    counter when an observer is installed.
+    that survives the edit, so a recompile only derives constants for
+    the dependencies it actually changed (the index arrays are rebuilt
+    in ``O(|Σ| · popcount)``).  A :class:`~repro.core.session.Session`
+    compiles once and then edits its plan in place (:meth:`CompiledPlan.add`,
+    :meth:`CompiledPlan.retract`); it recompiles only when the plan asks.
+    Emits a ``plan.compile`` span and a ``plan.compiles`` counter when
+    an observer is installed.
     """
     obs = get_observer()
     if not obs.enabled:
@@ -277,12 +507,12 @@ def _compile(encoding: BasisEncoding,
         rhs_overlap.append(overlap)
 
     return CompiledPlan(
-        encoding,
-        tuple(tuple(pair) for pair in fd_masks),
-        tuple(tuple(pair) for pair in mvd_masks),
-        tuple(deps), fd_count, tuple(origin), tuple(folded_of),
-        tuple(requeue_masks), tuple(rhs_tilde), tuple(rhs_dc),
+        encoding, tuple(deps), fd_count, len(fd_masks), len(mvd_masks),
+        tuple(origin), tuple(folded_of), tuple(requeue_masks),
+        (1 << len(deps)) - 1, tuple(rhs_tilde), tuple(rhs_dc),
         tuple(rhs_singletons), tuple(rhs_suspects), tuple(rhs_overlap),
+        masks=(tuple((u, v) for u, v in fd_masks),
+               tuple((u, v) for u, v in mvd_masks)),
     )
 
 

@@ -41,6 +41,7 @@ drive retraction sessions internally.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Iterable
 
 from ..attributes.encoding import BasisEncoding
@@ -192,12 +193,17 @@ class Session:
         self.kernel_stats = stats if stats is not None else KernelStats()
         self._label = label
         self._engine = get_engine(engine)
-        self._deps: list[Dependency] = []
+        # Σ in insertion order (a dict, so a retract is O(1)) and as a set.
+        self._deps: dict[Dependency, None] = {}
         self._dep_set: set[Dependency] = set()
         # Plan + interval-cache state must exist before the initial adds
-        # below: add() invalidates views on every insertion.
+        # below: add() edits the plan and invalidates views.  While a
+        # plan is live, _slot_deps / _slot_of map its member slots to
+        # Σ-members and back.
         self._plan: CompiledPlan | None = None
         self._plan_reuse: CompiledPlan | None = None
+        self._slot_deps: list[Dependency | None] = []
+        self._slot_of: dict[Dependency, int] = {}
         self._interval = ClosureIntervalCache()
         for dependency in sigma:
             self.add(dependency)
@@ -280,17 +286,30 @@ class Session:
     def add(self, dependency: Dependency | str) -> bool:
         """Add a dependency to Σ; returns False if already present.
 
-        No cache entry is dropped: each one records its Σ snapshot
+        Both sides are checked against the root once: by encoding them
+        (:meth:`dependency_masks`) when a live plan takes the new member
+        in place (:meth:`CompiledPlan.add`), else by
+        :meth:`Dependency.validate` (a session that is never queried,
+        such as a primary's, never pays for the encodes).  No cache
+        entry is dropped: each one records its Σ snapshot
         (``sigma_keys``) and the next query against it warm-starts the
         fixpoint with the missing dependencies as the pending worklist.
         """
         dependency = self.dependency(dependency)
-        dependency.validate(self.root)
+        plan = self._plan
+        if plan is None:
+            dependency.validate(self.root)
+        else:
+            lhs_mask, rhs_mask = self.dependency_masks(dependency)
         if dependency in self._dep_set:
             return False
-        self._deps.append(dependency)
+        self._deps[dependency] = None
         self._dep_set.add(dependency)
         self._invalidate_views()
+        if plan is not None:
+            is_fd = isinstance(dependency, FunctionalDependency)
+            self._slot_of[dependency] = plan.add(lhs_mask, rhs_mask, is_fd)
+            self._slot_deps.append(dependency)
         obs = get_observer()
         if obs.enabled:
             with obs.span(f"{self._label}.add",
@@ -302,11 +321,15 @@ class Session:
     def retract(self, dependency: Dependency | str) -> Dependency:
         """Remove a dependency from Σ; returns the removed member.
 
-        Eviction is provenance-exact: an entry is dropped iff the
-        retracted dependency productively fired into its cached result.
+        A live plan drops the member in place
+        (:meth:`CompiledPlan.retract`).  Eviction is provenance-exact:
+        an entry is dropped iff the retracted dependency productively
+        fired into its cached result.
         All other entries are *retained* — their fixpoint provably does
         not depend on the retracted member — and merely forget it from
-        their Σ snapshot (so a later re-add shows up as pending again).
+        their Σ snapshot (so a later re-add shows up as pending again);
+        their ``fired`` indices above the retracted member's move down
+        by one, so they keep naming the same members.
 
         Raises
         ------
@@ -319,9 +342,15 @@ class Session:
                 f"the dependency {dependency.display(self.root)} "
                 f"is not a member of Σ"
             )
-        self._deps.remove(dependency)
+        index = self._sigma_index(dependency) if self._entries else 0
+        del self._deps[dependency]
         self._dep_set.discard(dependency)
         self._invalidate_views()
+        if self._plan is not None:
+            slot = self._slot_of.pop(dependency)
+            self._slot_deps[slot] = None
+            if not self._plan.retract(slot):
+                self._retire_plan()
         evicted = 0
         retained = 0
         for mask in list(self._entries):
@@ -331,6 +360,10 @@ class Session:
                 evicted += 1
             else:
                 entry.sigma_keys.discard(dependency)
+                fired = entry.result.fired
+                if fired and max(fired) > index:
+                    entry.result = replace(entry.result, fired=frozenset(
+                        i - (i > index) for i in fired))
                 retained += 1
         self._invalidations += evicted
         self._retained += retained
@@ -343,28 +376,41 @@ class Session:
                 span.set(evicted=evicted, retained=retained)
         return dependency
 
+    def _sigma_index(self, dependency: Dependency) -> int:
+        """A Σ-member's index in the FDs-then-MVDs order."""
+        if self._plan is not None:
+            (index,) = self._plan.sigma_indices((self._slot_of[dependency],))
+            return index
+        return self._mask_tables()[2].index(dependency)
+
     def _invalidate_views(self) -> None:
         self._tables = None
         self._sigma_view = None
-        # The compiled plan is stale, but its per-dependency constants
-        # survive for every Σ-member the edit kept: stash it so the next
-        # compile is incremental.  Interval entries are fixpoints of the
-        # *old* Σ — wrong in both directions (closures grow on add,
-        # shrink on retract) — so they are dropped outright.
-        if self._plan is not None:
-            self._plan_reuse = self._plan
-            self._plan = None
+        # Interval entries are fixpoints of the *old* Σ — wrong in both
+        # directions (closures grow on add, shrink on retract) — so they
+        # are dropped outright.
         self._interval.clear()
+
+    def _retire_plan(self) -> None:
+        """Drop the live plan: the next query recompiles Σ.
+
+        Its per-dependency constants survive for every Σ-member it
+        holds, so it is stashed as the next compile's ``reuse``.
+        """
+        self._plan_reuse = self._plan
+        self._plan = None
+        self._slot_deps = []
+        self._slot_of = {}
 
     def _mask_tables(self) -> tuple[list[tuple[int, int]],
                                     list[tuple[int, int]], list[Dependency]]:
         """``(fd_masks, mvd_masks, ordered)`` for the current Σ.
 
         ``ordered`` lists Σ in the kernels' FDs-then-MVDs firing order,
-        so a kernel-reported firing index ``i`` names ``ordered[i]`` —
-        the per-call index↔Dependency mapping that keeps provenance
-        valid across Σ edits (raw indices shift when an FD is added
-        after MVDs exist).
+        so a firing index ``i`` reported by an engine that does not read
+        the plan names ``ordered[i]`` (raw indices shift when an FD is
+        added after MVDs exist, so the mapping is rebuilt per Σ).  A
+        compile numbers its slots the same way.
         """
         tables = self._tables
         if tables is None:
@@ -382,18 +428,21 @@ class Session:
     def plan(self) -> CompiledPlan:
         """The session's :class:`CompiledPlan` for the current Σ.
 
-        Compiled lazily on first use after an edit; recompilation is
-        incremental — per-dependency constants are reused from the
-        previous plan for every Σ-member the edit kept (see
-        :func:`repro.core.plan.compile_plan`).
+        Compiled on first use, then edited in place by :meth:`add` and
+        :meth:`retract` (``O(popcount)`` per edit).  It is recompiled
+        only when it asks to be (see :meth:`CompiledPlan.retract`), and
+        the recompile reuses the per-dependency constants of the plan
+        it replaces (see :func:`repro.core.plan.compile_plan`).
         """
         plan = self._plan
         if plan is None:
-            fd_masks, mvd_masks, _ = self._mask_tables()
+            fd_masks, mvd_masks, ordered = self._mask_tables()
             plan = compile_plan(self.encoding, fd_masks, mvd_masks,
                                 reuse=self._plan_reuse)
             self._plan = plan
             self._plan_reuse = None
+            self._slot_deps = list(ordered)
+            self._slot_of = {d: slot for slot, d in enumerate(ordered)}
         return plan
 
     # -- the cache -----------------------------------------------------------
@@ -417,62 +466,83 @@ class Session:
             # fresh result replaces the stale entry below).
         return self._compute(mask)
 
-    def _run(self, mask: int, fired: set[int], warm_start, *, warm: bool,
-             counter: str) -> tuple[int, frozenset[int], int]:
-        fd_masks, mvd_masks, _ = self._mask_tables()
-        plan = self.plan
+    def _run(self, mask: int, resume: ClosureResult | None,
+             pending: set[Dependency], *, warm: bool, counter: str
+             ) -> tuple[ClosureResult, set[Dependency]]:
+        """One engine run; returns the result and the Σ-members fired.
+
+        ``resume`` is the cached fixpoint of a smaller Σ to warm-start
+        from, with the ``pending`` members added since.  A plan-reading
+        engine runs off :attr:`plan` and speaks in its slots, which the
+        result's ``fired`` turns back into FDs-then-MVDs indices; any
+        other engine gets the FDs-then-MVDs mask tables.
+        """
+        engine = self._engine
+        if engine.reads_plan:
+            plan = self.plan
+            fd_masks = mvd_masks = None
+            members = self._slot_deps
+        else:
+            plan = None
+            fd_masks, mvd_masks, members = self._mask_tables()
+        warm_start = None
+        if resume is not None:
+            if plan is not None:
+                slot_of = self._slot_of
+                indices = [slot_of[d] for d in pending]
+            else:
+                indices = [i for i, d in enumerate(members) if d in pending]
+            warm_start = (resume.closure_mask, resume.blocks, indices)
+        fired: set[int] = set()
         obs = get_observer()
         if not obs.enabled:
-            return self._engine.run(
+            closure_mask, blocks, passes = engine.run(
                 self.encoding, mask, fd_masks, mvd_masks,
                 stats=self.kernel_stats, fired=fired, warm_start=warm_start,
                 plan=plan,
             )
-        obs.add(counter)
-        with obs.span(f"{self._label}.query", lhs=format(mask, "#x"),
-                      cached=False, engine=self._engine.name, warm=warm):
-            return self._engine.run(
-                self.encoding, mask, fd_masks, mvd_masks,
-                stats=self.kernel_stats, fired=fired, warm_start=warm_start,
-                plan=plan,
-            )
+        else:
+            obs.add(counter)
+            with obs.span(f"{self._label}.query", lhs=format(mask, "#x"),
+                          cached=False, engine=engine.name, warm=warm):
+                closure_mask, blocks, passes = engine.run(
+                    self.encoding, mask, fd_masks, mvd_masks,
+                    stats=self.kernel_stats, fired=fired,
+                    warm_start=warm_start, plan=plan,
+                )
+        indices = (frozenset(fired) if plan is None
+                   else plan.sigma_indices(fired))
+        result = ClosureResult(self.encoding, mask, closure_mask, blocks,
+                               passes, indices)
+        return result, {members[i] for i in fired}
 
     def _resume(self, mask: int, entry: _CacheEntry) -> ClosureResult:
         """Warm-start: extend the cached fixpoint by the pending Σ-members."""
-        _fd_masks, _mvd_masks, ordered = self._mask_tables()
-        pending = [i for i, d in enumerate(ordered)
-                   if d not in entry.sigma_keys]
+        # C-level set difference on stored hashes: O(|Σ|) without a
+        # Python __hash__ call per member.
+        pending = self._dep_set - entry.sigma_keys
         self._warm_starts += 1
-        fired: set[int] = set()
-        cached = entry.result
-        closure_mask, blocks, passes = self._run(
-            mask, fired, (cached.closure_mask, cached.blocks, pending),
+        result, fired = self._run(
+            mask, entry.result, pending,
             warm=True, counter=f"{self._label}.cache.warm_starts",
         )
-        result = ClosureResult(self.encoding, mask, closure_mask, blocks,
-                               passes, frozenset(fired))
         entry.result = result
         # Everything that fired during the resume — pending members and
         # re-dirtied old ones alike — joins the provenance; the original
         # provenance stays (those firings shaped the state we resumed
         # from).
-        entry.provenance.update(ordered[i] for i in fired)
+        entry.provenance.update(fired)
         entry.sigma_keys = set(self._dep_set)
         self._entries.move_to_end(mask)
         self._interval.store(mask, result.closure_mask)
         return result
 
     def _compute(self, mask: int) -> ClosureResult:
-        _fd_masks, _mvd_masks, ordered = self._mask_tables()
-        fired: set[int] = set()
-        closure_mask, blocks, passes = self._run(
-            mask, fired, None,
+        result, fired = self._run(
+            mask, None, set(),
             warm=False, counter=f"{self._label}.cache.misses",
         )
-        result = ClosureResult(self.encoding, mask, closure_mask, blocks,
-                               passes, frozenset(fired))
-        provenance = {ordered[i] for i in fired}
-        self._store(mask, _CacheEntry(result, provenance, set(self._dep_set)))
+        self._store(mask, _CacheEntry(result, fired, set(self._dep_set)))
         return result
 
     def _store(self, mask: int, entry: _CacheEntry) -> None:

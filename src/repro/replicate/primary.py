@@ -95,8 +95,9 @@ class FollowerTable:
             }
         return out
 
-    def min_acked(self, default: int = 0) -> int:
-        """The slowest follower's position (compaction horizon hint)."""
+    def min_acked(self, default: int | None = 0) -> int | None:
+        """The slowest follower's acknowledged position: the horizon
+        above which a compaction keeps records in memory."""
         if not self._rows:
             return default
         return min(row["acked_seq"] for row in self._rows.values())

@@ -806,10 +806,16 @@ class ReasoningServer:
     def _persist(self, op: str, params: dict[str, Any]) -> int:
         """Append one acknowledged mutation to the WAL; compact when
         the live segment crosses a threshold.  Returns the record's
-        sequence number and wakes any subscribe long-polls."""
+        sequence number and wakes any subscribe long-polls.
+
+        A compaction keeps the records above the slowest registered
+        follower's acknowledged position in the store's memory (at most
+        ``store_compact_records``), so that follower is shipped records
+        on its next poll rather than a snapshot reset."""
         seq = self.store.append(op, params)
         if self.store.should_compact():
-            self.store.compact(self.sessions.snapshot_state())
+            self.store.compact(self.sessions.snapshot_state(),
+                               retain_after=self._followers.min_acked(None))
         self._wake_wal_waiters()
         return seq
 

@@ -63,6 +63,9 @@ class RecoveryReport:
     sessions: tuple[str, ...] = ()
     #: Per-segment record counts, manifest order.
     segment_records: dict[str, int] = field(default_factory=dict)
+    #: Every record read from the manifest's segments, in order; the
+    #: store seeds its in-memory tail from it and then empties it.
+    records: list[WalRecord] = field(default_factory=list)
 
 
 def recover(data_dir: str, manager: Any) -> RecoveryReport:
@@ -113,6 +116,7 @@ def recover(data_dir: str, manager: Any) -> RecoveryReport:
             report.last_segment_valid_bytes = valid_bytes
             report.last_segment_records = len(records)
             report.torn = 1 if tail else 0
+        report.records.extend(records)
         for record in records:
             if record.seq <= highest:
                 if record.seq <= last_seq:

@@ -3,9 +3,9 @@
 One instance per data directory.  ``start`` recovers into the server's
 session manager (repairing a torn tail and sweeping compaction
 orphans), then the server calls :meth:`append` for every mutation it
-acknowledges and :meth:`maybe_compact` afterwards; :meth:`snapshot`
-and :meth:`compact` are also driven directly by ``repro store compact``
-and by tests.
+acknowledges and :meth:`compact` once :meth:`should_compact` says so;
+:meth:`snapshot` and :meth:`compact` are also driven directly by
+``repro store compact`` and by tests.
 
 Compaction = snapshot + roll.  A snapshot covering every appended
 record is written, a fresh empty segment is created, the manifest
@@ -13,6 +13,19 @@ atomically adopts ``(snapshot, [fresh segment])``, and only then are
 the replayed segments and the previous snapshot deleted.  A crash
 between any two steps leaves a consistent manifest view; startup's
 orphan sweep collects the debris.
+
+The WAL tail also lives in memory.  Every record enters the tail once
+its append is flushed, the point at which the mutation may be
+acknowledged; recovery seeds the tail from the segments it replays.
+:meth:`SessionStore.records_since` answers from the tail alone and
+never re-reads a segment file.  Compaction empties the tail except for
+a *retained window* the caller asks for (``retain_after``: the
+position of the slowest follower), capped at ``compact_records``
+records and ``compact_bytes`` bytes (as encoded in the WAL), so a
+follower a few records behind a compaction is still shipped records
+instead of a snapshot reset.  The tail therefore holds at most the live
+segment's records (bounded by the compaction thresholds) plus a window
+within the same two bounds.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ from .wal import (
     WalWriter,
     apply_crash,
     crash_action,
-    read_segment,
+    encode_record,
 )
 
 __all__ = ["SessionStore"]
@@ -67,6 +80,11 @@ class SessionStore:
         self._manifest: Manifest | None = None
         self._writer: WalWriter | None = None
         self._next_seq = 1
+        #: Records with consecutive seqs ending at ``last_seq``: the
+        #: live segment plus the retained window (module doc).
+        self._tail: list[WalRecord] = []
+        #: Each tail record's encoded size in bytes, same indexes.
+        self._tail_sizes: list[int] = []
         self._report: RecoveryReport | None = None
         self._compactions = 0
 
@@ -109,6 +127,12 @@ class SessionStore:
             if orphans and self.counters is not None:
                 self.counters["store.orphans_removed"] += orphans
         self._next_seq = report.next_seq
+        self._tail = _consecutive_tail(report.records, self.last_seq)
+        self._tail_sizes = [len(encode_record(r.seq, r.op, r.params))
+                            for r in self._tail]
+        # the tail owns the records now; the report kept for stats()
+        # must not pin them past the next compaction
+        report.records = []
         last = self._manifest.segments[-1]
         self._writer = WalWriter(
             os.path.join(self.data_dir, last), fsync=self.fsync,
@@ -140,7 +164,8 @@ class SessionStore:
         if self._writer is None:
             raise RuntimeError("store is not started")
         seq = self._next_seq
-        self._writer.append(seq, op, params)
+        self._tail_sizes.append(self._writer.append(seq, op, params))
+        self._tail.append(WalRecord(seq, op, params))
         self._next_seq = seq + 1
         return seq
 
@@ -155,7 +180,8 @@ class SessionStore:
         if seq != self._next_seq:
             raise StoreError(f"replicated record seq={seq} does not follow "
                              f"local last_seq={self.last_seq}")
-        self._writer.append(seq, op, params)
+        self._tail_sizes.append(self._writer.append(seq, op, params))
+        self._tail.append(WalRecord(seq, op, params))
         self._next_seq = seq + 1
         return seq
 
@@ -165,48 +191,26 @@ class SessionStore:
                       limit: int | None = None) -> list[WalRecord] | None:
         """Acknowledged records with ``seq > from_seq``, oldest first.
 
-        Reads the manifest's segments back off disk (every acknowledged
-        append is flushed to the OS before the mutation is answered, so
-        the files are current).  Returns ``None`` when the tail cannot
-        be served contiguously — ``from_seq`` predates the retained
-        history (compaction folded it into the snapshot) or lies beyond
+        Answered from the in-memory tail (module doc) by index
+        arithmetic, without touching a segment file.  Returns ``None``
+        when the tail cannot be served contiguously — ``from_seq``
+        predates the tail (compaction folded it into the snapshot and
+        the retained window does not reach back to it) or lies beyond
         this store's ``last_seq`` — in which case the subscriber needs a
         snapshot reset instead of a tail.
         """
         if self._manifest is None:
             raise RuntimeError("store is not started")
-        if from_seq > self.last_seq:
+        last = self.last_seq
+        if from_seq > last:
             return None
-        if from_seq == self.last_seq:
-            return []
-        out: list[WalRecord] = []
-        final = self._manifest.segments[-1]
-        for segment in self._manifest.segments:
-            records, _, tail = read_segment(
-                os.path.join(self.data_dir, segment))
-            if tail and segment != final:
-                raise StoreError(f"{self.data_dir}: segment {segment!r} has "
-                                 f"a torn tail but is not the final segment")
-            for record in records:
-                if record.seq > from_seq:
-                    out.append(record)
-                    if limit is not None and len(out) >= limit:
-                        return self._contiguous(out, from_seq)
-        return self._contiguous(out, from_seq)
-
-    def _contiguous(self, records: list[WalRecord],
-                    from_seq: int) -> list[WalRecord] | None:
-        """A tail is only servable when it starts right after the fence.
-
-        An *empty* scan is just as unservable when ``from_seq`` lies
-        below ``last_seq``: the gap lives in the snapshot (compaction
-        folded those records away), so the subscriber needs a reset.
-        """
-        if not records:
-            return None if from_seq < self.last_seq else []
-        if records[0].seq != from_seq + 1:
+        tail = self._tail
+        # tail[i].seq == last - len(tail) + 1 + i
+        start = from_seq + len(tail) - last
+        if start < 0:
             return None
-        return records
+        stop = len(tail) if limit is None else min(len(tail), start + limit)
+        return tail[start:stop]
 
     def reset_to(self, sessions: Mapping[str, Mapping[str, Any]],
                  last_seq: int) -> dict[str, Any]:
@@ -254,8 +258,14 @@ class SessionStore:
             self._unlink(previous)
         return name
 
-    def compact(self, sessions: Mapping[str, Mapping[str, Any]]) -> dict[str, Any]:
+    def compact(self, sessions: Mapping[str, Mapping[str, Any]], *,
+                retain_after: int | None = None) -> dict[str, Any]:
         """Snapshot, roll a fresh segment, drop the replayed ones.
+
+        The in-memory tail keeps the newest records with ``seq >
+        retain_after``, at most ``compact_records`` of them and at most
+        ``compact_bytes`` as encoded; without ``retain_after`` it is
+        emptied.
 
         The injected ``store.compact`` crash points model a death
         before anything happens (``pre``), after the snapshot is
@@ -275,6 +285,18 @@ class SessionStore:
                 span.set(segments_removed=removed)
         else:
             removed = self._compact(sessions, old, action)
+        keep = 0
+        if retain_after is not None:
+            sizes = self._tail_sizes
+            limit = min(self.last_seq - retain_after, self.compact_records,
+                        len(sizes))
+            budget = self.compact_bytes
+            while keep < limit and sizes[-1 - keep] <= budget:
+                budget -= sizes[-1 - keep]
+                keep += 1
+        start = len(self._tail) - keep
+        self._tail = self._tail[start:]
+        self._tail_sizes = self._tail_sizes[start:]
         self._compactions += 1
         if self.counters is not None:
             self.counters["store.compactions"] += 1
@@ -327,6 +349,7 @@ class SessionStore:
             "fsync": self.fsync,
             "last_seq": self.last_seq,
             "compactions": self._compactions,
+            "tail_records": len(self._tail),
         }
         if self._writer is not None:
             stats["segment"] = os.path.basename(self._writer.path)
@@ -337,3 +360,16 @@ class SessionStore:
             stats["replayed_records"] = self._report.replayed
             stats["torn_records"] = self._report.torn
         return stats
+
+
+def _consecutive_tail(records: list[WalRecord],
+                      last_seq: int) -> list[WalRecord]:
+    """The longest suffix of ``records`` whose seqs run consecutively up
+    to ``last_seq`` (the invariant :meth:`SessionStore.records_since`
+    indexes by)."""
+    start = len(records)
+    expected = last_seq
+    while start and records[start - 1].seq == expected:
+        start -= 1
+        expected -= 1
+    return records[start:]

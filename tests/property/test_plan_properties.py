@@ -11,12 +11,19 @@ Three families of laws back the plan subsystem:
   provenance is exact: Σ cut down to the dependencies in ``fired``
   reaches the same fixpoint;
 * **interval answers are real answers** — every ``closure_mask_for``
-  from a lived-in session equals a cold kernel run.
+  from a lived-in session equals a cold kernel run;
+* **delta maintenance is invisible** — a plan edited in place through
+  any add/retract sequence (re-adds, FDs added behind live MVDs, exact
+  duplicates) fires exactly like a fresh compile of the same Σ: same
+  ``(X⁺, DB, passes)``, same provenance; and a recompile of it pickles
+  byte-identically to a fresh compile.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import pickle
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Session
@@ -111,3 +118,103 @@ def test_session_interval_answers_equal_cold_runs(root_encoding_sigma, data):
     answered = (info.hits + info.plan.exact_hits + info.plan.interval_hits
                 + info.plan.misses)
     assert answered >= len(masks)   # full-cache hits count too
+
+
+def _assert_fires_like(plan, fresh, encoding, data):
+    """``plan`` and ``fresh`` agree on random ``X``: ``(X⁺, DB, passes)``
+    and the ``fired`` provenance, once ``plan``'s slots are mapped back
+    to FDs-then-MVDs indices."""
+    for _ in range(2):
+        x = encoding.down_close(
+            data.draw(st.integers(min_value=0, max_value=encoding.full))
+        )
+        got_fired: set[int] = set()
+        want_fired: set[int] = set()
+        got = closure_of_masks_fast(plan, x, fired=got_fired)
+        want = closure_of_masks_fast(fresh, x, fired=want_fired)
+        assert got == want, format(x, "#x")
+        assert plan.sigma_indices(got_fired) == want_fired
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots_with_sigma(max_dependencies=8), st.data())
+def test_session_plan_edits_match_a_fresh_compile(root_encoding_sigma,
+                                                  data):
+    root, encoding, sigma = root_encoding_sigma
+    pool = list(sigma)
+    assume(pool)
+    # Start from some MVDs only, so later FD adds land in front of them.
+    start = [d for d in pool if not d.is_fd and data.draw(st.booleans())]
+    session = Session(root, start, encoding=encoding)
+    session.plan
+    for _ in range(data.draw(st.integers(min_value=1, max_value=16))):
+        member = data.draw(st.sampled_from(pool))
+        if member in session:
+            session.retract(member)
+        else:
+            session.add(member)                     # re-adds included
+        members = session.dependencies
+        ordered = ([d for d in members if d.is_fd]
+                   + [d for d in members if not d.is_fd])
+        fresh = compile_plan(encoding, *_sigma_masks(encoding, members))
+        for _ in range(2):
+            x = encoding.down_close(
+                data.draw(st.integers(min_value=0, max_value=encoding.full))
+            )
+            session.cache_clear()                   # a cold run
+            got = session.result_for_mask(x)
+            want_fired: set[int] = set()
+            want = closure_of_masks_fast(fresh, x, fired=want_fired)
+            assert (got.closure_mask, got.blocks, got.passes) == want
+            assert ({ordered[i] for i in got.fired}
+                    == {ordered[i] for i in want_fired})
+
+    session._retire_plan()                          # force a recompile
+    fresh = compile_plan(encoding,
+                         *_sigma_masks(encoding, session.dependencies))
+    assert (pickle.dumps(session.plan, protocol=pickle.HIGHEST_PROTOCOL)
+            == pickle.dumps(fresh, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots_with_sigma(max_dependencies=5), st.data())
+def test_plan_deltas_fold_duplicates_like_a_compile(root_encoding_sigma,
+                                                    data):
+    root, encoding, sigma = root_encoding_sigma
+    fd_masks, mvd_masks = _sigma_masks(encoding, sigma)
+    keys = ([(u, v, True) for u, v in fd_masks]
+            + [(u, v, False) for u, v in mvd_masks])
+    assume(keys)
+    plan = compile_plan(encoding, fd_masks, mvd_masks)
+    live = dict(enumerate(keys))        # slot -> key, in slot order
+    for _ in range(data.draw(st.integers(min_value=1, max_value=16))):
+        if live and data.draw(st.booleans()):
+            slot = data.draw(st.sampled_from(sorted(live)))
+            del live[slot]
+            if not plan.retract(slot):
+                # The plan asked for a recompile, which renumbers slots.
+                order = ([k for k in live.values() if k[2]]
+                         + [k for k in live.values() if not k[2]])
+                plan = compile_plan(encoding,
+                                    [k[:2] for k in order if k[2]],
+                                    [k[:2] for k in order if not k[2]])
+                live = dict(enumerate(order))
+        else:
+            key = data.draw(st.sampled_from(keys))      # duplicates welcome
+            live[plan.add(*key)] = key
+        slots = ([s for s, k in live.items() if k[2]]
+                 + [s for s, k in live.items() if not k[2]])
+        fresh = compile_plan(encoding,
+                             [live[s][:2] for s in slots if live[s][2]],
+                             [live[s][:2] for s in slots if not live[s][2]])
+        assert (plan.fd_masks, plan.mvd_masks, len(plan)) == (
+            fresh.fd_masks, fresh.mvd_masks, len(fresh))
+        for bit in range(encoding.size):
+            expected = 0
+            for position, key in enumerate(plan.deps):
+                if key is not None and (key[0] | key[1]) >> bit & 1:
+                    expected |= 1 << position
+            assert plan.requeue_masks[bit] == expected, bit
+        # Indices compare exactly: a duplicate's provenance names its
+        # first live twin, as a compile's ``origin`` does.
+        _assert_fires_like(plan, fresh, encoding, data)

@@ -211,16 +211,16 @@ class TestClosureIntervalCache:
 
 
 class TestSessionIntegration:
-    def test_plan_recompiles_only_on_sigma_edits(self):
+    def test_plan_is_edited_in_place_on_sigma_edits(self):
         session = Session("R(A, B, C)", ["R(A) -> R(B)"])
         first = session.plan
         assert session.plan is first                 # lazy + stable
         session.add("R(B) -> R(C)")
-        second = session.plan
-        assert second is not first
-        assert second.sigma_size == 2
+        assert session.plan is first                 # a delta, no compile
+        assert first.sigma_size == 2
         session.retract("R(B) -> R(C)")
-        assert session.plan.sigma_size == 1
+        assert session.plan is first
+        assert first.sigma_size == 1
 
     def test_interval_hit_answers_without_a_kernel_run(self):
         session = Session("R(A, B, C)", ["R(A) -> R(B)"])

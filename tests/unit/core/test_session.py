@@ -192,6 +192,17 @@ class TestRetractionProvenance:
         assert session.closure("R(A)") == s("R(A, B)", root)
         assert session.cache_info().warm_starts == 1
 
+    @pytest.mark.parametrize("engine", ["worklist", "naive"])
+    def test_retained_fired_indices_follow_the_retract(self, root, engine):
+        texts = ["R(B) -> R(C)", "R(A) -> R(D)", "R(C) ->> R(B)"]
+        session = Session(root, texts, engine=engine)
+        mask = session.encoding.encode(s("R(A)", root))
+        assert session.result_for_mask(mask).fired == {1}   # R(A) -> R(D)
+        session.retract("R(B) -> R(C)")                     # never fired
+        assert session.cache_info().retained == 1
+        # R(A) -> R(D) is index 0 now; index 1 is the MVD.
+        assert session.result_for_mask(mask).fired == {0}
+
     def test_eviction_is_sound_after_retraction(self, root):
         texts = ["R(A) -> R(B)", "R(B) -> R(C)", "R(C) -> R(D)"]
         session = Session(root, texts)

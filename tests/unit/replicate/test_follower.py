@@ -224,6 +224,71 @@ class TestStreaming:
 
         asyncio.run(scenario())
 
+    def test_registered_follower_is_shipped_records_across_compactions(
+            self, tmp_path):
+        async def scenario():
+            primary_cfg = ServeConfig(port=0, idle_ttl=None,
+                                      data_dir=str(tmp_path / "primary"),
+                                      store_compact_records=3)
+            async with ReasoningServer(primary_cfg) as primary:
+                host, port = primary.address
+                async with await AsyncClient.connect(host, port) as up:
+                    await up.open("pub", SCHEMA, [MVD])
+                    follower_cfg = follower_config(
+                        tmp_path, f"{host}:{port}", idle_ttl=None)
+                    async with ReasoningServer(follower_cfg) as follower:
+                        await caught_up(follower, 1)
+                        for seq in range(2, 8):    # compactions at 3 and 6
+                            edit = up.add if seq % 2 == 0 else up.retract
+                            await edit("pub", IMPLIED_FD)
+                            await caught_up(follower, seq)
+                        assert primary.store.stats()["compactions"] == 2
+                        assert follower.replicator.resets == 0
+                        assert primary.counters["replicate.resets_served"] == 0
+                        f_host, f_port = follower.address
+                        async with await AsyncClient.connect(
+                                f_host, f_port) as down:
+                            assert await down.implies("pub", IMPLIED_FD)
+
+        asyncio.run(scenario())
+
+    def test_retained_window_serves_one_behind_and_resets_past_it(
+            self, tmp_path):
+        async def scenario():
+            primary_cfg = ServeConfig(port=0, idle_ttl=None,
+                                      data_dir=str(tmp_path / "primary"),
+                                      store_compact_records=2)
+            async with ReasoningServer(primary_cfg) as primary:
+                host, port = primary.address
+                async with await AsyncClient.connect(host, port) as up:
+                    await up.open("pub", SCHEMA, [MVD])
+                    # "slow" registers at seq 1; seq 2 compacts.
+                    await up.request("replicate.ack", follower="slow", seq=1)
+                    await up.add("pub", IMPLIED_FD)
+                    assert primary.store.stats()["compactions"] == 1
+                    behind = await up.request(
+                        "replicate.subscribe", from_seq=1, follower="slow",
+                        wait=0)
+                    assert behind.get("reset") is None
+                    assert [r["seq"] for r in behind["records"]] == [2]
+                    # Three more records while "slow" stays at seq 1: the
+                    # compaction at seq 4 keeps only the newest 2 (seqs
+                    # 3-4), so seq 2 is gone and "slow" needs a reset.
+                    await up.retract("pub", IMPLIED_FD)
+                    await up.add("pub", IMPLIED_FD)
+                    await up.retract("pub", IMPLIED_FD)
+                    assert primary.store.stats()["compactions"] == 2
+                    past = await up.request(
+                        "replicate.subscribe", from_seq=1, follower="slow",
+                        wait=0)
+                    assert past["reset"]["last_seq"] == 5
+                    within = await up.request(
+                        "replicate.subscribe", from_seq=3, follower="slow",
+                        wait=0)
+                    assert [r["seq"] for r in within["records"]] == [4, 5]
+
+        asyncio.run(scenario())
+
     def test_follower_survives_a_primary_restart(self, tmp_path):
         async def scenario():
             primary_dir = str(tmp_path / "primary")

@@ -301,6 +301,72 @@ class TestReplicationTailing:
         assert store.records_since(1) is None  # seq 2 is gone
         store.close()
 
+    def test_records_since_reads_no_segment_file(self, tmp_path,
+                                                 monkeypatch):
+        store = fresh_store(tmp_path)
+        log_session(store, deps=(DEP_A, DEP_B))
+        store.close()
+
+        reads = Counter()
+        from repro.store import recovery as recovery_module
+        from repro.store import store as store_module
+        from repro.store import wal as wal_module
+
+        def counting(path, original=wal_module.read_segment):
+            reads["read_segment"] += 1
+            return original(path)
+
+        # every module that could reach a segment file by this name
+        for module in (wal_module, recovery_module, store_module):
+            monkeypatch.setattr(module, "read_segment", counting,
+                                raising=False)
+        store = fresh_store(tmp_path)             # recovery reads once
+        assert reads["read_segment"] == 1
+        store.append("add", {"session": "pub", "dependency": DEP_A})
+        assert [r.seq for r in store.records_since(0)] == [1, 2, 3, 4]
+        assert [r.seq for r in store.records_since(2, limit=1)] == [3]
+        assert store.records_since(4) == []
+        assert reads["read_segment"] == 1         # the tail is in memory
+        store.close()
+
+    def test_compaction_retains_the_records_above_the_horizon(self,
+                                                              tmp_path):
+        manager = SessionManager()
+        store = fresh_store(tmp_path, manager)
+        log_session(store, manager, deps=(DEP_A, DEP_B))
+        store.compact(manager.snapshot_state(), retain_after=2)
+        assert [r.seq for r in store.records_since(2)] == [3]
+        assert store.records_since(1) is None      # below the horizon
+        assert store.stats()["tail_records"] == 1
+        log(store, manager, "retract", {"session": "pub",
+                                        "dependency": DEP_B})
+        assert [r.seq for r in store.records_since(2)] == [3, 4]
+        store.close()
+
+    def test_the_retained_window_is_capped_at_compact_records(self,
+                                                              tmp_path):
+        manager = SessionManager()
+        store = fresh_store(tmp_path, manager, compact_records=2)
+        log_session(store, manager, deps=(DEP_A, DEP_B))
+        store.compact(manager.snapshot_state(), retain_after=0)
+        assert store.records_since(0) is None      # seq 1 fell off the cap
+        assert [r.seq for r in store.records_since(1)] == [2, 3]
+        store.close()
+
+    def test_the_retained_window_is_capped_at_compact_bytes(self, tmp_path):
+        manager = SessionManager()
+        store = fresh_store(tmp_path, manager, compact_bytes=3000)
+        for _ in range(5):                        # ≈1.1 KB per record
+            store.append("add", {"session": "pub", "dependency": DEP_A,
+                                 "pad": "x" * 1000})
+        store.compact(manager.snapshot_state(), retain_after=0)
+        kept = store.records_since(3)
+        assert [r.seq for r in kept] == [4, 5]    # a third would pass 3000
+        assert store.records_since(2) is None
+        assert sum(len(encode_record(r.seq, r.op, r.params))
+                   for r in kept) <= 3000
+        store.close()
+
     def test_append_record_keeps_the_primary_numbering(self, tmp_path):
         store = fresh_store(tmp_path)
         assert store.append_record(1, "open", {"name": "pub",

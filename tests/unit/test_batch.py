@@ -3,8 +3,12 @@
 import pytest
 
 from repro import BulkReasoner, Schema
+from repro.attributes import encoding as encoding_module
+from repro.attributes import parse_attribute
 from repro.batch import implies_all as batch_implies_all
-from repro.exceptions import ReproError
+from repro.dependencies import dependency as dependency_module
+from repro.dependencies.dependency import FunctionalDependency
+from repro.exceptions import NotAnElementError, ReproError
 from repro.reasoner import Reasoner
 
 QUERIES = [
@@ -78,6 +82,43 @@ class TestSerialBatch:
 
     def test_repr(self, bulk):
         assert "BulkReasoner" in repr(bulk)
+
+
+class TestValidateOnce:
+    """Each side of a batch query is checked against the root once: by
+    the session's encode, which falls back to ``validate``'s message."""
+
+    @pytest.fixture
+    def root_checks(self, monkeypatch, schema):
+        calls = []
+        for module in (encoding_module, dependency_module):
+            original = module.is_subattribute
+
+            def counting(left, right, original=original):
+                if right == schema.root:
+                    calls.append(left)
+                return original(left, right)
+
+            monkeypatch.setattr(module, "is_subattribute", counting)
+        return calls
+
+    def test_a_new_fd_query_checks_each_side_once(self, bulk, root_checks):
+        # Σ's own member: its sides are encoded, the plan is compiled.
+        bulk.implies_all(["Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"])
+        before = len(root_checks)
+        bulk.implies_all(
+            ["Pubcrawl(Visit[Drink(Beer)]) -> Pubcrawl(Visit[λ])"])
+        assert len(root_checks) - before == 2
+
+    def test_a_foreign_side_keeps_the_validate_message(self, bulk, schema):
+        outside = parse_attribute("Pubcrawl(Age)")
+        inside = schema.attribute("Pubcrawl(Person)")
+        foreign = FunctionalDependency(outside, inside)
+        with pytest.raises(NotAnElementError) as expected:
+            foreign.validate(schema.root)
+        with pytest.raises(NotAnElementError) as raised:
+            bulk.implies_all([QUERIES[0], foreign])
+        assert str(raised.value) == str(expected.value)
 
 
 class TestFunctionalFacade:
