@@ -15,15 +15,23 @@ It records:
 * the median µs per ``parse_dependency``, ``parse_subattribute`` and
   ``unparse_abbreviated`` call (``_timing.median_of`` over the request
   texts and the answers' elements);
+* the mask codec against the structural one, paired
+  (``_timing.paired_speedup``): µs per text side of
+  ``BasisEncoding.parse`` against ``parse_subattribute`` + ``encode``,
+  and µs per printed element of ``BasisEncoding.render`` against
+  ``decode`` + ``unparse_abbreviated``.  The mask parse must cost at
+  most half the structural parse (asserted);
 * the in-process µs per request of the server's path
-  ``bind → commands.execute``, paired (``_timing.paired_speedup``)
-  against ``commands.execute`` alone, which parses the text inside the
-  run — the pair measures what ``bind`` costs;
+  ``bind → commands.execute``, paired against ``commands.execute``
+  alone, which parses the text inside the run — the pair measures what
+  ``bind`` costs;
 * parses per request on both paths, counted by wrapping
-  ``parse_subattribute`` wherever it was imported.  The bound path must
-  parse each text side exactly once (asserted).
+  ``BasisEncoding.parse`` (the entry point every served text side goes
+  through).  The bound path must parse each text side exactly once
+  (asserted).
 
-Answers of both paths are asserted identical before anything is timed.
+Answers of both paths, and the masks and texts of both codecs, are
+asserted identical before anything is timed.
 Results land in ``BENCH_text_codec.json``.
 
 Run:  pytest benchmarks/bench_text_codec.py -s --benchmark-disable
@@ -33,10 +41,8 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from pathlib import Path
 
-from repro.attributes import parser
 from repro.attributes.encoding import BasisEncoding
 from repro.attributes.parser import parse_subattribute
 from repro.attributes.printer import unparse_abbreviated
@@ -62,6 +68,8 @@ REQUESTS = 240
 READ_MIX = (("fd", 35), ("mvd", 35), ("closure", 10), ("basis", 20))
 REPEATS = 31          # median_of repeats per text-layer primitive
 ROUNDS = 9            # paired rounds of the per-request comparison
+CODEC_ROUNDS = 21     # paired rounds of each mask-vs-structural sweep
+MAX_PARSE_RATIO = 0.5  # mask parse / (parse_subattribute + encode)
 
 
 def _build():
@@ -101,24 +109,21 @@ def _serve(session: Session, command: commands.Command, *,
 
 
 def _count_parses(function) -> int:
-    """Real ``parse_subattribute`` calls made by ``function()``."""
-    original = parser.parse_subattribute
+    """``BasisEncoding.parse`` calls (one per text side) made by
+    ``function()``."""
+    original = BasisEncoding.parse
     calls = 0
 
-    def counting(text, root):
+    def counting(self, text):
         nonlocal calls
         calls += 1
-        return original(text, root)
+        return original(self, text)
 
-    patched = [module for module in list(sys.modules.values())
-               if getattr(module, "parse_subattribute", None) is original]
-    for module in patched:
-        module.parse_subattribute = counting
+    BasisEncoding.parse = counting
     try:
         function()
     finally:
-        for module in patched:
-            module.parse_subattribute = original
+        BasisEncoding.parse = original
     return calls
 
 
@@ -144,6 +149,15 @@ def _measure() -> dict:
         elif isinstance(command, commands.Basis):
             printed.extend(session.dependency_basis(command.x))
 
+    encoding = session.encoding
+    encode, decode = encoding.encode, encoding.decode
+    masks = [encoding.parse(text) for text in side_texts]
+    assert masks == [encode(parse_subattribute(text, root))
+                     for text in side_texts]
+    printed_masks = [encode(element) for element in printed]
+    assert [encoding.render(mask) for mask in printed_masks] == [
+        unparse_abbreviated(decode(mask), root) for mask in printed_masks]
+
     def per_call(function, items) -> float:
         def sweep():
             for item in items:
@@ -156,6 +170,28 @@ def _measure() -> dict:
         lambda text: parse_subattribute(text, root), side_texts)
     unparse_us = per_call(
         lambda element: unparse_abbreviated(element, root), printed)
+
+    def structural_parse():
+        for text in side_texts:
+            encode(parse_subattribute(text, root))
+
+    def mask_parse():
+        for text in side_texts:
+            encoding.parse(text)
+
+    def structural_render():
+        for mask in printed_masks:
+            unparse_abbreviated(decode(mask), root)
+
+    def mask_render():
+        for mask in printed_masks:
+            encoding.render(mask)
+
+    structural_parse_s, mask_parse_s, parse_speedup = paired_speedup(
+        structural_parse, mask_parse, rounds=CODEC_ROUNDS)
+    structural_render_s, mask_render_s, render_speedup = paired_speedup(
+        structural_render, mask_render, rounds=CODEC_ROUNDS)
+    assert 1 / parse_speedup <= MAX_PARSE_RATIO, parse_speedup
 
     def bound():
         for command in requests:
@@ -180,6 +216,15 @@ def _measure() -> dict:
         "parse_dependency_us": parse_dependency_us,
         "parse_subattribute_us": parse_subattribute_us,
         "unparse_abbreviated_us": unparse_us,
+        "structural_parse_encode_us_per_side":
+            structural_parse_s / len(side_texts) * 1e6,
+        "mask_parse_us_per_side": mask_parse_s / len(side_texts) * 1e6,
+        "mask_parse_paired_speedup": parse_speedup,
+        "decode_unparse_us_per_element":
+            structural_render_s / len(printed_masks) * 1e6,
+        "mask_render_us_per_element":
+            mask_render_s / len(printed_masks) * 1e6,
+        "mask_render_paired_speedup": render_speedup,
         "bound_request_us": bound_s / len(requests) * 1e6,
         "unbound_request_us": unbound_s / len(requests) * 1e6,
         "paired_median_speedup": speedup,
@@ -207,6 +252,14 @@ def test_text_codec_report(benchmark):
     print(f"  parse_dependency    {row['parse_dependency_us']:8.1f} us/call")
     print(f"  parse_subattribute  {row['parse_subattribute_us']:8.1f} us/call")
     print(f"  unparse_abbreviated {row['unparse_abbreviated_us']:8.1f} us/call")
+    print(f"  per side: parse_subattribute+encode "
+          f"{row['structural_parse_encode_us_per_side']:6.1f} us, "
+          f"BasisEncoding.parse {row['mask_parse_us_per_side']:6.1f} us "
+          f"({row['mask_parse_paired_speedup']:.2f}x paired)")
+    print(f"  per element: decode+unparse_abbreviated "
+          f"{row['decode_unparse_us_per_element']:6.1f} us, "
+          f"BasisEncoding.render {row['mask_render_us_per_element']:6.1f} us "
+          f"({row['mask_render_paired_speedup']:.2f}x paired)")
     print(f"  bound request   {row['bound_request_us']:8.1f} us "
           f"({row['bound_parses_per_request']:.2f} parses/request)")
     print(f"  unbound request {row['unbound_request_us']:8.1f} us "

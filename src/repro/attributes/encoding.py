@@ -33,16 +33,28 @@ every pass.  ``X ∸ Y``, ``X^C`` and possession are computed directly —
 a down-closure is one table OR per byte of the mask, cheaper than a memo
 that cold queries (every one a new left-hand side) would almost never hit.
 
+Text goes to and from masks without building trees: :meth:`parse`
+walks the abbreviated notation over a node table of the root (one entry
+per flat, list and record node, each flat or list node carrying the
+down-set of its minimal basis attribute) and ORs node masks;
+:meth:`render` prints a mask from the same table.  Whatever the walk
+cannot decide alone goes to
+:func:`~repro.attributes.parser.parse_subattribute`, which stays the
+definition of the notation and the only source of its errors.
+
 The encoding is cross-checked against the structural implementation in
 :mod:`repro.attributes.lattice` by property tests.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator
 
 from .basis import basis_poset
-from .nested import NestedAttribute
+from .nested import Flat, ListAttr, NestedAttribute, Record
+from .parser import _LAMBDAS, _TOKEN, parse_subattribute
+from .printer import LAMBDA, unparse_abbreviated
 from .subattribute import bottom, is_subattribute, subattributes
 from ..exceptions import NotAnElementError
 
@@ -53,6 +65,17 @@ __all__ = ["BasisEncoding", "EncodingCacheInfo", "iter_bits"]
 #: bound, so a long-lived encoding (shell sessions, servers) cannot grow
 #: without limit and no miss pays for an eviction walk.
 UNARY_CACHE_MAXSIZE = 16384
+
+
+#: The parser's tokens plus any other non-space character, so one
+#: ``findall`` splits a text and a bad character becomes a token that no
+#: node's name can equal.
+_CODEC_TOKEN_RE = re.compile(rf"{_TOKEN}|\S")
+#: A name the parser's tokenizer reads as one token.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+
+# Node kinds of the text codec's table.
+_FLAT, _LIST, _RECORD, _NULL = range(4)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -119,6 +142,7 @@ class BasisEncoding:
         "_memo_maxsize",
         "_hits",
         "_misses",
+        "_nodes",
     )
 
     def __init__(self, root: NestedAttribute) -> None:
@@ -174,6 +198,8 @@ class BasisEncoding:
         self._dc_cache: dict[int, int] = {}
         self._hits = 0
         self._misses = 0
+        # The text codec's node table, built by the first parse/render.
+        self._nodes: tuple | None = None
 
     def __reduce__(self):
         # Rebuild from the root on unpickling: the tables are derived
@@ -367,6 +393,10 @@ class BasisEncoding:
             return cached
         self._misses += 1
         result = self.down_close(self.possessed(mask))
+        if result == mask:
+            # CC-closed (every block after its first pass): the entry
+            # shares the key's int instead of holding an equal copy.
+            result = mask
         if len(cache) >= self._memo_maxsize:
             cache.clear()
         cache[mask] = result
@@ -434,13 +464,193 @@ class BasisEncoding:
         """Decode a collection of masks, preserving iteration order."""
         return tuple(self.decode(mask) for mask in masks)
 
+    # -- text codec ----------------------------------------------------------
+
+    def parse(self, text: str) -> int:
+        """Mask of the abbreviated subattribute ``text`` (§3.3 notation).
+
+        Equal to ``encode(parse_subattribute(text, root))`` for every
+        text, error included.  One walk over the node table resolves each
+        record component by its head and ORs the down-sets of the flat
+        and list nodes it meets, so no tree is built.  A bare ``λ``
+        component puts its record in positional mode: the arity must be
+        full and every named component must stand at its own position.
+        Whatever the walk does not decide alone — bad syntax, an unknown
+        or repeated head, a record of the root with duplicate heads, a
+        positional mismatch — is handed to
+        :func:`~repro.attributes.parser.parse_subattribute`, which
+        returns the element or raises the error.
+        """
+        root_node, parseable = self._nodes or self._build_nodes()
+        if parseable:
+            tokens = _CODEC_TOKEN_RE.findall(text)
+            tokens.append("")  # end-of-input sentinel
+            try:
+                mask, end = _match(root_node, tokens, 0)
+                if not tokens[end]:
+                    return mask
+            except _Refused:
+                pass
+        return self.encode(parse_subattribute(text, self.root))
+
+    def render(self, mask: int) -> str:
+        """The abbreviated text of the down-closed ``mask``.
+
+        Equal to ``unparse_abbreviated(decode(mask), root)``: record
+        components at their bottom are left out when the record's heads
+        identify the rest and shown as ``λ`` otherwise, a record of
+        bottoms is its bottom, and the bottom of the root prints ``λ``.
+        """
+        root_node = (self._nodes or self._build_nodes())[0]
+        return _render(root_node, mask) or LAMBDA
+
+    def _build_nodes(self) -> tuple:
+        """``(root node, parseable)``: the codec's table of the root.
+
+        A node is ``(kind, name, mask, subtree, text, children, heads)``:
+        ``mask`` is ``below[i]`` of the node's minimal basis attribute
+        (0 for records and λ), ``subtree`` the bits of every basis
+        attribute at or under the node and ``text`` the node's rendering
+        when all of them are set.  ``basis_poset`` numbers basis
+        attributes in structural pre-order (a list's minimum before its
+        lifted element basis, record components left to right), so the
+        index is a running count and no element is encoded.  A record's
+        ``heads`` is its shared ``head_index()`` when the heads are
+        distinct (the printer's λ-omission rule) and None otherwise.
+        ``parseable`` is False when some name is not one token of the
+        notation, since a text could then never spell it.
+        """
+        below = self.below
+        names_ok = True
+
+        def build(attribute: NestedAttribute, index: int) -> tuple[tuple, int]:
+            nonlocal names_ok
+            if isinstance(attribute, Flat):
+                names_ok = names_ok and bool(_NAME_RE.fullmatch(attribute.name))
+                return (_FLAT, attribute.name, below[index], 1 << index,
+                        attribute.name, (), None), index + 1
+            if isinstance(attribute, ListAttr):
+                names_ok = names_ok and bool(_NAME_RE.fullmatch(attribute.label))
+                element, end = build(attribute.element, index + 1)
+                return (_LIST, attribute.label, below[index],
+                        (1 << index) | element[3],
+                        f"{attribute.label}[{element[4] or LAMBDA}]",
+                        (element,), None), end
+            if isinstance(attribute, Record):
+                names_ok = names_ok and bool(_NAME_RE.fullmatch(attribute.label))
+                children = []
+                subtree = 0
+                for component in attribute.components:
+                    child, index = build(component, index)
+                    children.append(child)
+                    subtree |= child[3]
+                heads = attribute.head_index()
+                if len(heads) != len(children):
+                    heads = None
+                node = (_RECORD, attribute.label, 0, subtree, "",
+                        tuple(children), heads)
+                if subtree:
+                    node = node[:4] + (_record_text(node, subtree),) + node[5:]
+                return node, index
+            return (_NULL, None, 0, 0, "", (), None), index
+
+        root_node, _ = build(self.root, 0)
+        self._nodes = (root_node, names_ok)
+        return self._nodes
+
     # -- display -----------------------------------------------------------
 
     def describe(self, mask: int) -> str:
         """Human-readable form of an element mask (paper notation)."""
-        from .printer import unparse_abbreviated
-
         return unparse_abbreviated(self.decode(mask), self.root)
 
     def __repr__(self) -> str:
         return f"BasisEncoding(root={self.root}, size={self.size})"
+
+
+class _Refused(Exception):
+    """The mask walk cannot decide a text; the structural parser will."""
+
+
+def _match(node: tuple, tokens: list[str], i: int) -> tuple[int, int]:
+    """``(mask, next token index)`` of the attribute text at ``tokens[i]``
+    matched against ``node``; raises :class:`_Refused` on anything the
+    structural parser should decide."""
+    token = tokens[i]
+    if token in _LAMBDAS:
+        return 0, i + 1
+    kind = node[0]
+    if token != node[1]:
+        raise _Refused
+    opener = tokens[i + 1]
+    if kind == _FLAT:
+        if opener == "(" or opener == "[":
+            raise _Refused
+        return node[2], i + 1
+    if kind == _LIST:
+        if opener != "[":
+            raise _Refused
+        inner, i = _match(node[5][0], tokens, i + 2)
+        if tokens[i] != "]":
+            raise _Refused
+        return node[2] | inner, i + 1
+    heads = node[6]
+    if opener != "(" or heads is None:
+        raise _Refused
+    children = node[5]
+    mask = taken = count = 0
+    positional = misplaced = False
+    i += 2
+    while True:
+        token = tokens[i]
+        if token in _LAMBDAS:
+            positional = True
+            i += 1
+        else:
+            positions = heads.get(token)
+            if positions is None:
+                raise _Refused
+            position = positions[0]
+            if taken >> position & 1:
+                raise _Refused
+            taken |= 1 << position
+            misplaced = misplaced or position != count
+            inner, i = _match(children[position], tokens, i)
+            mask |= inner
+        count += 1
+        token = tokens[i]
+        i += 1
+        if token == ")":
+            break
+        if token != ",":
+            raise _Refused
+    if positional and (misplaced or count != len(children)):
+        raise _Refused
+    return mask, i
+
+
+def _render(node: tuple, mask: int) -> str:
+    """The abbreviated text of ``mask`` under ``node``; ``""`` for its
+    bottom."""
+    subtree = node[3]
+    present = mask & subtree
+    if present == subtree:
+        return node[4]
+    if not present:
+        return ""
+    if node[0] == _LIST:
+        return f"{node[1]}[{_render(node[5][0], mask) or LAMBDA}]"
+    return _record_text(node, mask)
+
+
+def _record_text(node: tuple, mask: int) -> str:
+    """A record node's text for a mask with some of its bits set."""
+    shown = []
+    omit = node[6] is not None
+    for child in node[5]:
+        text = _render(child, mask)
+        if text:
+            shown.append(text)
+        elif not omit:
+            shown.append(LAMBDA)
+    return f"{node[1]}({', '.join(shown)})"

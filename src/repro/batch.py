@@ -80,30 +80,28 @@ class BulkReasoner:
         :func:`repro.core.membership.implies_every` (which was called
         ``implies_all`` there before the rename).
         """
-        # Each side is checked against the root once, when the session
-        # encodes it (Session.dependency_masks), with validate's message.
-        schema = self.schema
-        parsed = [schema.dependency(dependency) for dependency in dependencies]
-
         # The verdict sweep is the typed ImpliesBatch command — the
-        # same object the wire dispatches — run against the session.
-        # Parsed Dependency objects are passed through so nothing is
-        # re-parsed.
+        # same object the wire dispatches — bound to the session: text
+        # is parsed straight to masks, and a parsed dependency has each
+        # side checked once, while it is encoded, with validate's
+        # message (Session.dependency_masks).
         session = self.reasoner.session
-        command = commands.ImpliesBatch(dependencies=tuple(parsed))
+        command = commands.ImpliesBatch(
+            dependencies=tuple(dependencies)).bind(session)
+        queries = len(command.dependencies)
 
         obs = get_observer()
         if not obs.enabled:
             return command.run(commands.CommandContext(session)).value
 
         distinct_lhs = len(command.lhs_masks(session))
-        with obs.span("batch.implies_all", queries=len(parsed),
+        with obs.span("batch.implies_all", queries=queries,
                       distinct_lhs=distinct_lhs):
             # run() directly (no command.run wrapper span): the pinned
             # PR 2 contract parents each batch.query span straight
             # under batch.implies_all.
             verdicts = command.run(commands.CommandContext(session)).value
-        obs.add("batch.queries", len(parsed))
+        obs.add("batch.queries", queries)
         obs.add("batch.batches")
         obs.observe("batch.fanout", distinct_lhs)
         return verdicts

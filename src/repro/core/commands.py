@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping
 
 from ..attributes.printer import unparse_abbreviated
-from ..dependencies.dependency import Dependency, FunctionalDependency
+from ..dependencies.dependency import Dependency
 from ..obs import get_observer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -309,7 +309,10 @@ class Command:
     def bind(self, session: "Session") -> "Command":
         """This command with its text fields parsed against ``session``.
 
-        The server binds each session-scope command once, before its
+        Read queries bind to masks: each text side is parsed straight to
+        its mask (:meth:`Session.attribute_mask`,
+        :meth:`Session.dependency_masks`), and no tree is built.  The
+        server binds each session-scope command once, before its
         shed-cold check calls :meth:`lhs_masks`, so the check and
         :meth:`run` share one parse.  Commands whose text is first read inside
         :meth:`run` (add, retract, …) and commands without text return
@@ -353,25 +356,11 @@ class Command:
     # -- shared parsing helpers (session-scope commands) -------------------
 
     @staticmethod
-    def _parsed(session: "Session",
-                dependency: "Dependency | str") -> Dependency:
-        return (session.dependency(dependency)
-                if isinstance(dependency, str) else dependency)
-
-    @staticmethod
     def _dependency(session: "Session",
                     dependency: "Dependency | str") -> Dependency:
-        parsed = Command._parsed(session, dependency)
+        parsed = session.dependency(dependency)
         parsed.validate(session.root)
         return parsed
-
-    @staticmethod
-    def _attribute(session: "Session", x: Any) -> Any:
-        return session.attribute(x) if isinstance(x, str) else x
-
-    @staticmethod
-    def _attribute_mask(session: "Session", x: Any) -> int:
-        return session.encoding.encode(Command._attribute(session, x))
 
 
 def wire_ops() -> frozenset[str]:
@@ -550,8 +539,9 @@ class Add(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        # Session.add validates; _dependency would check each side twice
-        added = session.add(self._parsed(session, self.dependency))
+        # Session.add parses and validates; _dependency would check
+        # each side twice
+        added = session.add(self.dependency)
         return Outcome({"added": added, "sigma": len(session)},
                        mutated=added, value=added)
 
@@ -600,6 +590,8 @@ class Implies(Command):
 
     dependency: "Dependency | str" = ""
     session: str | None = None
+    #: ``(is_fd, lhs mask, rhs mask)``, set by :meth:`bind`.
+    masks: tuple[bool, int, int] | None = None
 
     spec: ClassVar[CommandSpec] = CommandSpec(
         name="implies",
@@ -611,18 +603,17 @@ class Implies(Command):
     )
 
     def run(self, ctx: CommandContext) -> Outcome:
-        session = ctx.session
-        # Session.implies checks each side once, while encoding it
-        verdict = session.implies(self._parsed(session, self.dependency))
+        verdict = ctx.session.implies_masks(*self._masks(ctx.session))
         return Outcome({"implied": verdict}, value=verdict)
 
+    def _masks(self, session: "Session") -> tuple[bool, int, int]:
+        return self.masks or session.dependency_masks(self.dependency)
+
     def bind(self, session: "Session") -> "Implies":
-        return replace(self,
-                       dependency=self._parsed(session, self.dependency))
+        return replace(self, masks=session.dependency_masks(self.dependency))
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
-        dependency = self._parsed(session, self.dependency)
-        return (session.dependency_masks(dependency)[0],)
+        return (self._masks(session)[1],)
 
     @classmethod
     def render(cls, result: dict[str, Any]) -> tuple[list[str], int]:
@@ -637,6 +628,8 @@ class ImpliesBatch(Command):
 
     dependencies: tuple["Dependency | str", ...] = ()
     session: str | None = None
+    #: One ``(is_fd, lhs mask, rhs mask)`` per query, set by :meth:`bind`.
+    masks: tuple[tuple[bool, int, int], ...] | None = None
 
     spec: ClassVar[CommandSpec] = CommandSpec(
         name="implies_batch",
@@ -653,9 +646,8 @@ class ImpliesBatch(Command):
         queries = self._queries(session)
         obs = get_observer()
         verdicts: list[bool] = []
-        for index, (dependency, lhs_mask, rhs_mask) in enumerate(queries):
+        for index, (is_fd, lhs_mask, rhs_mask) in enumerate(queries):
             ctx.check_deadline()
-            is_fd = isinstance(dependency, FunctionalDependency)
             if obs.enabled:
                 with obs.span("batch.query", index=index,
                               kind="fd" if is_fd else "mvd",
@@ -668,12 +660,10 @@ class ImpliesBatch(Command):
         return Outcome({"verdicts": verdicts}, value=verdicts)
 
     def _queries(self, session: "Session"
-                 ) -> list[tuple[Dependency, int, int]]:
-        queries = []
-        for dependency in self.dependencies:
-            parsed = self._parsed(session, dependency)
-            queries.append((parsed, *session.dependency_masks(parsed)))
-        return queries
+                 ) -> tuple[tuple[bool, int, int], ...]:
+        if self.masks is not None:
+            return self.masks
+        return tuple(map(session.dependency_masks, self.dependencies))
 
     @staticmethod
     def _verdict(session: "Session", is_fd: bool, lhs_mask: int,
@@ -683,9 +673,7 @@ class ImpliesBatch(Command):
                 else result.implies_mvd_rhs(rhs_mask))
 
     def bind(self, session: "Session") -> "ImpliesBatch":
-        return replace(self, dependencies=tuple(
-            self._parsed(session, dependency)
-            for dependency in self.dependencies))
+        return replace(self, masks=self._queries(session))
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
         return tuple(dict.fromkeys(
@@ -700,13 +688,30 @@ class ImpliesBatch(Command):
         return lines, 0 if all(verdicts) else 1
 
 
-@register
 @dataclass(frozen=True)
-class Closure(Command):
-    """The attribute-set closure ``X⁺`` (full Algorithm 5.1 result)."""
+class _AttributeQuery(Command):
+    """A query on the closure of one subattribute ``x`` (text or element)."""
 
     x: Any = ""
     session: str | None = None
+    #: The mask of ``x``, set by :meth:`bind`.
+    mask: int | None = None
+
+    def _mask(self, session: "Session") -> int:
+        mask = self.mask
+        return session.attribute_mask(self.x) if mask is None else mask
+
+    def bind(self, session: "Session") -> Command:
+        return replace(self, mask=session.attribute_mask(self.x))
+
+    def lhs_masks(self, session: "Session") -> tuple[int, ...]:
+        return (self._mask(session),)
+
+
+@register
+@dataclass(frozen=True)
+class Closure(_AttributeQuery):
+    """The attribute-set closure ``X⁺`` (full Algorithm 5.1 result)."""
 
     spec: ClassVar[CommandSpec] = CommandSpec(
         name="closure",
@@ -719,17 +724,11 @@ class Closure(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        result = session.result_for_mask(self._attribute_mask(session, self.x))
+        result = session.result_for_mask(self._mask(session))
         return Outcome(
-            {"closure": unparse_abbreviated(result.closure, session.root),
+            {"closure": session.encoding.render(result.closure_mask),
              "passes": result.passes},
             value=result)
-
-    def bind(self, session: "Session") -> Command:
-        return replace(self, x=self._attribute(session, self.x))
-
-    def lhs_masks(self, session: "Session") -> tuple[int, ...]:
-        return (self._attribute_mask(session, self.x),)
 
     @classmethod
     def render(cls, result: dict[str, Any]) -> tuple[list[str], int]:
@@ -738,11 +737,8 @@ class Closure(Command):
 
 @register
 @dataclass(frozen=True)
-class Basis(Command):
+class Basis(_AttributeQuery):
     """The dependency basis ``DepB(X)``."""
-
-    x: Any = ""
-    session: str | None = None
 
     spec: ClassVar[CommandSpec] = CommandSpec(
         name="basis",
@@ -755,18 +751,13 @@ class Basis(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        result = session.result_for_mask(self._attribute_mask(session, self.x))
-        members = result.dependency_basis()
+        result = session.result_for_mask(self._mask(session))
+        # in the order of ClosureResult.dependency_basis()
+        text = session.encoding.render
         return Outcome(
-            {"basis": [unparse_abbreviated(member, session.root)
-                       for member in members]},
-            value=members)
-
-    def bind(self, session: "Session") -> Command:
-        return replace(self, x=self._attribute(session, self.x))
-
-    def lhs_masks(self, session: "Session") -> tuple[int, ...]:
-        return (self._attribute_mask(session, self.x),)
+            {"basis": [text(mask)
+                       for mask in sorted(result.dependency_basis_masks())]},
+            value=result)
 
     @classmethod
     def render(cls, result: dict[str, Any]) -> tuple[list[str], int]:
@@ -942,7 +933,7 @@ class Trace(Command):
         session = ctx.session
         recorder = TraceRecorder()
         compute_closure(session.encoding,
-                        self._attribute_mask(session, self.x),
+                        session.attribute_mask(self.x),
                         session.sigma, trace=recorder)
         return Outcome({"trace": recorder.render()}, value=recorder)
 

@@ -53,6 +53,7 @@ from ..dependencies.dependency import (
     FunctionalDependency,
     MultivaluedDependency,
     parse_dependency,
+    split_dependency,
 )
 from ..dependencies.sigma import DependencySet
 from ..exceptions import NotAnElementError
@@ -231,6 +232,13 @@ class Session:
             return dependency
         return parse_dependency(dependency, self.root)
 
+    def attribute_mask(self, x: NestedAttribute | str) -> int:
+        """The mask of ``x``: text is parsed straight to its mask
+        (:meth:`BasisEncoding.parse`, no tree), an element is encoded."""
+        if isinstance(x, str):
+            return self.encoding.parse(x)
+        return self.encoding.encode(x)
+
     # -- Σ views -------------------------------------------------------------
 
     @property
@@ -300,7 +308,7 @@ class Session:
         if plan is None:
             dependency.validate(self.root)
         else:
-            lhs_mask, rhs_mask = self.dependency_masks(dependency)
+            _, lhs_mask, rhs_mask = self.dependency_masks(dependency)
         if dependency in self._dep_set:
             return False
         self._deps[dependency] = None
@@ -449,7 +457,7 @@ class Session:
 
     def result_for(self, x: NestedAttribute | str) -> ClosureResult:
         """The (cached, possibly warm-started) result for left-hand side ``x``."""
-        return self.result_for_mask(self.encoding.encode(self.attribute(x)))
+        return self.result_for_mask(self.attribute_mask(x))
 
     def result_for_mask(self, mask: int) -> ClosureResult:
         """Mask-level :meth:`result_for` (the batch API's entry point)."""
@@ -597,35 +605,45 @@ class Session:
             return cached
         return self.result_for_mask(mask).closure_mask
 
-    def dependency_masks(self, dependency: Dependency) -> tuple[int, int]:
-        """The ``(lhs, rhs)`` masks of a dependency, each side checked once.
+    def dependency_masks(self, dependency: Dependency | str
+                         ) -> tuple[bool, int, int]:
+        """``(is_fd, lhs mask, rhs mask)`` of a dependency or its text.
 
-        Encoding a side checks that it lies in ``Sub(N)`` (a side found
-        in the encode cache was checked when it was first encoded), so
-        this is the only validation a query pays.  A side outside
-        ``Sub(N)`` raises :class:`~repro.exceptions.NotAnElementError`
-        with :meth:`Dependency.validate`'s message, which names the side.
+        Text is split at its arrow (:func:`split_dependency`, as
+        :func:`parse_dependency` does) and each side parsed straight to
+        its mask, with the structural parser's errors.  A parsed
+        dependency has each side checked once, by encoding it (a side
+        found in the encode cache was checked when it was first
+        encoded); a side outside ``Sub(N)`` raises
+        :class:`~repro.exceptions.NotAnElementError` with
+        :meth:`Dependency.validate`'s message, which names the side.
         """
+        if isinstance(dependency, str):
+            is_fd, lhs_text, rhs_text = split_dependency(dependency)
+            parse = self.encoding.parse
+            return is_fd, parse(lhs_text), parse(rhs_text)
         encode = self.encoding.encode
         try:
-            return encode(dependency.lhs), encode(dependency.rhs)
+            return (isinstance(dependency, FunctionalDependency),
+                    encode(dependency.lhs), encode(dependency.rhs))
         except NotAnElementError:
             dependency.validate(self.root)
             raise
 
     def implies(self, dependency: Dependency | str) -> bool:
         """Decide ``Σ ⊨ σ`` using the per-LHS cache (Proposition 4.10)."""
-        dependency = self.dependency(dependency)
-        lhs_mask, rhs_mask = self.dependency_masks(dependency)
-        if isinstance(dependency, FunctionalDependency):
+        return self.implies_masks(*self.dependency_masks(dependency))
+
+    def implies_masks(self, is_fd: bool, lhs_mask: int, rhs_mask: int) -> bool:
+        """Mask-level :meth:`implies`."""
+        if is_fd:
             # Σ ⊨ X → Y iff Y ≤ X⁺: closure-derived, interval-eligible.
             return rhs_mask & ~self.closure_mask_for(lhs_mask) == 0
         return self.result_for_mask(lhs_mask).implies_mvd_rhs(rhs_mask)
 
     def closure(self, x: NestedAttribute | str) -> NestedAttribute:
         """The attribute-set closure ``X⁺``."""
-        mask = self.encoding.encode(self.attribute(x))
-        return self.encoding.decode(self.closure_mask_for(mask))
+        return self.encoding.decode(self.closure_mask_for(self.attribute_mask(x)))
 
     def dependency_basis(self, x: NestedAttribute | str
                          ) -> tuple[NestedAttribute, ...]:
@@ -634,8 +652,7 @@ class Session:
 
     def is_superkey(self, x: NestedAttribute | str) -> bool:
         """Whether ``Σ ⊨ X → N``."""
-        mask = self.encoding.encode(self.attribute(x))
-        return self.closure_mask_for(mask) == self.encoding.full
+        return self.closure_mask_for(self.attribute_mask(x)) == self.encoding.full
 
     def implied_mvd_rhs_masks(self, x: NestedAttribute | str) -> frozenset[int]:
         """All DepB member masks — the generators of ``Dep(X)``."""

@@ -37,6 +37,7 @@ __all__ = [
     "FD",
     "MVD",
     "parse_dependency",
+    "split_dependency",
 ]
 
 
@@ -159,6 +160,28 @@ _MVD_ARROWS = ("->>", "↠", "-»")
 _FD_ARROWS = ("->", "→")
 
 
+def split_dependency(text: str) -> tuple[bool, str, str]:
+    """``(is_fd, lhs text, rhs text)`` of ``"X -> Y"`` / ``"X ->> Y"``.
+
+    The first MVD arrow wins over any FD arrow; the side texts are
+    stripped.  Shared by :func:`parse_dependency` and the mask path
+    (:meth:`repro.core.session.Session.dependency_masks`).
+
+    Raises
+    ------
+    DependencySyntaxError
+        When the text has no arrow.
+    """
+    for arrows, is_fd in ((_MVD_ARROWS, False), (_FD_ARROWS, True)):
+        for arrow in arrows:
+            if arrow in text:
+                lhs_text, _, rhs_text = text.partition(arrow)
+                return is_fd, lhs_text.strip(), rhs_text.strip()
+    raise DependencySyntaxError(
+        f"no dependency arrow ('->' or '->>') found in {text!r}"
+    )
+
+
 def parse_dependency(text: str, root: NestedAttribute) -> Dependency:
     """Parse ``"X -> Y"`` (FD) or ``"X ->> Y"`` (MVD) against a root.
 
@@ -175,20 +198,7 @@ def parse_dependency(text: str, root: NestedAttribute) -> Dependency:
     >>> mvd.is_mvd
     True
     """
-    for arrow in _MVD_ARROWS:
-        if arrow in text:
-            lhs_text, _, rhs_text = text.partition(arrow)
-            return MultivaluedDependency(
-                parse_subattribute(lhs_text.strip(), root),
-                parse_subattribute(rhs_text.strip(), root),
-            )
-    for arrow in _FD_ARROWS:
-        if arrow in text:
-            lhs_text, _, rhs_text = text.partition(arrow)
-            return FunctionalDependency(
-                parse_subattribute(lhs_text.strip(), root),
-                parse_subattribute(rhs_text.strip(), root),
-            )
-    raise DependencySyntaxError(
-        f"no dependency arrow ('->' or '->>') found in {text!r}"
-    )
+    is_fd, lhs_text, rhs_text = split_dependency(text)
+    kind = FunctionalDependency if is_fd else MultivaluedDependency
+    return kind(parse_subattribute(lhs_text, root),
+                parse_subattribute(rhs_text, root))

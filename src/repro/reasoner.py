@@ -228,7 +228,7 @@ class Reasoner:
                          ) -> tuple[NestedAttribute, ...]:
         """The dependency basis ``DepB(X)`` (via the command layer)."""
         command = commands.Basis(x=self.schema.attribute(x))
-        return commands.execute(command, self.session).value
+        return commands.execute(command, self.session).value.dependency_basis()
 
     def is_superkey(self, x: NestedAttribute | str) -> bool:
         """Whether ``Σ ⊨ X → N``."""

@@ -773,8 +773,8 @@ class ReasoningServer:
 
         managed = self.sessions.get(command.session)
         session = managed.session
-        # Parse the request's text once; the shed check and the
-        # command both see the parsed objects.
+        # Parse the request's text once, straight to masks; the shed
+        # check and the command both read them.
         command = command.bind(session)
         if spec.cost == "cold" and self._shedding_cold():
             # Graceful load shedding: near capacity the server keeps

@@ -61,8 +61,6 @@ class RecoveryReport:
     max_epoch: int = 0
     #: Sessions open after recovery.
     sessions: tuple[str, ...] = ()
-    #: Per-segment record counts, manifest order.
-    segment_records: dict[str, int] = field(default_factory=dict)
     #: Every record read from the manifest's segments, in order; the
     #: store seeds its in-memory tail from it and then empties it.
     records: list[WalRecord] = field(default_factory=list)

@@ -70,6 +70,17 @@ class TestMemoisation:
             assert first == again
             assert first == encoding.down_close(encoding.possessed(mask))
 
+    def test_cc_closed_entries_share_the_key(self):
+        # > 8 basis attributes, so the masks are not CPython's small ints
+        names = ", ".join(f"A{i}" for i in range(11))
+        encoding = BasisEncoding(parse_attribute(f"R({names}, L[B])"))
+        closed = int(str(encoding.full))  # a fresh int object
+        assert encoding.double_complement(closed) is closed
+        assert encoding._dc_cache[closed] is closed
+        # a basis attribute below the list's element is not CC-closed
+        open_mask = int(str(encoding.full & ~(1 << (encoding.size - 1))))
+        assert encoding.double_complement(open_mask) != open_mask
+
     def test_hit_rate(self, encoding):
         encoding.cache_clear()
         assert encoding.cache_info().hit_rate() == 0.0
@@ -169,6 +180,13 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(encoding))
         hits, misses, size, _ = clone.cache_info()["double_complement"]
         assert (hits, misses, size) == (0, 0, 0)
+
+    def test_codec_table_is_not_shipped(self, encoding):
+        encoding.parse("R(A)")
+        assert encoding._nodes is not None
+        clone = pickle.loads(pickle.dumps(encoding))
+        assert clone._nodes is None
+        assert clone.parse("R(A)") == encoding.parse("R(A)")
 
     def test_attribute_classes_round_trip(self):
         root = parse_attribute("R(A, L[K(B, C)], M[D])")

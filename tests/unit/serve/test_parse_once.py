@@ -1,9 +1,13 @@
-"""Each text side of a served request is parsed exactly once.
+"""Each text side of a served request is parsed exactly once, to a mask.
 
 The server binds a command (:meth:`repro.core.commands.Command.bind`)
-before it runs, so its shed-cold check and the run share one parse.  The counts here are real parses: every module that imported
-:func:`repro.attributes.parser.parse_subattribute` by name sees the
-counting wrapper.
+before it runs, so its shed-cold check and the run share one parse.  A
+side is parsed by :meth:`repro.attributes.encoding.BasisEncoding.parse`,
+straight to its mask; the structural parser
+(:func:`repro.attributes.parser.parse_subattribute`) is reached only
+for texts the mask walk hands over, and none of the valid requests here
+is one.  The structural counts are real calls: every module that
+imported ``parse_subattribute`` by name sees the counting wrapper.
 """
 
 import asyncio
@@ -12,6 +16,7 @@ import sys
 import pytest
 
 from repro.attributes import parser
+from repro.attributes.encoding import BasisEncoding
 from repro.batch import BulkReasoner
 from repro.serve import AsyncClient, ReasoningServer, ServeConfig
 
@@ -26,6 +31,20 @@ QUERIES = [
 
 @pytest.fixture
 def parses(monkeypatch):
+    """A list that grows by one entry per mask parse of a text side."""
+    original = BasisEncoding.parse
+    calls = []
+
+    def counting(self, text):
+        calls.append(text)
+        return original(self, text)
+
+    monkeypatch.setattr(BasisEncoding, "parse", counting)
+    return calls
+
+
+@pytest.fixture
+def structural_parses(monkeypatch):
     """A list that grows by one entry per real ``parse_subattribute``."""
     original = parser.parse_subattribute
     calls = []
@@ -40,13 +59,14 @@ def parses(monkeypatch):
     return calls
 
 
-def test_served_requests_parse_each_side_once(parses):
+def test_served_requests_parse_each_side_once(parses, structural_parses):
     async def scenario():
         async with ReasoningServer(ServeConfig()) as server:
             host, port = server.address
             async with await AsyncClient.connect(host, port) as client:
                 await client.open("pub", SCHEMA, [MVD])
                 counts = {}
+                before_reads = len(structural_parses)
 
                 async def count(name, request):
                     before = len(parses)
@@ -59,15 +79,18 @@ def test_served_requests_parse_each_side_once(parses):
                 await count("basis", client.basis("pub", "Pubcrawl(Person)"))
                 await count("implies_batch",
                             client.implies_batch("pub", QUERIES))
-                return counts
+                return counts, len(structural_parses) - before_reads
 
-    counts = asyncio.run(scenario())
+    counts, structural = asyncio.run(scenario())
     assert counts == {"implies": 2, "closure": 1, "basis": 1,
                       "implies_batch": 6}
+    assert structural == 0
 
 
-def test_bulk_reasoner_parses_each_side_once(parses):
+def test_bulk_reasoner_parses_each_side_once(parses, structural_parses):
     bulk = BulkReasoner(SCHEMA, [MVD])
     before = len(parses)
+    before_structural = len(structural_parses)
     assert bulk.implies_all(QUERIES) == [True, True, False]
     assert len(parses) - before == 6
+    assert len(structural_parses) - before_structural == 0

@@ -1,9 +1,10 @@
 """Each side of a served ``implies`` or ``add`` is checked against the
 root once.
 
-Parsed text is in ``Sub(N)`` by construction; the one membership check a
-side pays is the one :meth:`repro.attributes.encoding.BasisEncoding.encode`
-makes on a miss.  A dependency built outside the parser still fails with
+Parsed text is in ``Sub(N)`` by construction: a served text side is
+parsed straight to its mask and checked by nobody.  A parsed dependency
+pays the one membership check
+:meth:`repro.attributes.encoding.BasisEncoding.encode` makes on a miss.  A dependency built outside the parser still fails with
 :meth:`repro.dependencies.dependency.Dependency.validate`'s message, on
 every path.
 """
@@ -62,9 +63,10 @@ def test_served_implies_checks_each_side_once(root_checks):
                     counts.append(len(root_checks) - before)
                 return counts
 
-    # The first request encodes two new sides; the second finds both in
-    # the encode cache.
-    assert asyncio.run(scenario()) == [2, 0]
+    # Both sides are parsed straight to masks (BasisEncoding.parse): a
+    # successful parse is a member by construction, so no side is
+    # checked against the root, on the first request or the second.
+    assert asyncio.run(scenario()) == [0, 0]
 
 
 def _foreign_dependencies():
