@@ -19,7 +19,15 @@ timed with ``_timing.time_once`` and in alternating order, and both
 answers are asserted identical.  A round's ratio is the median aged ms
 over the median fresh ms; the headline is the median ratio over the
 rounds (a paired statistic: both sessions see the same probes), and it
-must stay at or below ``MAX_RATIO``.  Results land in
+must stay at or below ``MAX_RATIO``.
+
+The report also counts the encoding's ``double_complement`` calls (memo
+hits plus misses) per fresh cold closure, and the aged session's memo
+size.  The kernel decides ``MaxB`` singleton blocks from the encoding
+alone, so only the few other blocks are ever double-complemented: the
+count must stay at or below ``MAX_DC_CALLS``.  A kernel that rewrites
+every singleton on every FD firing makes about 1,300.  The count is
+deterministic, so the gate holds on any machine.  Results land in
 ``BENCH_cold_closure.json``.
 
 Run:  pytest benchmarks/bench_cold_closure.py -s --benchmark-disable
@@ -49,6 +57,7 @@ AGE = 3000            # distinct cold LHSs the aged session has served
 ROUNDS = 7            # fresh sessions, one per round
 PROBES = 20           # unseen LHSs per round
 MAX_RATIO = 1.25      # aged / fresh median cold-closure ms
+MAX_DC_CALLS = 100    # double_complement calls per fresh cold closure
 
 
 def _fresh_masks(rng: random.Random, encoding: BasisEncoding,
@@ -77,8 +86,10 @@ def _measure() -> dict:
     ratios: list[float] = []
     fresh_ms: list[float] = []
     aged_ms: list[float] = []
+    fresh_dc_calls = 0
     for round_index in range(ROUNDS):
         fresh_plan = Session(root, sigma).plan
+        fresh_totals = fresh_plan.encoding.cache_totals
         fresh_times: list[float] = []
         aged_times: list[float] = []
         for probe, mask in enumerate(
@@ -91,7 +102,10 @@ def _measure() -> dict:
             for name, plan, times in order:
                 def run(plan=plan, name=name):
                     answers[name] = closure_of_masks_fast(plan, mask)[:2]
+                before = sum(fresh_totals())
                 times.append(time_once(run) * 1e3)
+                if name == "fresh":
+                    fresh_dc_calls += sum(fresh_totals()) - before
             assert answers["fresh"] == answers["aged"], mask
         fresh_ms.append(median(fresh_times))
         aged_ms.append(median(aged_times))
@@ -106,6 +120,8 @@ def _measure() -> dict:
         "aged_median_ms": median(aged_ms),
         "aged_over_fresh": median(ratios),
         "round_ratios": ratios,
+        "fresh_double_complement_calls_per_closure":
+            fresh_dc_calls / (ROUNDS * PROBES),
         "aged_double_complement_memo": {
             "hits": hits, "misses": misses, "size": size,
             "maxsize": maxsize},
@@ -121,6 +137,7 @@ def test_cold_closure_does_not_age(benchmark):
         "fresh": "a new Session per round",
         "aged": f"one Session after {AGE} distinct cold LHSs",
         "max_ratio": MAX_RATIO,
+        "max_double_complement_calls": MAX_DC_CALLS,
         "cpus": cpus(),
         **row,
     }
@@ -132,5 +149,11 @@ def test_cold_closure_does_not_age(benchmark):
           f"{AGE} cold LHSs)")
     print(f"  aged/fresh {row['aged_over_fresh']:.2f} "
           f"(bound {MAX_RATIO})")
+    print(f"  double_complement calls per fresh closure "
+          f"{row['fresh_double_complement_calls_per_closure']:.1f} "
+          f"(bound {MAX_DC_CALLS}); aged memo size "
+          f"{row['aged_double_complement_memo']['size']}")
     print(f"report written to {JSON_PATH.name}")
     assert row["aged_over_fresh"] <= MAX_RATIO, row
+    assert (row["fresh_double_complement_calls_per_closure"]
+            <= MAX_DC_CALLS), row

@@ -51,7 +51,7 @@ ones the wire protocol has always produced.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping
 
 from ..attributes.printer import unparse_abbreviated
@@ -610,7 +610,8 @@ class Implies(Command):
         return self.masks or session.dependency_masks(self.dependency)
 
     def bind(self, session: "Session") -> "Implies":
-        return replace(self, masks=session.dependency_masks(self.dependency))
+        return Implies(self.dependency, self.session,
+                       session.dependency_masks(self.dependency))
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
         return (self._masks(session)[1],)
@@ -673,7 +674,8 @@ class ImpliesBatch(Command):
                 else result.implies_mvd_rhs(rhs_mask))
 
     def bind(self, session: "Session") -> "ImpliesBatch":
-        return replace(self, masks=self._queries(session))
+        return ImpliesBatch(self.dependencies, self.session,
+                            self._queries(session))
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
         return tuple(dict.fromkeys(
@@ -702,7 +704,8 @@ class _AttributeQuery(Command):
         return session.attribute_mask(self.x) if mask is None else mask
 
     def bind(self, session: "Session") -> Command:
-        return replace(self, mask=session.attribute_mask(self.x))
+        return type(self)(self.x, self.session,
+                          session.attribute_mask(self.x))
 
     def lhs_masks(self, session: "Session") -> tuple[int, ...]:
         return (self._mask(session),)

@@ -28,6 +28,30 @@ algorithms exploit:
   bit-identical ``(X⁺, DB)`` — while firing each dependency only when
   its inputs may actually have changed.
 
+* **Maximal singletons decided by the encoding.**  Most of ``DB_new``
+  is ``MaxB`` singletons ``SubB(m)`` (the mask ``below[m]`` of a
+  maximal bit ``m``), and their fate under a firing follows from §6's
+  set representation alone.  For every encoding, ``m ∈ MaxB(N)`` and
+  every down-closed ``S`` (``Ṽ`` always is one):
+
+  - **(L1)** ``below[m]^CC = below[m]``: ``m`` is possessed by its own
+    down-set;
+  - **(L2)** ``(below[m] ∸ S)^CC`` is ``λ`` if ``m ∈ S``, else
+    ``below[m]``;
+  - **(L3)** ``(S ⊓ below[m])^CC`` is ``below[m]`` if ``m ∈ S``, else
+    ``λ`` (every bit under ``m`` has ``m`` above it);
+  - **(L4)** ``MaxB(S^CC) = S ∩ MaxB(N)`` (this one holds for any mask
+    ``S``).
+
+  So an FD firing leaves every singleton in place (it survives, or is
+  removed and re-added by ``MaxB(Ṽ^CC)``: no net change, no dirt) and
+  adds the singletons of ``Ṽ & maximal`` not yet present; an MVD never
+  splits one.  The kernel keeps the singletons as one mask of maximal
+  bits and runs only the other blocks (``X^C``, pieces of rewrites and
+  splits, suspects) through the general rewrite and split code.  The
+  ``Ū`` scan still visits every block, so the counters and ``(X⁺, DB,
+  passes)`` are exactly those of the general code.
+
 The REPEAT structure survives as *generations*: the initial queue (all
 of Σ, FDs first — the paper's order) is generation 1, dependencies
 re-queued during generation ``g`` run in generation ``g + 1``.  The
@@ -42,10 +66,10 @@ member slots through its ``origin``), the *inverted* requeue index
 (basis bit → bitmask of dependency positions, so waking the dependents
 of a dirty event costs ``O(popcount(dirty))`` lookups plus one walk of
 exactly the woken positions, in ascending order), and per-dependency
-``Ū = 0`` constants that skip the RHS derivations entirely once a
-left-hand side is covered.  The plan is the kernel's only requeue path:
-callers that hold none go through the ``worklist`` engine, which
-compiles one on demand.
+``Ū = 0`` constants (``Ṽ = V ∸ λ`` and an MVD's overlap ``Ṽ ⊓ Ṽ^C``)
+that skip the RHS derivations once a left-hand side is covered.  The
+plan is the kernel's only requeue path: callers that hold none go
+through the ``worklist`` engine, which compiles one on demand.
 """
 
 from __future__ import annotations
@@ -161,49 +185,81 @@ def closure_of_masks_fast(
     pseudo_difference = encoding.pseudo_difference
     double_complement = encoding.double_complement
     possessed = encoding.possessed
+    down_close = encoding.down_close
     below = encoding.below
+    above = encoding.above
+    maximal = encoding.maximal
 
     # Folded arrays and compiled indexes (module doc, plan.py).
     deps = plan.deps
     origin = plan.origin
     requeue_masks = plan.requeue_masks
     rhs_tilde = plan.rhs_tilde
-    rhs_singletons = plan.rhs_singletons
-    rhs_suspects = plan.rhs_suspects
     rhs_overlap = plan.rhs_overlap
 
     x_new = x_mask
 
-    # DB_new := MaxB(X^CC) ∪ {X^C}, each block stored with its possessed
-    # mask.  A basis bit can be possessed by several blocks at once
-    # (blocks are down-closed and overlap in lower elements; a shared bit
-    # whose whole up-set lies inside each of them is possessed by all),
-    # and DB_new stays small (a median of 13 blocks at |N| = 64), so the
-    # owners of a set of bits are found by one AND per block.  The
-    # aggregate ``owned`` mask answers the common all-or-nothing cases
-    # of ``Ū`` with one AND before any scan.
-    db: dict[int, int] = {}  # block -> its possessed mask
+    # DB_new, split by shape.  ``singles`` is the mask of the maximal
+    # bits ``m`` whose singleton block ``below[m]`` is in DB_new.  Their
+    # possessed masks are pairwise disjoint (``below[m]`` possesses a bit
+    # iff ``m`` is the only maximal bit above it), ``single_owned`` is
+    # their union, and singletons are never removed (L2, L3).  Every
+    # other block is kept in ``others`` with its possessed mask: a bit
+    # can be possessed by several of them at once, and they are few
+    # (``X^C`` and the pieces of rewrites and splits), so the owners of
+    # a set of bits are found by one AND per block.  The aggregate
+    # ``owned`` mask answers the common all-or-nothing cases of ``Ū``
+    # with one AND before any scan.
+    singles = 0
+    single_owned = 0
+    others: dict[int, int] = {}  # block -> its possessed mask
     owned = 0  # union of the possessed masks of all blocks
+
+    def single_of(w: int) -> int:
+        """``m`` if ``w`` is the singleton ``below[m]``, else -1."""
+        top = w & maximal
+        if top and not top & (top - 1) and below[top.bit_length() - 1] == w:
+            return top.bit_length() - 1
+        return -1
+
+    def add_single(index: int) -> int:
+        """Insert the singleton ``below[index]``; returns its possessed mask."""
+        nonlocal singles, single_owned, owned
+        p = possessed(below[index])
+        singles |= 1 << index
+        single_owned |= p
+        owned |= p
+        return p
 
     def add_block(w: int) -> int:
         """Insert block ``w``; returns its possessed mask."""
         nonlocal owned
-        p = db[w] = possessed(w)
+        index = single_of(w)
+        if index >= 0:
+            return add_single(index)
+        p = others[w] = possessed(w)
         owned |= p
         return p
 
     def remove_block(w: int) -> int:
-        """Remove block ``w``; returns its possessed mask."""
+        """Remove the non-singleton block ``w``; returns its possessed mask."""
         nonlocal owned
-        p = db.pop(w)
-        owned = 0
-        for q in db.values():
+        p = others.pop(w)
+        owned = single_owned
+        for q in others.values():
             owned |= q
         return p
 
+    def in_db(w: int) -> bool:
+        index = single_of(w)
+        if index < 0:
+            return w in others
+        return bool(singles >> index & 1)
+
     if warm_start is None:
-        for index in iter_bits(encoding.maximal_of(double_complement(x_mask))):
-            add_block(below[index])
+        # DB_new := MaxB(X^CC) ∪ {X^C}, and MaxB(X^CC) = X ∩ MaxB(N) (L4).
+        for index in iter_bits(x_mask & maximal):
+            add_single(index)
         x_complement = encoding.complement(x_mask)
         if x_complement:
             add_block(x_complement)
@@ -214,13 +270,16 @@ def closure_of_masks_fast(
 
     # Blocks that are possibly *not* CC-closed.  The naive FD step maps
     # every block through ``(W ∸ Ṽ)^CC``, which is the identity on
-    # CC-closed blocks untouched by ``Ṽ`` but *normalises* the others —
-    # and both the initial blocks (``X^C``, ``MaxB(X^CC)`` singletons)
-    # and the singletons an FD rewrite adds can fail to be CC-closed
-    # (their generator need not be maximal in ``N``).  To stay
-    # bit-identical, the next FD firing must rewrite these suspects even
-    # when no possessed bit of theirs meets ``Ṽ``.
-    suspects: set[int] = {w for w in db if double_complement(w) != w}
+    # CC-closed blocks untouched by ``Ṽ`` but *normalises* the others.
+    # Singletons are CC-closed (L1), and so is ``X^C`` for an element
+    # ``X`` and every block a firing creates (each is a double
+    # complement); only the ``X^C`` of a mask that is not down-closed
+    # can fail to be.  To stay bit-identical, the next FD firing must
+    # rewrite these suspects even when no possessed bit of theirs meets
+    # ``Ṽ``.  The test computes ``W^CC`` without the memo: it runs once
+    # per block per run, and a cold run's ``X^C`` is never asked again.
+    suspects: set[int] = {w for w in others
+                          if down_close(possessed(w)) != w}
 
     def u_bar(u_mask: int) -> int:
         candidates = u_mask & ~x_new & owned
@@ -228,7 +287,17 @@ def closure_of_masks_fast(
             return 0
         result = 0
         blocks = 0
-        for w, p in db.items():
+        hit = candidates & single_owned
+        if hit:
+            # The singletons owning a bit of ``hit``: each such bit has
+            # exactly one maximal bit above it.
+            tops = 0
+            for i in iter_bits(hit):
+                tops |= above[i]
+            tops &= maximal
+            result = down_close(tops)
+            blocks = tops.bit_count()
+        for w, p in others.items():
             if p & candidates:
                 result |= w
                 blocks += 1
@@ -294,37 +363,33 @@ def closure_of_masks_fast(
             # DB_new := {(W ∸ Ṽ)^CC ≠ λ} ∪ MaxB(Ṽ^CC) singletons.  Only
             # blocks owning a bit of Ṽ can change (an untouched block is
             # CC-closed with all its possessed bits outside Ṽ, so it is
-            # its own survivor); the rewrite is computed as a set diff so
-            # a block that merely round-trips (removed and re-created,
-            # e.g. a singleton of Ṽ's own maximal) produces no dirt.
-            touched = {w for w, p in db.items() if p & v_tilde}
+            # its own survivor).  A singleton is its own survivor or is
+            # removed and re-added (L2), so only the other blocks are
+            # rewritten, and the singletons to add are Ṽ's maximal bits
+            # not yet in DB_new (L4).  The rewrite is a set diff, so a
+            # block that merely round-trips produces no dirt.
+            touched = {w for w, p in others.items() if p & v_tilde}
             if suspects:
-                touched.update(w for w in suspects if w in db)
+                touched.update(w for w in suspects if w in others)
                 suspects.clear()
-            replacement: set[int] = set()
-            for w in touched:
-                survivor = double_complement(pseudo_difference(w, v_tilde))
-                if survivor:
-                    replacement.add(survivor)
-            if zero_u:
-                replacement.update(rhs_singletons[position])
-                suspects.update(rhs_suspects[position])
-            else:
-                for index in iter_bits(
-                    encoding.maximal_of(double_complement(v_tilde))
-                ):
-                    singleton = below[index]
-                    replacement.add(singleton)
-                    if double_complement(singleton) != singleton:
-                        suspects.add(singleton)
-            removed = touched - replacement
-            added_blocks = replacement - db.keys()
-            if removed or added_blocks:
+            fresh = v_tilde & maximal & ~singles
+            removed = added = ()
+            if touched:
+                replacement: set[int] = set()
+                for w in touched:
+                    survivor = double_complement(pseudo_difference(w, v_tilde))
+                    if survivor:
+                        replacement.add(survivor)
+                removed = touched - replacement
+                added = [w for w in replacement if not in_db(w)]
+            if removed or added or fresh:
                 rewrites += 1
                 for w in removed:
                     dirty |= remove_block(w)
-                for w in added_blocks:
+                for w in added:
                     dirty |= add_block(w)
+                for index in iter_bits(fresh):
+                    dirty |= add_single(index)
                 changed = True
             if dirty:
                 changed = True
@@ -337,8 +402,9 @@ def closure_of_masks_fast(
             dirty |= overlap & ~x_new
             x_new |= overlap
             # Split exactly the blocks straddling Ṽ; a straddling block
-            # possesses a bit of Ṽ, so the scan locates them all.
-            straddling = [w for w, p in db.items() if p & v_tilde]
+            # possesses a bit of Ṽ, so the scan locates them all.  A
+            # singleton never splits (L3), so only the others are seen.
+            straddling = [w for w, p in others.items() if p & v_tilde]
             for w in straddling:
                 inside = double_complement(v_tilde & w)
                 if inside and inside != w:
@@ -380,4 +446,6 @@ def closure_of_masks_fast(
         stats.db_rewrites += rewrites
         stats.dirty_bits += dirty_total
 
-    return x_new, frozenset(db), passes
+    blocks = list(others)
+    blocks.extend(below[index] for index in iter_bits(singles))
+    return x_new, frozenset(blocks), passes

@@ -32,11 +32,10 @@ The plan holds three things:
    of every relevance mask per dirty event.
 
 3. **Per-dependency Ū = 0 constants.**  When ``Ū = λ`` (the common case
-   once ``X_new`` covers a left-hand side), ``Ṽ = V ∸ λ`` and everything
-   the firing derives from it is a per-dependency constant: the FD
-   rule's RHS double-complement and its ``MaxB(Ṽ^CC)`` singleton blocks
-   (with their non-CC-closed *suspects*), and the MVD rule's mixed-meet
-   overlap ``Ṽ ⊓ Ṽ^C``.
+   once ``X_new`` covers a left-hand side), ``Ṽ = V ∸ λ`` and the MVD
+   rule's mixed-meet overlap ``Ṽ ⊓ Ṽ^C`` are per-dependency constants.
+   The FD rule needs nothing more: the singletons it adds are
+   ``Ṽ ∩ MaxB(N)`` (identity L4 of :mod:`repro.core.engine`).
 
 Every field is an ``int`` or a tuple built in deterministic order, so
 compiling the same Σ twice produces **byte-identical pickles** — the
@@ -103,12 +102,10 @@ __all__ = [
 #: A plan's pickled state, in constructor order.
 _STATE = (
     "encoding", "deps", "fd_count", "fd_total", "mvd_total", "origin",
-    "folded_of", "requeue_masks", "live_mask", "rhs_tilde", "rhs_dc",
-    "rhs_singletons", "rhs_suspects", "rhs_overlap",
+    "folded_of", "requeue_masks", "live_mask", "rhs_tilde", "rhs_overlap",
 )
 #: Per-position tables (grown together when an add opens a position).
-_PER_POSITION = ("deps", "origin", "rhs_tilde", "rhs_dc", "rhs_singletons",
-                 "rhs_suspects", "rhs_overlap")
+_PER_POSITION = ("deps", "origin", "rhs_tilde", "rhs_overlap")
 
 
 class CompiledPlan:
@@ -145,14 +142,6 @@ class CompiledPlan:
         Bitmask over the live positions: the initial worklist.
     rhs_tilde:
         Per folded position, ``V ∸ λ`` — the Ṽ of a Ū = 0 firing.
-    rhs_dc:
-        Per folded FD position, ``Ṽ^CC`` (``None`` for MVDs).
-    rhs_singletons:
-        Per folded FD position, the ``MaxB(Ṽ^CC)`` singleton block masks
-        the firing inserts (``None`` for MVDs).
-    rhs_suspects:
-        The non-CC-closed subset of ``rhs_singletons`` — blocks the next
-        FD firing must re-normalise (``None`` for MVDs).
     rhs_overlap:
         Per folded MVD position, the mixed-meet overlap ``Ṽ ⊓ Ṽ^C``
         (``None`` for FDs).
@@ -165,9 +154,8 @@ class CompiledPlan:
                  fd_count: int, fd_total: int, mvd_total: int,
                  origin: Sequence, folded_of: Sequence,
                  requeue_masks: Sequence, live_mask: int,
-                 rhs_tilde: Sequence, rhs_dc: Sequence,
-                 rhs_singletons: Sequence, rhs_suspects: Sequence,
-                 rhs_overlap: Sequence, masks: tuple | None = None) -> None:
+                 rhs_tilde: Sequence, rhs_overlap: Sequence,
+                 masks: tuple | None = None) -> None:
         self.encoding = encoding
         self.deps = deps
         self.fd_count = fd_count
@@ -178,9 +166,6 @@ class CompiledPlan:
         self.requeue_masks = requeue_masks
         self.live_mask = live_mask
         self.rhs_tilde = rhs_tilde
-        self.rhs_dc = rhs_dc
-        self.rhs_singletons = rhs_singletons
-        self.rhs_suspects = rhs_suspects
         self.rhs_overlap = rhs_overlap
         self._masks = masks
         # Delta indexes, built by the first add/retract (_thaw).
@@ -256,9 +241,7 @@ class CompiledPlan:
         memo = {}
         for position, key in enumerate(self.deps):
             if key is not None:
-                memo[key] = (self.rhs_tilde[position], self.rhs_dc[position],
-                             self.rhs_singletons[position],
-                             self.rhs_suspects[position],
+                memo[key] = (self.rhs_tilde[position],
                              self.rhs_overlap[position])
         return memo
 
@@ -384,8 +367,7 @@ class CompiledPlan:
             self._refs.extend([0] * missing)
         u, v, is_fd = key
         self.deps[position] = key
-        (self.rhs_tilde[position], self.rhs_dc[position],
-         self.rhs_singletons[position], self.rhs_suspects[position],
+        (self.rhs_tilde[position],
          self.rhs_overlap[position]) = _dep_constants(self.encoding, v, is_fd)
         bit = 1 << position
         requeue_masks = self.requeue_masks
@@ -415,19 +397,9 @@ class CompiledPlan:
 def _dep_constants(encoding: BasisEncoding, v_mask: int, is_fd: bool):
     """The Ū = 0 firing constants for one dependency."""
     v_tilde = encoding.pseudo_difference(v_mask, 0)
-    if not is_fd:
-        overlap = v_tilde & encoding.complement(v_tilde)
-        return (v_tilde, None, None, None, overlap)
-    dc = encoding.double_complement(v_tilde)
-    singletons = []
-    suspects = []
-    below = encoding.below
-    for index in iter_bits(encoding.maximal_of(dc)):
-        singleton = below[index]
-        singletons.append(singleton)
-        if encoding.double_complement(singleton) != singleton:
-            suspects.append(singleton)
-    return (v_tilde, dc, tuple(singletons), tuple(suspects), None)
+    if is_fd:
+        return (v_tilde, None)
+    return (v_tilde, v_tilde & encoding.complement(v_tilde))
 
 
 def compile_plan(encoding: BasisEncoding,
@@ -491,26 +463,19 @@ def _compile(encoding: BasisEncoding,
             requeue_masks[i] |= bit
 
     rhs_tilde: list[int] = []
-    rhs_dc: list[int | None] = []
-    rhs_singletons: list[tuple[int, ...] | None] = []
-    rhs_suspects: list[tuple[int, ...] | None] = []
     rhs_overlap: list[int | None] = []
     for key in deps:
         constants = memo.get(key)
         if constants is None:
             constants = _dep_constants(encoding, key[1], key[2])
-        v_tilde, dc, singletons, suspects, overlap = constants
+        v_tilde, overlap = constants
         rhs_tilde.append(v_tilde)
-        rhs_dc.append(dc)
-        rhs_singletons.append(singletons)
-        rhs_suspects.append(suspects)
         rhs_overlap.append(overlap)
 
     return CompiledPlan(
         encoding, tuple(deps), fd_count, len(fd_masks), len(mvd_masks),
         tuple(origin), tuple(folded_of), tuple(requeue_masks),
-        (1 << len(deps)) - 1, tuple(rhs_tilde), tuple(rhs_dc),
-        tuple(rhs_singletons), tuple(rhs_suspects), tuple(rhs_overlap),
+        (1 << len(deps)) - 1, tuple(rhs_tilde), tuple(rhs_overlap),
         masks=(tuple((u, v) for u, v in fd_masks),
                tuple((u, v) for u, v in mvd_masks)),
     )

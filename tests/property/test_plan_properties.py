@@ -7,7 +7,8 @@ Three families of laws back the plan subsystem:
   is derived from, so they are pinned here on random ``(root, Σ)``;
 * **plan transparency** — the kernel over a compiled plan is
   bit-identical to the naive transcription (which takes Σ as given) on
-  ``(X⁺, DB)``, for arbitrary Σ including exact duplicates, and its
+  ``(X⁺, DB)``, for arbitrary Σ including exact duplicates and for raw
+  ``X``, ``U`` and ``V`` masks that are not down-closed, and its
   provenance is exact: Σ cut down to the dependencies in ``fired``
   reaches the same fixpoint;
 * **interval answers are real answers** — every ``closure_mask_for``
@@ -26,12 +27,13 @@ import pickle
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.attributes import BasisEncoding
 from repro.core import Session
 from repro.core.closure import _as_mask_sigma, closure_of_masks
 from repro.core.engine import closure_of_masks_fast
 from repro.core.plan import compile_plan
 
-from tests.strategies import roots_with_sigma
+from tests.strategies import nested_attributes, roots_with_sigma
 
 
 def _sigma_masks(encoding, sigma):
@@ -91,6 +93,24 @@ def test_plan_is_transparent_to_the_kernel(root_encoding_sigma, data):
          if fds + i in fired_planned],
     )
     assert kept[:2] == naive[:2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_attributes(max_basis=7), st.data())
+def test_raw_masks_match_the_naive_kernel(root, data):
+    # Masks that are not down-closed are not elements, but both kernels
+    # accept them; their X^C can fail to be CC-closed, the one case in
+    # which the worklist kernel's suspects path does any work.
+    encoding = BasisEncoding(root)
+    masks = st.integers(min_value=0, max_value=encoding.full)
+    pairs = st.lists(st.tuples(masks, masks), max_size=4)
+    fd_masks = data.draw(pairs)
+    mvd_masks = data.draw(pairs)
+    x = data.draw(masks)
+    naive = closure_of_masks(encoding, x, fd_masks, mvd_masks)
+    planned = closure_of_masks_fast(compile_plan(encoding, fd_masks,
+                                                 mvd_masks), x)
+    assert planned[:2] == naive[:2]             # (X⁺, DB)
 
 
 @settings(max_examples=40, deadline=None)

@@ -65,10 +65,9 @@ class TestCompile:
         fd_masks = _masks(encoding, "R(A) -> R(B, C)")
         mvd_masks = _masks(encoding, "R(A) ->> R(L[M(D)])")
         plan = compile_plan(encoding, fd_masks, mvd_masks)
-        assert plan.rhs_dc[0] is not None
-        assert plan.rhs_singletons[0] is not None
+        assert plan.rhs_tilde[0] is not None
         assert plan.rhs_overlap[0] is None
-        assert plan.rhs_dc[1] is None
+        assert plan.rhs_tilde[1] is not None
         assert plan.rhs_overlap[1] is not None
 
     def test_sigma_mismatch_is_rejected_by_the_kernel(self, encoding):
