@@ -26,8 +26,16 @@ hits plus misses) per fresh cold closure, and the aged session's memo
 size.  The kernel decides ``MaxB`` singleton blocks from the encoding
 alone, so only the few other blocks are ever double-complemented: the
 count must stay at or below ``MAX_DC_CALLS``.  A kernel that rewrites
-every singleton on every FD firing makes about 1,300.  The count is
-deterministic, so the gate holds on any machine.  Results land in
+every singleton on every FD firing makes about 1,300.
+
+It also counts the ``BasisEncoding.pseudo_difference`` calls per fresh
+cold closure, in a separate untimed pass over the same probes.  A cold
+run dismisses the firings of the dependencies whose left-hand side
+``X`` does not cover (identity L5 of :mod:`repro.core.engine`), so only
+the few covered or productive firings call ``∸``: the count must stay
+at or below ``MAX_PD_CALLS``.  A kernel that fires every dependency one
+by one makes about 200 on this Σ.  Both counts are deterministic, so
+their gates hold on any machine.  Results land in
 ``BENCH_cold_closure.json``.
 
 Run:  pytest benchmarks/bench_cold_closure.py -s --benchmark-disable
@@ -58,6 +66,7 @@ ROUNDS = 7            # fresh sessions, one per round
 PROBES = 20           # unseen LHSs per round
 MAX_RATIO = 1.25      # aged / fresh median cold-closure ms
 MAX_DC_CALLS = 100    # double_complement calls per fresh cold closure
+MAX_PD_CALLS = 20     # pseudo_difference calls per fresh cold closure
 
 
 def _fresh_masks(rng: random.Random, encoding: BasisEncoding,
@@ -69,6 +78,25 @@ def _fresh_masks(rng: random.Random, encoding: BasisEncoding,
             seen.add(mask)
             masks.append(mask)
     return masks
+
+
+def _pseudo_difference_calls(plan, masks: list[int]) -> int:
+    """``∸`` calls made by one cold closure of each mask over ``plan``."""
+    calls = 0
+    original = BasisEncoding.pseudo_difference
+
+    def counting(self, left, right):
+        nonlocal calls
+        calls += 1
+        return original(self, left, right)
+
+    BasisEncoding.pseudo_difference = counting
+    try:
+        for mask in masks:
+            closure_of_masks_fast(plan, mask)
+    finally:
+        BasisEncoding.pseudo_difference = original
+    return calls
 
 
 def _measure() -> dict:
@@ -87,13 +115,14 @@ def _measure() -> dict:
     fresh_ms: list[float] = []
     aged_ms: list[float] = []
     fresh_dc_calls = 0
+    fresh_pd_calls = 0
     for round_index in range(ROUNDS):
         fresh_plan = Session(root, sigma).plan
         fresh_totals = fresh_plan.encoding.cache_totals
         fresh_times: list[float] = []
         aged_times: list[float] = []
-        for probe, mask in enumerate(
-                _fresh_masks(rng, encoding, seen, PROBES)):
+        probes = _fresh_masks(rng, encoding, seen, PROBES)
+        for probe, mask in enumerate(probes):
             answers = {}
             order = (("fresh", fresh_plan, fresh_times),
                      ("aged", aged_plan, aged_times))
@@ -107,6 +136,7 @@ def _measure() -> dict:
                 if name == "fresh":
                     fresh_dc_calls += sum(fresh_totals()) - before
             assert answers["fresh"] == answers["aged"], mask
+        fresh_pd_calls += _pseudo_difference_calls(fresh_plan, probes)
         fresh_ms.append(median(fresh_times))
         aged_ms.append(median(aged_times))
         ratios.append(aged_ms[-1] / fresh_ms[-1])
@@ -122,6 +152,8 @@ def _measure() -> dict:
         "round_ratios": ratios,
         "fresh_double_complement_calls_per_closure":
             fresh_dc_calls / (ROUNDS * PROBES),
+        "fresh_pseudo_difference_calls_per_closure":
+            fresh_pd_calls / (ROUNDS * PROBES),
         "aged_double_complement_memo": {
             "hits": hits, "misses": misses, "size": size,
             "maxsize": maxsize},
@@ -138,6 +170,7 @@ def test_cold_closure_does_not_age(benchmark):
         "aged": f"one Session after {AGE} distinct cold LHSs",
         "max_ratio": MAX_RATIO,
         "max_double_complement_calls": MAX_DC_CALLS,
+        "max_pseudo_difference_calls": MAX_PD_CALLS,
         "cpus": cpus(),
         **row,
     }
@@ -153,7 +186,12 @@ def test_cold_closure_does_not_age(benchmark):
           f"{row['fresh_double_complement_calls_per_closure']:.1f} "
           f"(bound {MAX_DC_CALLS}); aged memo size "
           f"{row['aged_double_complement_memo']['size']}")
+    print(f"  pseudo_difference calls per fresh closure "
+          f"{row['fresh_pseudo_difference_calls_per_closure']:.1f} "
+          f"(bound {MAX_PD_CALLS})")
     print(f"report written to {JSON_PATH.name}")
     assert row["aged_over_fresh"] <= MAX_RATIO, row
     assert (row["fresh_double_complement_calls_per_closure"]
             <= MAX_DC_CALLS), row
+    assert (row["fresh_pseudo_difference_calls_per_closure"]
+            <= MAX_PD_CALLS), row

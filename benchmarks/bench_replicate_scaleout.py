@@ -1,4 +1,4 @@
-"""Read scale-out under WAL-shipping replication: routed QPS, lag, fences.
+"""Read scale-out under WAL-shipping replication: routed CPU, lag, fences.
 
 Three questions, answered against one in-process fleet (a store-backed
 primary plus two tailing followers) over loopback:
@@ -8,8 +8,15 @@ primary plus two tailing followers) over loopback:
   through :class:`RoutedClient` with 0, 1 and 2 replicas attached.  All
   nodes share one machine and one interpreter, so this does *not*
   demonstrate linear scaling — it documents that fan-out routing works
-  at full speed with zero failovers/redirects, and what a routed hop
-  costs relative to the single-node path.
+  with zero failovers/redirects, and what a routed hop costs relative
+  to the single-node path.  The main figure is CPU µs per routed read
+  (``read_cpu_us``): the interpreter's ``time.process_time`` over the
+  timed reads, which counts the client and every node alike (the
+  report records the host's ``cpus`` beside it).  QPS (``read_qps``) is
+  secondary: every node's threads share this one interpreter and take
+  turns on one CPU, so a QPS that falls as replicas are added is that
+  1-CPU contention (idle followers keep long-polling), not a cost of
+  routing.
 
 * **How far behind is a follower?**  For each of ``LAG_MUTATIONS``
   acknowledged mutations the benchmark measures the time from the
@@ -40,6 +47,8 @@ from statistics import median, quantiles
 
 from repro.replicate import RoutedClient
 from repro.serve import Client, ReasoningServer, ServeConfig
+
+from _timing import cpus
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_replicate_scaleout.json"
 
@@ -119,22 +128,26 @@ def _read_round(client, requests):
     return time.perf_counter() - started
 
 
-def _measure_read_qps(primary_address, replica_addresses):
-    """Routed hot-read QPS with 0, 1 and 2 replicas attached."""
-    rows = {}
+def _measure_reads(primary_address, replica_addresses):
+    """Routed hot reads with 0, 1 and 2 replicas attached: QPS, and CPU
+    µs per read over the whole interpreter."""
+    rows, cpu_rows = {}, {}
     for count in (0, 1, 2):
         with RoutedClient(primary_address,
                           replica_addresses[:count]) as client:
             _read_round(client, WARMUP)
+            cpu_started = time.process_time()
             elapsed = _read_round(client, READ_REQUESTS)
+            cpu = time.process_time() - cpu_started
             assert client.counters["routed.failover"] == 0, client.counters
             assert client.counters["routed.redirects"] == 0, client.counters
             if count:
                 assert (client.counters["routed.replica_reads"]
                         == WARMUP + READ_REQUESTS), client.counters
         rows[f"replicas_{count}"] = round(READ_REQUESTS / elapsed, 1)
-    rows["requests"] = READ_REQUESTS
-    return rows
+        cpu_rows[f"replicas_{count}"] = round(cpu / READ_REQUESTS * 1e6, 1)
+    rows["requests"] = cpu_rows["requests"] = READ_REQUESTS
+    return rows, cpu_rows
 
 
 def _measure_lag(primary_address, follower):
@@ -189,8 +202,11 @@ def test_replicate_scaleout_report(benchmark, tmp_path):
             with Client.connect(*primary_address) as client:
                 opened = client.open("bench", SCHEMA, [MVD])
             _catchup(followers, opened["seq"])
+            read_qps, read_cpu_us = _measure_reads(primary_address,
+                                                   replicas)
             return {
-                "read_qps": _measure_read_qps(primary_address, replicas),
+                "read_cpu_us": read_cpu_us,
+                "read_qps": read_qps,
                 "replication_lag": _measure_lag(primary_address,
                                                 followers[0]),
                 "fence_overhead": _measure_fence_overhead(
@@ -200,15 +216,19 @@ def test_replicate_scaleout_report(benchmark, tmp_path):
     row = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     report = {"replicate_scaleout": row,
+              "cpus": cpus(),
               "fence_assert_pct": FENCE_ASSERT_PCT,
               "lag_assert_p95_ms": LAG_ASSERT_P95_MS}
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
     qps, lag, fence = (row["read_qps"], row["replication_lag"],
                        row["fence_overhead"])
-    print(f"\nreplicate scale-out ({READ_REQUESTS} hot reads/topology):")
+    cpu_us = row["read_cpu_us"]
+    print(f"\nreplicate scale-out ({READ_REQUESTS} hot reads/topology, "
+          f"{report['cpus']} CPUs):")
     for count in (0, 1, 2):
-        print(f"  {count} replicas {qps[f'replicas_{count}']:8.1f} qps")
+        print(f"  {count} replicas {cpu_us[f'replicas_{count}']:8.1f} "
+              f"CPU µs/read {qps[f'replicas_{count}']:8.1f} qps")
     print(f"  lag   p50 {lag['p50_ms']:.2f} ms, p95 {lag['p95_ms']:.2f} ms "
           f"over {lag['mutations']} mutations")
     print(f"  fence {fence['fenced_qps']:8.1f} qps fenced vs "

@@ -48,9 +48,43 @@ algorithms exploit:
   adds the singletons of ``Ṽ & maximal`` not yet present; an MVD never
   splits one.  The kernel keeps the singletons as one mask of maximal
   bits and runs only the other blocks (``X^C``, pieces of rewrites and
-  splits, suspects) through the general rewrite and split code.  The
-  ``Ū`` scan still visits every block, so the counters and ``(X⁺, DB,
-  passes)`` are exactly those of the general code.
+  splits, suspects) through the general rewrite and split code.  ``Ū``
+  finds the singletons owning a candidate bit through the maximal bits
+  above it and scans only the other blocks, counting every owner, so
+  the counters and ``(X⁺, DB, passes)`` are exactly those of the
+  general code.
+
+* **Cold starts by dismissal.**  At the cold start of an element ``X``
+  with ``X^C ≠ λ`` (``X_new = X``, ``DB`` the singletons of ``X ∩
+  MaxB(N)`` plus ``X^C``) a fifth identity holds for every ``V``:
+
+  - **(L5)** every dependency with ``U ≰ X`` has ``Ū = X^C``, one
+    block, and fires as a no-op.  Basis attributes are join-prime
+    (Theorem 3.9), so a bit outside ``X`` lies under ``X^C``; every bit
+    above it is outside ``X`` too, so ``X^C`` possesses it, while a
+    singleton of ``X`` possesses only bits of ``X``.  Then ``Ṽ = V ∸
+    X^C ≤ X``: an FD adds nothing to ``X_new``, no singleton is new,
+    and ``(X^C ∸ Ṽ)^CC = X^C``, as each bit of ``Ṽ`` lies under a bit
+    outside ``X^C`` and so is not possessed by ``X^C``.  An MVD's
+    overlap lies under ``Ṽ ≤ X``, and ``(Ṽ ⊓ X^C)^CC = λ``:
+    a bit possessed there has a maximal bit above it inside ``X`` and
+    ``X^C`` at once, but a maximal bit in ``X^C`` lies outside ``X``.
+    (``X^C`` is CC-closed, so there is no suspect block to rewrite.)
+
+  So a cold run ORs the plan's ``lhs_index`` at the bits outside ``X``
+  to find these *dismissed* positions and leaves them out of generation
+  1.  Their firings are accounted in bulk: each is one firing, one
+  ``Ū`` lookup of one block, and a skipped firing when ``V`` holds no
+  bit outside ``X^C`` (one OR of ``rhs_index`` per such bit).  L5 holds
+  only until the first state change.  When a firing at position ``p``
+  changes the state, the dismissed positions below ``p`` stay
+  dismissed, and generation 1 goes on with every live position above
+  ``p``, in order: the queue a full generation 1 would have there.  So
+  ``(X⁺, DB, passes)``, the provenance and every :class:`KernelStats`
+  counter are those of firing all of Σ, while Theorem 6.4's ``|Σ|``
+  factor per cold run shrinks to the dependencies ``X`` covers (and
+  those after the first change).  Warm starts and masks that are not
+  down-closed queue every dependency.
 
 The REPEAT structure survives as *generations*: the initial queue (all
 of Σ, FDs first — the paper's order) is generation 1, dependencies
@@ -159,8 +193,8 @@ def closure_of_masks_fast(
     ----------
     plan:
         The :class:`repro.core.plan.CompiledPlan` of ``(encoding, Σ)``:
-        the encoding, the folded dependency arrays, the inverted requeue
-        index and the ``Ū = 0`` constants all come from it.
+        the encoding, the folded dependency arrays, the inverted indexes
+        and the ``Ū = 0`` constants all come from it.
     fired:
         Optional caller-supplied set collecting **provenance**: the slot
         (for a freshly compiled plan, the index in the FDs-then-MVDs
@@ -256,6 +290,10 @@ def closure_of_masks_fast(
             return w in others
         return bool(singles >> index & 1)
 
+    # Positions whose firing at the cold start is dismissed by L5 (module
+    # doc) rather than run: those whose ``U`` the element ``X`` does not
+    # cover.  Free positions are in no index, so only live ones appear.
+    dismissed = 0
     if warm_start is None:
         # DB_new := MaxB(X^CC) ∪ {X^C}, and MaxB(X^CC) = X ∩ MaxB(N) (L4).
         for index in iter_bits(x_mask & maximal):
@@ -263,6 +301,10 @@ def closure_of_masks_fast(
         x_complement = encoding.complement(x_mask)
         if x_complement:
             add_block(x_complement)
+            if down_close(x_mask) == x_mask:
+                lhs_index = plan.lhs_index
+                for i in iter_bits(encoding.full & ~x_mask):
+                    dismissed |= lhs_index[i]
     else:
         x_new = warm_start[0]
         for w in warm_start[1]:
@@ -311,9 +353,11 @@ def closure_of_masks_fast(
     # positions, in firing order); generations mirror the naive REPEAT
     # passes for reporting purposes.  Tombstoned positions of an edited
     # plan are never queued: they are outside ``live_mask`` and have no
-    # bit in any requeue mask.
+    # bit in any requeue mask.  A cold start leaves the dismissed
+    # positions out until the first state change.
+    cold = dismissed != 0
     if warm_start is None:
-        queued_mask = plan.live_mask  # int bitmask over folded positions
+        queued_mask = plan.live_mask & ~dismissed  # over folded positions
         if queued_mask == (1 << len(deps)) - 1:
             queue: deque[int] = deque(range(len(deps)))
         else:
@@ -418,8 +462,18 @@ def closure_of_masks_fast(
             if dirty:
                 changed = True
 
-        if changed and fired is not None:
-            fired.add(origin[position])
+        if changed:
+            if fired is not None:
+                fired.add(origin[position])
+            if cold:
+                # L5 no longer holds.  The dismissed firings below this
+                # position stay dismissed; the rest of generation 1 is
+                # every live position above it, as in a full queue.
+                cold = False
+                dismissed &= (1 << position) - 1
+                queued_mask = plan.live_mask >> position + 1 << position + 1
+                queue = deque(iter_bits(queued_mask))
+                generation_left = len(queue)
         if dirty:
             if track_dirty:
                 dirty_total += dirty.bit_count()
@@ -434,6 +488,21 @@ def closure_of_masks_fast(
             for other in iter_bits(wake):
                 queue.append(other)
                 requeues += 1
+
+    if dismissed:
+        # Each dismissed firing is an L5 no-op: one Ū lookup that finds
+        # the one block X^C, skipped when Ṽ = V ∸ X^C = λ, i.e. when V
+        # holds no bit outside X^C.
+        count = dismissed.bit_count()
+        firings += count
+        if stats is not None:
+            stats.u_bar_lookups += count
+            stats.u_bar_blocks += count
+            rhs_index = plan.rhs_index
+            reaching = 0
+            for i in iter_bits(encoding.full & ~x_complement):
+                reaching |= rhs_index[i]
+            skipped += (dismissed & ~reaching).bit_count()
 
     if stats is not None:
         stats.runs += 1

@@ -24,12 +24,18 @@ The plan holds three things:
    back into FDs-then-MVDs indices), while ``folded_of`` (slot → folded
    position) maps warm-start pending lists the other way.
 
-2. **The inverted requeue index.**  ``requeue_masks[bit]`` is an int
-   bitmask over folded positions of every dependency whose relevance
-   mask contains that basis bit.  The kernel's requeue step ORs the
-   masks of the dirty bits and wakes exactly those positions —
-   ``O(popcount(dirty))`` index lookups instead of an ``O(|Σ|)`` scan
-   of every relevance mask per dirty event.
+2. **Inverted indexes.**  ``requeue_masks[bit]`` is an int bitmask over
+   folded positions of every dependency whose relevance mask contains
+   that basis bit.  The kernel's requeue step ORs the masks of the
+   dirty bits and wakes exactly those positions — ``O(popcount(dirty))``
+   index lookups instead of an ``O(|Σ|)`` scan of every relevance mask
+   per dirty event.  ``lhs_index[bit]`` and ``rhs_index[bit]`` split
+   the same relation by side: the positions whose ``U``, respectively
+   ``V``, holds the bit.  A cold run ORs the ``lhs_index`` of the bits
+   outside ``X`` to find every dependency whose left-hand side ``X``
+   does not cover — the firings identity L5 of :mod:`repro.core.engine`
+   dismisses in bulk — and the ``rhs_index`` of the bits outside
+   ``X^C`` to count the dismissed firings with ``Ṽ = V ∸ X^C = λ``.
 
 3. **Per-dependency Ū = 0 constants.**  When ``Ū = λ`` (the common case
    once ``X_new`` covers a left-hand side), ``Ṽ = V ∸ λ`` and the MVD
@@ -49,7 +55,7 @@ than recompiled (:meth:`CompiledPlan.add`, :meth:`CompiledPlan.retract`;
 FDs before MVDs, each kind in Σ order: the first ``fd_count`` positions
 are the FD region, the rest the MVD region.  An add takes the next slot
 and the first free position after the live ones of its kind, and ORs
-the position's bit into the requeue masks of its bits (an exact
+the position's bit into the three indexes at its bits (an exact
 duplicate shares its twin's position).  A compile leaves no free
 position between the regions, so an FD that finds the first live MVD in
 its place first moves the MVD region up by as many positions as there
@@ -57,7 +63,7 @@ are live FDs (``O(size + |Σ|)`` shifts and no new constants); FD adds
 then fill that room, and a run of them moves the region ``O(log n)``
 times.  A retract frees the slot; the last member of a position clears
 its bits and leaves a *tombstone*.  The kernel queues only
-``live_mask``, and free positions are in no requeue mask, so they never
+``live_mask``, and free positions are in no index, so they never
 fire and the firing order — hence ``(X⁺, DB, passes)`` and the
 provenance — is exactly a fresh compile's.  The plan asks its owner for
 a full recompile only on size-derived conditions, all checked on
@@ -102,10 +108,14 @@ __all__ = [
 #: A plan's pickled state, in constructor order.
 _STATE = (
     "encoding", "deps", "fd_count", "fd_total", "mvd_total", "origin",
-    "folded_of", "requeue_masks", "live_mask", "rhs_tilde", "rhs_overlap",
+    "folded_of", "requeue_masks", "lhs_index", "rhs_index", "live_mask",
+    "rhs_tilde", "rhs_overlap",
 )
 #: Per-position tables (grown together when an add opens a position).
 _PER_POSITION = ("deps", "origin", "rhs_tilde", "rhs_overlap")
+#: Per-bit tables of position bitmasks (shifted together with the MVD
+#: region).
+_PER_BIT = ("requeue_masks", "lhs_index", "rhs_index")
 
 
 class CompiledPlan:
@@ -138,6 +148,9 @@ class CompiledPlan:
     requeue_masks:
         Per basis bit, an int bitmask over folded positions whose
         relevance mask ``u | v`` contains the bit.
+    lhs_index / rhs_index:
+        Per basis bit, an int bitmask over folded positions whose ``u``
+        (respectively ``v``) contains the bit.
     live_mask:
         Bitmask over the live positions: the initial worklist.
     rhs_tilde:
@@ -153,7 +166,8 @@ class CompiledPlan:
     def __init__(self, encoding: BasisEncoding, deps: Sequence,
                  fd_count: int, fd_total: int, mvd_total: int,
                  origin: Sequence, folded_of: Sequence,
-                 requeue_masks: Sequence, live_mask: int,
+                 requeue_masks: Sequence, lhs_index: Sequence,
+                 rhs_index: Sequence, live_mask: int,
                  rhs_tilde: Sequence, rhs_overlap: Sequence,
                  masks: tuple | None = None) -> None:
         self.encoding = encoding
@@ -164,6 +178,8 @@ class CompiledPlan:
         self.origin = origin
         self.folded_of = folded_of
         self.requeue_masks = requeue_masks
+        self.lhs_index = lhs_index
+        self.rhs_index = rhs_index
         self.live_mask = live_mask
         self.rhs_tilde = rhs_tilde
         self.rhs_overlap = rhs_overlap
@@ -253,7 +269,7 @@ class CompiledPlan:
         A new ``(u, v, kind)`` takes the first free position after the
         live ones of its kind (moving the MVD region up when an FD finds
         no room, see the module doc), gets its constants, and ORs its
-        bit into the requeue masks of ``SubB(U) ∪ SubB(V)``; a duplicate
+        bit into the indexes at ``SubB(U) ∪ SubB(V)``; a duplicate
         shares its twin's position.
         """
         self._thaw()
@@ -279,8 +295,8 @@ class CompiledPlan:
     def retract(self, slot: int) -> bool:
         """Retract the member at ``slot`` in place.
 
-        The last member of a position clears its bit from the requeue
-        masks and leaves a tombstone.  Returns ``False`` when the caller
+        The last member of a position clears its bit from the indexes
+        and leaves a tombstone.  Returns ``False`` when the caller
         must recompile before the next run: once free positions
         outnumber live ones or dead slots live ones, and when the first
         of several exact duplicates goes (the survivors fire from a
@@ -313,7 +329,7 @@ class CompiledPlan:
     def _thaw(self) -> None:
         if self._refs is not None:
             return
-        for name in _PER_POSITION + ("folded_of", "requeue_masks"):
+        for name in _PER_POSITION + _PER_BIT + ("folded_of",):
             setattr(self, name, list(getattr(self, name)))
         refs = [0] * len(self.deps)
         deps = self.deps
@@ -350,8 +366,9 @@ class CompiledPlan:
             getattr(self, name)[start:start] = [None] * by
         self._refs[start:start] = [0] * by
         low = (1 << start) - 1
-        self.requeue_masks = [mask & low | (mask & ~low) << by
-                              for mask in self.requeue_masks]
+        for name in _PER_BIT:
+            setattr(self, name, [mask & low | (mask & ~low) << by
+                                 for mask in getattr(self, name)])
         self.live_mask = self.live_mask & low | (self.live_mask & ~low) << by
         self.folded_of = [position if position is None or position < start
                           else position + by for position in self.folded_of]
@@ -370,17 +387,18 @@ class CompiledPlan:
         (self.rhs_tilde[position],
          self.rhs_overlap[position]) = _dep_constants(self.encoding, v, is_fd)
         bit = 1 << position
-        requeue_masks = self.requeue_masks
-        for i in iter_bits(u | v):
-            requeue_masks[i] |= bit
+        _index_position(bit, u, v, self.requeue_masks, self.lhs_index,
+                        self.rhs_index)
         self.live_mask |= bit
         self._position_of[key] = position
 
     def _close(self, position: int, key: tuple[int, int, bool]) -> None:
         keep = ~(1 << position)
-        requeue_masks = self.requeue_masks
-        for i in iter_bits(key[0] | key[1]):
-            requeue_masks[i] &= keep
+        u, v, _is_fd = key
+        for table, mask in ((self.requeue_masks, u | v),
+                            (self.lhs_index, u), (self.rhs_index, v)):
+            for i in iter_bits(mask):
+                table[i] &= keep
         self.live_mask &= keep
         del self._position_of[key]
         for name in _PER_POSITION:
@@ -392,6 +410,17 @@ class CompiledPlan:
             f"fds={self.fd_total}, mvds={self.mvd_total}, "
             f"size={self.encoding.size})"
         )
+
+
+def _index_position(bit: int, u: int, v: int, requeue_masks: list,
+                    lhs_index: list, rhs_index: list) -> None:
+    """OR a position's ``bit`` into the per-bit tables of ``u`` and ``v``."""
+    for i in iter_bits(u | v):
+        requeue_masks[i] |= bit
+    for i in iter_bits(u):
+        lhs_index[i] |= bit
+    for i in iter_bits(v):
+        rhs_index[i] |= bit
 
 
 def _dep_constants(encoding: BasisEncoding, v_mask: int, is_fd: bool):
@@ -457,10 +486,11 @@ def _compile(encoding: BasisEncoding,
         folded_of.append(position)
 
     requeue_masks = [0] * encoding.size
+    lhs_index = [0] * encoding.size
+    rhs_index = [0] * encoding.size
     for position, (u, v, _is_fd) in enumerate(deps):
-        bit = 1 << position
-        for i in iter_bits(u | v):
-            requeue_masks[i] |= bit
+        _index_position(1 << position, u, v, requeue_masks, lhs_index,
+                        rhs_index)
 
     rhs_tilde: list[int] = []
     rhs_overlap: list[int | None] = []
@@ -475,7 +505,8 @@ def _compile(encoding: BasisEncoding,
     return CompiledPlan(
         encoding, tuple(deps), fd_count, len(fd_masks), len(mvd_masks),
         tuple(origin), tuple(folded_of), tuple(requeue_masks),
-        (1 << len(deps)) - 1, tuple(rhs_tilde), tuple(rhs_overlap),
+        tuple(lhs_index), tuple(rhs_index), (1 << len(deps)) - 1,
+        tuple(rhs_tilde), tuple(rhs_overlap),
         masks=(tuple((u, v) for u, v in fd_masks),
                tuple((u, v) for u, v in mvd_masks)),
     )
