@@ -9,14 +9,24 @@ primary plus two tailing followers) over loopback:
   nodes share one machine and one interpreter, so this does *not*
   demonstrate linear scaling — it documents that fan-out routing works
   with zero failovers/redirects, and what a routed hop costs relative
-  to the single-node path.  The main figure is CPU µs per routed read
-  (``read_cpu_us``): the interpreter's ``time.process_time`` over the
-  timed reads, which counts the client and every node alike (the
-  report records the host's ``cpus`` beside it).  QPS (``read_qps``) is
-  secondary: every node's threads share this one interpreter and take
-  turns on one CPU, so a QPS that falls as replicas are added is that
-  1-CPU contention (idle followers keep long-polling), not a cost of
-  routing.
+  to the single-node path.  Three CPU figures per topology, from the
+  interpreter's ``time.process_time``, which counts the client and
+  every node alike (the report records the host's ``cpus`` beside
+  them):
+
+  - ``read_cpu_us``: gross CPU µs per routed read, over the timed
+    reads;
+  - ``idle_cpu_us_per_s``: CPU µs per wall second of an idle window
+    as long as the timed reads, taken right after them on the same
+    fleet with no reads: what the followers' replication long-polls
+    (and the rest of the idle fleet) burn anyway;
+  - ``net_read_cpu_us``: ``read_cpu_us`` less that idle rate over the
+    reads' wall time, per read: what a routed read itself costs.
+
+  QPS (``read_qps``) is secondary: every node's threads share this one
+  interpreter and take turns on one CPU, so a QPS that falls as
+  replicas are added is that 1-CPU contention (idle followers keep
+  long-polling), not a cost of routing.
 
 * **How far behind is a follower?**  For each of ``LAG_MUTATIONS``
   acknowledged mutations the benchmark measures the time from the
@@ -129,9 +139,10 @@ def _read_round(client, requests):
 
 
 def _measure_reads(primary_address, replica_addresses):
-    """Routed hot reads with 0, 1 and 2 replicas attached: QPS, and CPU
-    µs per read over the whole interpreter."""
-    rows, cpu_rows = {}, {}
+    """Routed hot reads with 0, 1 and 2 replicas attached: QPS, CPU µs
+    per read over the whole interpreter, the idle fleet's CPU µs per
+    second and the net CPU µs per read (module doc)."""
+    rows, cpu_rows, idle_rows, net_rows = {}, {}, {}, {}
     for count in (0, 1, 2):
         with RoutedClient(primary_address,
                           replica_addresses[:count]) as client:
@@ -139,6 +150,10 @@ def _measure_reads(primary_address, replica_addresses):
             cpu_started = time.process_time()
             elapsed = _read_round(client, READ_REQUESTS)
             cpu = time.process_time() - cpu_started
+            idle_started = time.process_time(), time.perf_counter()
+            time.sleep(elapsed)
+            idle_rate = ((time.process_time() - idle_started[0])
+                         / (time.perf_counter() - idle_started[1]))
             assert client.counters["routed.failover"] == 0, client.counters
             assert client.counters["routed.redirects"] == 0, client.counters
             if count:
@@ -146,8 +161,12 @@ def _measure_reads(primary_address, replica_addresses):
                         == WARMUP + READ_REQUESTS), client.counters
         rows[f"replicas_{count}"] = round(READ_REQUESTS / elapsed, 1)
         cpu_rows[f"replicas_{count}"] = round(cpu / READ_REQUESTS * 1e6, 1)
-    rows["requests"] = cpu_rows["requests"] = READ_REQUESTS
-    return rows, cpu_rows
+        idle_rows[f"replicas_{count}"] = round(idle_rate * 1e6, 1)
+        net_rows[f"replicas_{count}"] = round(
+            (cpu - idle_rate * elapsed) / READ_REQUESTS * 1e6, 1)
+    for table in (rows, cpu_rows, net_rows):
+        table["requests"] = READ_REQUESTS
+    return rows, cpu_rows, idle_rows, net_rows
 
 
 def _measure_lag(primary_address, follower):
@@ -202,10 +221,12 @@ def test_replicate_scaleout_report(benchmark, tmp_path):
             with Client.connect(*primary_address) as client:
                 opened = client.open("bench", SCHEMA, [MVD])
             _catchup(followers, opened["seq"])
-            read_qps, read_cpu_us = _measure_reads(primary_address,
-                                                   replicas)
+            read_qps, read_cpu_us, idle_cpu, net_cpu = _measure_reads(
+                primary_address, replicas)
             return {
                 "read_cpu_us": read_cpu_us,
+                "idle_cpu_us_per_s": idle_cpu,
+                "net_read_cpu_us": net_cpu,
                 "read_qps": read_qps,
                 "replication_lag": _measure_lag(primary_address,
                                                 followers[0]),
@@ -223,12 +244,15 @@ def test_replicate_scaleout_report(benchmark, tmp_path):
 
     qps, lag, fence = (row["read_qps"], row["replication_lag"],
                        row["fence_overhead"])
-    cpu_us = row["read_cpu_us"]
+    cpu_us, idle, net = (row["read_cpu_us"], row["idle_cpu_us_per_s"],
+                         row["net_read_cpu_us"])
     print(f"\nreplicate scale-out ({READ_REQUESTS} hot reads/topology, "
           f"{report['cpus']} CPUs):")
     for count in (0, 1, 2):
-        print(f"  {count} replicas {cpu_us[f'replicas_{count}']:8.1f} "
-              f"CPU µs/read {qps[f'replicas_{count}']:8.1f} qps")
+        key = f"replicas_{count}"
+        print(f"  {count} replicas {cpu_us[key]:8.1f} CPU µs/read "
+              f"({net[key]:8.1f} net of {idle[key]:8.1f} idle µs/s) "
+              f"{qps[key]:8.1f} qps")
     print(f"  lag   p50 {lag['p50_ms']:.2f} ms, p95 {lag['p95_ms']:.2f} ms "
           f"over {lag['mutations']} mutations")
     print(f"  fence {fence['fenced_qps']:8.1f} qps fenced vs "

@@ -32,6 +32,24 @@ It records:
 
 Answers of both paths, and the masks and texts of both codecs, are
 asserted identical before anything is timed.
+
+A ``mutations`` row measures the edit path on texts shaped like the
+served ``edit-replicated`` workload (an FD or MVD not in Σ, its
+left-hand side from the working set):
+
+* tree parses (``parse_subattribute`` calls, wrapped in every module
+  that calls it) per ``add``, per ``retract`` and per
+  :func:`~repro.store.recovery.apply_record` of each — the mask codec
+  handles these texts, so each must be 0 (asserted);
+* the median µs per ``add`` + ``retract`` pair through
+  ``commands.execute``, on a session without a compiled plan (a
+  primary's) and on one with a live plan (a follower's);
+* the median ms of ``Session.snapshot_state`` at |Σ| = 200 (what a
+  compaction prints per session);
+* µs per edit text of ``parse_dependency`` against
+  ``Session.dependency_masks`` and of ``Dependency.display`` against
+  ``Session.display_masks``.
+
 Results land in ``BENCH_text_codec.json``.
 
 Run:  pytest benchmarks/bench_text_codec.py -s --benchmark-disable
@@ -43,16 +61,22 @@ import json
 import random
 from pathlib import Path
 
+from repro.attributes import encoding as encoding_module
 from repro.attributes.encoding import BasisEncoding
 from repro.attributes.parser import parse_subattribute
 from repro.attributes.printer import unparse_abbreviated
 from repro.core import commands
+from repro.core import session as session_module
 from repro.core.session import Session
+from repro.dependencies import dependency as dependency_module
 from repro.dependencies.dependency import (
     FunctionalDependency,
     MultivaluedDependency,
     parse_dependency,
 )
+from repro.serve.server import SessionManager
+from repro.store.recovery import apply_record
+from repro.store.wal import WalRecord
 from repro.workloads.random_schemas import mixed_family
 from repro.workloads.random_sigma import random_element_mask, random_sigma
 
@@ -70,6 +94,8 @@ REPEATS = 31          # median_of repeats per text-layer primitive
 ROUNDS = 9            # paired rounds of the per-request comparison
 CODEC_ROUNDS = 21     # paired rounds of each mask-vs-structural sweep
 MAX_PARSE_RATIO = 0.5  # mask parse / (parse_subattribute + encode)
+EDITS = 48            # edit texts of the mutation row
+EDIT_REPEATS = 15     # median_of repeats per mutation sweep
 
 
 def _build():
@@ -80,9 +106,7 @@ def _build():
     rhs_pool = [random_element_mask(rng, encoding, 0.35) for _ in range(64)]
     working = [random_element_mask(rng, encoding, 0.25)
                for _ in range(WORKING_SET)]
-    session = Session(root, sigma, encoding=encoding)
-    for mask in working:
-        session.result_for_mask(mask)
+    session = _warm(Session(root, sigma, encoding=encoding), working)
 
     names = [name for name, _ in READ_MIX]
     weights = [weight for _, weight in READ_MIX]
@@ -97,7 +121,15 @@ def _build():
         else:
             cls = commands.Closure if kind == "closure" else commands.Basis
             requests.append(cls(x=unparse_abbreviated(lhs, root)))
-    return root, session, requests
+    return root, session, requests, (sigma, working, rhs_pool)
+
+
+def _warm(session: Session, working: list[int]) -> Session:
+    """``session`` with the closures of ``working`` cached (and so a
+    compiled plan)."""
+    for mask in working:
+        session.result_for_mask(mask)
+    return session
 
 
 def _serve(session: Session, command: commands.Command, *,
@@ -127,8 +159,112 @@ def _count_parses(function) -> int:
     return calls
 
 
+def _count_tree_parses(function) -> int:
+    """``parse_subattribute`` calls made by ``function()``, wherever they
+    are looked up."""
+    modules = (encoding_module, dependency_module, session_module)
+    calls = 0
+
+    def counting(text, root):
+        nonlocal calls
+        calls += 1
+        return parse_subattribute(text, root)
+
+    for module in modules:
+        module.parse_subattribute = counting
+    try:
+        function()
+    finally:
+        for module in modules:
+            module.parse_subattribute = parse_subattribute
+    return calls
+
+
+def _measure_mutations(root, session: Session, sigma, working, rhs_pool
+                       ) -> dict:
+    """The ``mutations`` row (module doc)."""
+    encoding = session.encoding
+    rng = random.Random(11)
+    dependencies = []
+    while len(dependencies) < EDITS:
+        cls = rng.choice((FunctionalDependency, MultivaluedDependency))
+        dependency = cls(encoding.decode(rng.choice(working)),
+                         encoding.decode(rng.choice(rhs_pool)))
+        if dependency not in session and dependency not in dependencies:
+            dependencies.append(dependency)
+    texts = [dependency.display(root) for dependency in dependencies]
+
+    # A session never queried has no plan; the warm one has one.
+    bare = Session(root, sigma, encoding=encoding)
+    planned = session
+
+    def pairs(target: Session):
+        def sweep():
+            for text in texts:
+                commands.execute(commands.Add(dependency=text), target)
+                commands.execute(commands.Retract(dependency=text), target)
+        return sweep
+
+    before = bare.snapshot_state()
+    for target in (bare, planned):
+        pairs(target)()
+        assert target.snapshot_state() == before
+
+    tree_parses = {}
+    for op in ("add", "retract"):
+        kind = commands.Add if op == "add" else commands.Retract
+        tree_parses[op] = _count_tree_parses(lambda: [
+            commands.execute(kind(dependency=text), planned)
+            for text in texts]) / len(texts)
+    manager = SessionManager()
+    managed = manager.open("s", root, sigma)
+    _warm(managed.session, working)
+    for op in ("add", "retract"):
+        records = [WalRecord(seq, op, {"session": "s", "dependency": text})
+                   for seq, text in enumerate(texts, 1)]
+        tree_parses[f"apply_record_{op}"] = _count_tree_parses(lambda: [
+            apply_record(manager, record) for record in records]) / len(texts)
+    assert managed.session.snapshot_state() == before
+    assert set(tree_parses.values()) == {0}, tree_parses
+
+    def per_text(function) -> float:
+        def sweep():
+            for text in texts:
+                function(text)
+        return median_of(sweep, repeats=EDIT_REPEATS) / len(texts) * 1e6
+
+    keys = list(map(session.dependency_masks, texts))
+    assert [session.display_masks(*key) for key in keys] == texts
+
+    return {
+        "edit_texts": len(texts),
+        "tree_parses_per_add": tree_parses["add"],
+        "tree_parses_per_retract": tree_parses["retract"],
+        "tree_parses_per_apply_record_add": tree_parses["apply_record_add"],
+        "tree_parses_per_apply_record_retract":
+            tree_parses["apply_record_retract"],
+        "add_retract_pair_us_without_plan":
+            median_of(pairs(bare), repeats=EDIT_REPEATS) / len(texts) * 1e6,
+        "add_retract_pair_us_with_plan":
+            median_of(pairs(planned), repeats=EDIT_REPEATS) / len(texts)
+            * 1e6,
+        "snapshot_state_ms": median_of(bare.snapshot_state,
+                                       repeats=EDIT_REPEATS) * 1e3,
+        "sigma": len(bare),
+        "parse_dependency_us_per_edit": per_text(
+            lambda text: parse_dependency(text, root)),
+        "dependency_masks_us_per_edit": per_text(session.dependency_masks),
+        "display_us_per_edit": median_of(
+            lambda: [d.display(root) for d in dependencies],
+            repeats=EDIT_REPEATS) / len(texts) * 1e6,
+        "display_masks_us_per_edit": median_of(
+            lambda: [session.display_masks(*key) for key in keys],
+            repeats=EDIT_REPEATS) / len(texts) * 1e6,
+    }
+
+
 def _measure() -> dict:
-    root, session, requests = _build()
+    root, session, requests, edit_inputs = _build()
 
     bound_answers = [_serve(session, command, bind=True)
                      for command in requests]
@@ -230,6 +366,7 @@ def _measure() -> dict:
         "paired_median_speedup": speedup,
         "bound_parses_per_request": bound_parses / len(requests),
         "unbound_parses_per_request": unbound_parses / len(requests),
+        "mutations": _measure_mutations(root, session, *edit_inputs),
     }
 
 
@@ -265,4 +402,20 @@ def test_text_codec_report(benchmark):
     print(f"  unbound request {row['unbound_request_us']:8.1f} us "
           f"({row['unbound_parses_per_request']:.2f} parses/request)")
     print(f"  paired-median speedup {row['paired_median_speedup']:.2f}x")
+    edits = row["mutations"]
+    print(f"Mutations ({edits['edit_texts']} edit texts, "
+          f"|Σ|={edits['sigma']}):")
+    print(f"  tree parses per add/retract/apply_record: "
+          f"{edits['tree_parses_per_add']:.0f}/"
+          f"{edits['tree_parses_per_retract']:.0f}/"
+          f"{edits['tree_parses_per_apply_record_add']:.0f}")
+    print(f"  add+retract pair {edits['add_retract_pair_us_without_plan']:8.1f}"
+          f" us without a plan, "
+          f"{edits['add_retract_pair_us_with_plan']:8.1f} us with one")
+    print(f"  snapshot_state   {edits['snapshot_state_ms']:8.2f} ms")
+    print(f"  per edit: parse_dependency "
+          f"{edits['parse_dependency_us_per_edit']:6.1f} us, dependency_masks "
+          f"{edits['dependency_masks_us_per_edit']:6.1f} us; display "
+          f"{edits['display_us_per_edit']:6.1f} us, display_masks "
+          f"{edits['display_masks_us_per_edit']:6.1f} us")
     print(f"report written to {JSON_PATH.name}")

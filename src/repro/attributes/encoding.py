@@ -143,6 +143,7 @@ class BasisEncoding:
         "_hits",
         "_misses",
         "_nodes",
+        "_possessed_below",
     )
 
     def __init__(self, root: NestedAttribute) -> None:
@@ -200,6 +201,8 @@ class BasisEncoding:
         self._misses = 0
         # The text codec's node table, built by the first parse/render.
         self._nodes: tuple | None = None
+        # possessed(below[i]) per index, built by the first kernel run.
+        self._possessed_below: tuple[int, ...] | None = None
 
     def __reduce__(self):
         # Rebuild from the root on unpickling: the tables are derived
@@ -414,6 +417,19 @@ class BasisEncoding:
             if above[i] & ~mask == 0:
                 result |= 1 << i
         return result
+
+    def possessed_below(self) -> tuple[int, ...]:
+        """``possessed(below[i])`` for every index ``i``, built once.
+
+        The kernel asks for the possessed mask of the singleton block
+        ``below[m]`` of every maximal bit ``m`` of each element it
+        starts from; the table makes that a lookup.
+        """
+        table = self._possessed_below
+        if table is None:
+            table = self._possessed_below = tuple(map(self.possessed,
+                                                      self.below))
+        return table
 
     # -- cache management --------------------------------------------------
 

@@ -539,8 +539,8 @@ class Add(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        # Session.add parses and validates; _dependency would check
-        # each side twice
+        # Session.add binds the text to masks; only text the mask walk
+        # hands over reaches the structural parser, which raises
         added = session.add(self.dependency)
         return Outcome({"added": added, "sigma": len(session)},
                        mutated=added, value=added)
@@ -571,11 +571,11 @@ class Retract(Command):
 
     def run(self, ctx: CommandContext) -> Outcome:
         session = ctx.session
-        removed = session.retract(self._dependency(session, self.dependency))
-        return Outcome(
-            {"retracted": removed.display(session.root),
-             "sigma": len(session)},
-            mutated=True, value=removed)
+        masks = session.dependency_masks(self.dependency)
+        session.retract_masks(*masks)
+        retracted = session.display_masks(*masks)
+        return Outcome({"retracted": retracted, "sigma": len(session)},
+                       mutated=True, value=retracted)
 
     @classmethod
     def render(cls, result: dict[str, Any]) -> tuple[list[str], int]:

@@ -219,6 +219,7 @@ def closure_of_masks_fast(
     pseudo_difference = encoding.pseudo_difference
     double_complement = encoding.double_complement
     possessed = encoding.possessed
+    possessed_below = encoding.possessed_below()
     down_close = encoding.down_close
     below = encoding.below
     above = encoding.above
@@ -259,7 +260,7 @@ def closure_of_masks_fast(
     def add_single(index: int) -> int:
         """Insert the singleton ``below[index]``; returns its possessed mask."""
         nonlocal singles, single_owned, owned
-        p = possessed(below[index])
+        p = possessed_below[index]
         singles |= 1 << index
         single_owned |= p
         owned |= p

@@ -115,22 +115,25 @@ class SessionCacheInfo(tuple):
         )
 
 
+#: A Σ-member's key: ``(is_fd, lhs mask, rhs mask)``.
+Key = tuple[bool, int, int]
+
+
 class _CacheEntry:
     """One cached left-hand side.
 
-    ``provenance`` is the set of Σ-members (as :class:`Dependency`
-    objects, *not* indices — indices shift when Σ changes because the
-    kernels fire FDs before MVDs) that productively fired into
-    ``result``.  ``sigma_keys`` is the Σ snapshot the result is current
-    for; dependencies added since then are exactly
-    ``Σ − sigma_keys`` and form the pending worklist of the next warm
-    start.
+    ``provenance`` is the set of Σ-members (as keys, *not* indices —
+    indices shift when Σ changes because the kernels fire FDs before
+    MVDs) that productively fired into ``result``.  ``sigma_keys`` is
+    the Σ snapshot the result is current for; dependencies added since
+    then are exactly ``Σ − sigma_keys`` and form the pending worklist of
+    the next warm start.
     """
 
     __slots__ = ("result", "provenance", "sigma_keys")
 
-    def __init__(self, result: ClosureResult, provenance: set[Dependency],
-                 sigma_keys: set[Dependency]) -> None:
+    def __init__(self, result: ClosureResult, provenance: set[Key],
+                 sigma_keys: set[Key]) -> None:
         self.result = result
         self.provenance = provenance
         self.sigma_keys = sigma_keys
@@ -194,17 +197,19 @@ class Session:
         self.kernel_stats = stats if stats is not None else KernelStats()
         self._label = label
         self._engine = get_engine(engine)
-        # Σ in insertion order (a dict, so a retract is O(1)) and as a set.
-        self._deps: dict[Dependency, None] = {}
-        self._dep_set: set[Dependency] = set()
+        # Σ in insertion order (a dict, so a retract is O(1)) and as a
+        # set, keyed by masks.  A member's tree is the one it was added
+        # as, or decoded on first demand (None until then).
+        self._deps: dict[Key, Dependency | None] = {}
+        self._dep_set: set[Key] = set()
         # Plan + interval-cache state must exist before the initial adds
         # below: add() edits the plan and invalidates views.  While a
         # plan is live, _slot_deps / _slot_of map its member slots to
         # Σ-members and back.
         self._plan: CompiledPlan | None = None
         self._plan_reuse: CompiledPlan | None = None
-        self._slot_deps: list[Dependency | None] = []
-        self._slot_of: dict[Dependency, int] = {}
+        self._slot_deps: list[Key | None] = []
+        self._slot_of: dict[Key, int] = {}
         self._interval = ClosureIntervalCache()
         for dependency in sigma:
             self.add(dependency)
@@ -215,7 +220,7 @@ class Session:
         self._invalidations = 0
         self._retained = 0
         self._tables: tuple[list[tuple[int, int]], list[tuple[int, int]],
-                            list[Dependency]] | None = None
+                            list[Key]] | None = None
         self._sigma_view: DependencySet | None = None
 
     # -- parsing helpers -----------------------------------------------------
@@ -245,13 +250,24 @@ class Session:
     def sigma(self) -> DependencySet:
         """The current Σ as an immutable :class:`DependencySet` snapshot."""
         if self._sigma_view is None:
-            self._sigma_view = DependencySet(self.root, self._deps)
+            self._sigma_view = DependencySet(self.root, self.dependencies)
         return self._sigma_view
 
     @property
     def dependencies(self) -> tuple[Dependency, ...]:
         """The current Σ members in insertion order."""
-        return tuple(self._deps)
+        return tuple(map(self._member, self._deps))
+
+    def _member(self, key: Key) -> Dependency:
+        """The member ``key`` as a tree, decoded the first time it is asked
+        for."""
+        member = self._deps[key]
+        if member is None:
+            is_fd, lhs_mask, rhs_mask = key
+            decode = self.encoding.decode
+            kind = FunctionalDependency if is_fd else MultivaluedDependency
+            member = self._deps[key] = kind(decode(lhs_mask), decode(rhs_mask))
+        return member
 
     def __len__(self) -> int:
         return len(self._deps)
@@ -261,17 +277,31 @@ class Session:
 
         The exact encoding :mod:`repro.store` snapshots persist: the
         schema as its canonical unparse and Σ as member displays in
-        insertion order — both re-parse through the same code paths a
-        wire ``open`` uses, so a recovered session is bit-identical to
-        the live one it snapshots.
+        insertion order (:meth:`display_masks`) — both re-parse through
+        the same code paths a wire ``open`` uses, so a recovered session
+        is bit-identical to the live one it snapshots.
         """
         return {"schema": unparse(self.root),
-                "dependencies": [dependency.display(self.root)
-                                 for dependency in self._deps],
+                "dependencies": [self.display_masks(*key)
+                                 for key in self._deps],
                 "engine": self._engine.name}
 
+    def display_masks(self, is_fd: bool, lhs_mask: int, rhs_mask: int) -> str:
+        """The display of a dependency given by its masks: equal to
+        :meth:`Dependency.display` of the decoded member, printed from
+        the masks (:meth:`BasisEncoding.render`)."""
+        render = self.encoding.render
+        arrow = (FunctionalDependency if is_fd else MultivaluedDependency).arrow
+        return f"{render(lhs_mask)} {arrow} {render(rhs_mask)}"
+
     def __contains__(self, dependency: Dependency) -> bool:
-        return dependency in self._dep_set
+        if not isinstance(dependency, (FunctionalDependency,
+                                       MultivaluedDependency)):
+            return False
+        try:
+            return self.dependency_masks(dependency) in self._dep_set
+        except NotAnElementError:
+            return False
 
     # -- engine --------------------------------------------------------------
 
@@ -294,40 +324,51 @@ class Session:
     def add(self, dependency: Dependency | str) -> bool:
         """Add a dependency to Σ; returns False if already present.
 
-        Both sides are checked against the root once: by encoding them
-        (:meth:`dependency_masks`) when a live plan takes the new member
-        in place (:meth:`CompiledPlan.add`), else by
-        :meth:`Dependency.validate` (a session that is never queried,
-        such as a primary's, never pays for the encodes).  No cache
-        entry is dropped: each one records its Σ snapshot
-        (``sigma_keys``) and the next query against it warm-starts the
-        fixpoint with the missing dependencies as the pending worklist.
+        The dependency is bound to its masks (:meth:`dependency_masks`),
+        which is also where bad text or a side outside ``Sub(N)`` fails;
+        a member spelled differently is the same member.  A dependency
+        object is kept as the member's tree.  A live plan takes the new
+        member in place (:meth:`CompiledPlan.add`).  No cache entry is
+        dropped: each one records its Σ snapshot (``sigma_keys``) and
+        the next query against it warm-starts the fixpoint with the
+        missing dependencies as the pending worklist.
         """
-        dependency = self.dependency(dependency)
-        plan = self._plan
-        if plan is None:
-            dependency.validate(self.root)
-        else:
-            _, lhs_mask, rhs_mask = self.dependency_masks(dependency)
-        if dependency in self._dep_set:
+        key = self.dependency_masks(dependency)
+        if key in self._dep_set:
             return False
-        self._deps[dependency] = None
-        self._dep_set.add(dependency)
+        self._deps[key] = None if isinstance(dependency, str) else dependency
+        self._dep_set.add(key)
         self._invalidate_views()
+        plan = self._plan
         if plan is not None:
-            is_fd = isinstance(dependency, FunctionalDependency)
-            self._slot_of[dependency] = plan.add(lhs_mask, rhs_mask, is_fd)
-            self._slot_deps.append(dependency)
+            is_fd, lhs_mask, rhs_mask = key
+            self._slot_of[key] = plan.add(lhs_mask, rhs_mask, is_fd)
+            self._slot_deps.append(key)
         obs = get_observer()
         if obs.enabled:
             with obs.span(f"{self._label}.add",
-                          dependency=dependency.display(self.root),
+                          dependency=self.display_masks(*key),
                           sigma=len(self._deps)):
                 pass
         return True
 
     def retract(self, dependency: Dependency | str) -> Dependency:
         """Remove a dependency from Σ; returns the removed member.
+
+        Bound to masks like :meth:`add`; see :meth:`retract_masks`.
+
+        Raises
+        ------
+        ValueError
+            If the dependency is not a member of Σ.
+        """
+        key = self.dependency_masks(dependency)
+        member = self._member(key) if key in self._dep_set else None
+        self.retract_masks(*key)
+        return member
+
+    def retract_masks(self, is_fd: bool, lhs_mask: int, rhs_mask: int) -> None:
+        """Mask-level :meth:`retract`.
 
         A live plan drops the member in place
         (:meth:`CompiledPlan.retract`).  Eviction is provenance-exact:
@@ -342,20 +383,21 @@ class Session:
         Raises
         ------
         ValueError
-            If the dependency is not a member of Σ.
+            If the dependency is not a member of Σ; the message names
+            its display (:meth:`display_masks`).
         """
-        dependency = self.dependency(dependency)
-        if dependency not in self._dep_set:
+        key = (is_fd, lhs_mask, rhs_mask)
+        if key not in self._dep_set:
             raise ValueError(
-                f"the dependency {dependency.display(self.root)} "
+                f"the dependency {self.display_masks(*key)} "
                 f"is not a member of Σ"
             )
-        index = self._sigma_index(dependency) if self._entries else 0
-        del self._deps[dependency]
-        self._dep_set.discard(dependency)
+        index = self._sigma_index(key) if self._entries else 0
+        del self._deps[key]
+        self._dep_set.discard(key)
         self._invalidate_views()
         if self._plan is not None:
-            slot = self._slot_of.pop(dependency)
+            slot = self._slot_of.pop(key)
             self._slot_deps[slot] = None
             if not self._plan.retract(slot):
                 self._retire_plan()
@@ -363,11 +405,11 @@ class Session:
         retained = 0
         for mask in list(self._entries):
             entry = self._entries[mask]
-            if dependency in entry.provenance:
+            if key in entry.provenance:
                 del self._entries[mask]
                 evicted += 1
             else:
-                entry.sigma_keys.discard(dependency)
+                entry.sigma_keys.discard(key)
                 fired = entry.result.fired
                 if fired and max(fired) > index:
                     entry.result = replace(entry.result, fired=frozenset(
@@ -379,17 +421,16 @@ class Session:
         if obs.enabled:
             obs.add(f"{self._label}.cache.invalidations", evicted)
             with obs.span(f"{self._label}.retract",
-                          dependency=dependency.display(self.root),
+                          dependency=self.display_masks(*key),
                           sigma=len(self._deps)) as span:
                 span.set(evicted=evicted, retained=retained)
-        return dependency
 
-    def _sigma_index(self, dependency: Dependency) -> int:
+    def _sigma_index(self, key: Key) -> int:
         """A Σ-member's index in the FDs-then-MVDs order."""
         if self._plan is not None:
-            (index,) = self._plan.sigma_indices((self._slot_of[dependency],))
+            (index,) = self._plan.sigma_indices((self._slot_of[key],))
             return index
-        return self._mask_tables()[2].index(dependency)
+        return self._mask_tables()[2].index(key)
 
     def _invalidate_views(self) -> None:
         self._tables = None
@@ -411,7 +452,7 @@ class Session:
         self._slot_of = {}
 
     def _mask_tables(self) -> tuple[list[tuple[int, int]],
-                                    list[tuple[int, int]], list[Dependency]]:
+                                    list[tuple[int, int]], list[Key]]:
         """``(fd_masks, mvd_masks, ordered)`` for the current Σ.
 
         ``ordered`` lists Σ in the kernels' FDs-then-MVDs firing order,
@@ -422,13 +463,10 @@ class Session:
         """
         tables = self._tables
         if tables is None:
-            encode = self.encoding.encode
-            fds = [d for d in self._deps if isinstance(d, FunctionalDependency)]
-            mvds = [d for d in self._deps
-                    if not isinstance(d, FunctionalDependency)]
-            fd_masks = [(encode(d.lhs), encode(d.rhs)) for d in fds]
-            mvd_masks = [(encode(d.lhs), encode(d.rhs)) for d in mvds]
-            tables = (fd_masks, mvd_masks, fds + mvds)
+            fds = [key for key in self._deps if key[0]]
+            mvds = [key for key in self._deps if not key[0]]
+            tables = ([key[1:] for key in fds], [key[1:] for key in mvds],
+                      fds + mvds)
             self._tables = tables
         return tables
 
@@ -450,7 +488,7 @@ class Session:
             self._plan = plan
             self._plan_reuse = None
             self._slot_deps = list(ordered)
-            self._slot_of = {d: slot for slot, d in enumerate(ordered)}
+            self._slot_of = {key: slot for slot, key in enumerate(ordered)}
         return plan
 
     # -- the cache -----------------------------------------------------------
@@ -475,8 +513,8 @@ class Session:
         return self._compute(mask)
 
     def _run(self, mask: int, resume: ClosureResult | None,
-             pending: set[Dependency], *, warm: bool, counter: str
-             ) -> tuple[ClosureResult, set[Dependency]]:
+             pending: set[Key], *, warm: bool, counter: str
+             ) -> tuple[ClosureResult, set[Key]]:
         """One engine run; returns the result and the Σ-members fired.
 
         ``resume`` is the cached fixpoint of a smaller Σ to warm-start
@@ -497,9 +535,10 @@ class Session:
         if resume is not None:
             if plan is not None:
                 slot_of = self._slot_of
-                indices = [slot_of[d] for d in pending]
+                indices = [slot_of[key] for key in pending]
             else:
-                indices = [i for i, d in enumerate(members) if d in pending]
+                indices = [i for i, key in enumerate(members)
+                           if key in pending]
             warm_start = (resume.closure_mask, resume.blocks, indices)
         fired: set[int] = set()
         obs = get_observer()

@@ -103,8 +103,9 @@ def test_foreign_sides_keep_the_validate_message(index):
 
 
 def test_served_add_checks_each_side_once(root_checks):
-    """``Add`` hands the parsed dependency to ``Session.add``, whose own
-    ``validate`` is the only check: 2 root checks for one add."""
+    """``Add`` binds the text to masks like ``implies`` does: a
+    successful parse is a member by construction, so one add makes no
+    root check at all."""
     async def scenario():
         async with ReasoningServer(ServeConfig()) as server:
             host, port = server.address
@@ -114,7 +115,7 @@ def test_served_add_checks_each_side_once(root_checks):
                 await client.add("pub", QUERY)
                 return len(root_checks) - before
 
-    assert asyncio.run(scenario()) == 2
+    assert asyncio.run(scenario()) == 0
 
 
 FOREIGN_TEXTS = ["Pubcrawl(Age) -> Pubcrawl(Person)",
