@@ -9,7 +9,12 @@ primary plus two tailing followers) over loopback:
   nodes share one machine and one interpreter, so this does *not*
   demonstrate linear scaling — it documents that fan-out routing works
   with zero failovers/redirects, and what a routed hop costs relative
-  to the single-node path.  Three CPU figures per topology, from the
+  to the single-node path.  One read window of ``READ_REQUESTS``
+  reads spreads 110–175 µs per read from run to run, wider than the
+  gaps between topologies, so the three topologies take turns over
+  ``READ_ROUNDS`` rounds (the order rotates each round) and every
+  figure is the median over rounds, with the quartiles of the CPU
+  figures beside it.  Three CPU figures per topology, from the
   interpreter's ``time.process_time``, which counts the client and
   every node alike (the report records the host's ``cpus`` beside
   them):
@@ -66,7 +71,8 @@ SCHEMA = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])"
 MVD = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"
 HOT_PROBE = "Pubcrawl(Person) -> Pubcrawl(Visit[λ])"
 
-READ_REQUESTS = 300      # hot reads per topology measurement
+READ_REQUESTS = 300      # hot reads per topology window
+READ_ROUNDS = 9          # interleaved windows per topology
 WARMUP = 30              # unmeasured reads before each timing
 LAG_MUTATIONS = 40       # acked writes timed against the follower tail
 FENCE_ROUNDS = 7         # interleaved fenced/unfenced paired rounds
@@ -138,35 +144,66 @@ def _read_round(client, requests):
     return time.perf_counter() - started
 
 
+def _read_window(client):
+    """One timed window of hot reads then an idle window as long:
+    ``(seconds, CPU seconds, idle CPU seconds per second)``."""
+    cpu_started = time.process_time()
+    elapsed = _read_round(client, READ_REQUESTS)
+    cpu = time.process_time() - cpu_started
+    idle_started = time.process_time(), time.perf_counter()
+    time.sleep(elapsed)
+    idle_rate = ((time.process_time() - idle_started[0])
+                 / (time.perf_counter() - idle_started[1]))
+    return elapsed, cpu, idle_rate
+
+
+def _summary(values, digits=1):
+    """``(median, [first quartile, third quartile])``."""
+    q1, _, q3 = quantiles(values, n=4)
+    return round(median(values), digits), [round(q1, digits),
+                                           round(q3, digits)]
+
+
 def _measure_reads(primary_address, replica_addresses):
-    """Routed hot reads with 0, 1 and 2 replicas attached: QPS, CPU µs
-    per read over the whole interpreter, the idle fleet's CPU µs per
-    second and the net CPU µs per read (module doc)."""
-    rows, cpu_rows, idle_rows, net_rows = {}, {}, {}, {}
-    for count in (0, 1, 2):
-        with RoutedClient(primary_address,
-                          replica_addresses[:count]) as client:
+    """Routed hot reads with 0, 1 and 2 replicas attached, the topologies
+    interleaved over ``READ_ROUNDS`` rounds: QPS, CPU µs per read over
+    the whole interpreter, the idle fleet's CPU µs per second and the
+    net CPU µs per read (module doc), each the median over rounds, plus
+    the quartiles of the two per-read CPU figures."""
+    counts = (0, 1, 2)
+    windows = {count: [] for count in counts}
+    with contextlib.ExitStack() as stack:
+        clients = {count: stack.enter_context(RoutedClient(
+            primary_address, replica_addresses[:count])) for count in counts}
+        for client in clients.values():
             _read_round(client, WARMUP)
-            cpu_started = time.process_time()
-            elapsed = _read_round(client, READ_REQUESTS)
-            cpu = time.process_time() - cpu_started
-            idle_started = time.process_time(), time.perf_counter()
-            time.sleep(elapsed)
-            idle_rate = ((time.process_time() - idle_started[0])
-                         / (time.perf_counter() - idle_started[1]))
+        for round_index in range(READ_ROUNDS):
+            for offset in range(len(counts)):
+                count = counts[(round_index + offset) % len(counts)]
+                windows[count].append(_read_window(clients[count]))
+        for count, client in clients.items():
             assert client.counters["routed.failover"] == 0, client.counters
             assert client.counters["routed.redirects"] == 0, client.counters
             if count:
                 assert (client.counters["routed.replica_reads"]
-                        == WARMUP + READ_REQUESTS), client.counters
-        rows[f"replicas_{count}"] = round(READ_REQUESTS / elapsed, 1)
-        cpu_rows[f"replicas_{count}"] = round(cpu / READ_REQUESTS * 1e6, 1)
-        idle_rows[f"replicas_{count}"] = round(idle_rate * 1e6, 1)
-        net_rows[f"replicas_{count}"] = round(
-            (cpu - idle_rate * elapsed) / READ_REQUESTS * 1e6, 1)
+                        == WARMUP + READ_ROUNDS * READ_REQUESTS
+                        ), client.counters
+    rows, cpu_rows, idle_rows, net_rows = {}, {}, {}, {}
+    cpu_quartiles, net_quartiles = {}, {}
+    for count, runs in windows.items():
+        key = f"replicas_{count}"
+        rows[key] = round(median(READ_REQUESTS / elapsed
+                                 for elapsed, _, _ in runs), 1)
+        cpu_rows[key], cpu_quartiles[key] = _summary(
+            [cpu / READ_REQUESTS * 1e6 for _, cpu, _ in runs])
+        idle_rows[key] = round(median(idle * 1e6 for _, _, idle in runs), 1)
+        net_rows[key], net_quartiles[key] = _summary(
+            [(cpu - idle * elapsed) / READ_REQUESTS * 1e6
+             for elapsed, cpu, idle in runs])
     for table in (rows, cpu_rows, net_rows):
         table["requests"] = READ_REQUESTS
-    return rows, cpu_rows, idle_rows, net_rows
+        table["rounds"] = READ_ROUNDS
+    return rows, cpu_rows, idle_rows, net_rows, cpu_quartiles, net_quartiles
 
 
 def _measure_lag(primary_address, follower):
@@ -221,12 +258,14 @@ def test_replicate_scaleout_report(benchmark, tmp_path):
             with Client.connect(*primary_address) as client:
                 opened = client.open("bench", SCHEMA, [MVD])
             _catchup(followers, opened["seq"])
-            read_qps, read_cpu_us, idle_cpu, net_cpu = _measure_reads(
-                primary_address, replicas)
+            (read_qps, read_cpu_us, idle_cpu, net_cpu, cpu_quartiles,
+             net_quartiles) = _measure_reads(primary_address, replicas)
             return {
                 "read_cpu_us": read_cpu_us,
+                "read_cpu_us_quartiles": cpu_quartiles,
                 "idle_cpu_us_per_s": idle_cpu,
                 "net_read_cpu_us": net_cpu,
+                "net_read_cpu_us_quartiles": net_quartiles,
                 "read_qps": read_qps,
                 "replication_lag": _measure_lag(primary_address,
                                                 followers[0]),
@@ -246,12 +285,15 @@ def test_replicate_scaleout_report(benchmark, tmp_path):
                        row["fence_overhead"])
     cpu_us, idle, net = (row["read_cpu_us"], row["idle_cpu_us_per_s"],
                          row["net_read_cpu_us"])
-    print(f"\nreplicate scale-out ({READ_REQUESTS} hot reads/topology, "
-          f"{report['cpus']} CPUs):")
+    net_iqr = row["net_read_cpu_us_quartiles"]
+    print(f"\nreplicate scale-out ({READ_ROUNDS} interleaved rounds of "
+          f"{READ_REQUESTS} hot reads/topology, {report['cpus']} CPUs; "
+          f"medians):")
     for count in (0, 1, 2):
         key = f"replicas_{count}"
         print(f"  {count} replicas {cpu_us[key]:8.1f} CPU µs/read "
-              f"({net[key]:8.1f} net of {idle[key]:8.1f} idle µs/s) "
+              f"({net[key]:8.1f} net [IQR {net_iqr[key][0]:.1f}–"
+              f"{net_iqr[key][1]:.1f}] of {idle[key]:8.1f} idle µs/s) "
               f"{qps[key]:8.1f} qps")
     print(f"  lag   p50 {lag['p50_ms']:.2f} ms, p95 {lag['p95_ms']:.2f} ms "
           f"over {lag['mutations']} mutations")

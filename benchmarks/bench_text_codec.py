@@ -15,12 +15,16 @@ It records:
 * the median µs per ``parse_dependency``, ``parse_subattribute`` and
   ``unparse_abbreviated`` call (``_timing.median_of`` over the request
   texts and the answers' elements);
-* the mask codec against the structural one, paired
+* the mask codec's walk against the structural one, paired
   (``_timing.paired_speedup``): µs per text side of
   ``BasisEncoding.parse`` against ``parse_subattribute`` + ``encode``,
   and µs per printed element of ``BasisEncoding.render`` against
-  ``decode`` + ``unparse_abbreviated``.  The mask parse must cost at
-  most half the structural parse (asserted);
+  ``decode`` + ``unparse_abbreviated``.  The request texts repeat (16
+  left-hand sides, 64 right-hand sides), so the codec memos are emptied
+  before every call of a walk row, or it would time memo hits.  The
+  mask parse must cost at most half the structural parse (asserted);
+* the same sweeps on a warm memo (``*_memo_*`` rows): what a served
+  request pays once its texts have been seen;
 * the in-process µs per request of the server's path
   ``bind → commands.execute``, paired against ``commands.execute``
   alone, which parses the text inside the run — the pair measures what
@@ -28,7 +32,9 @@ It records:
 * parses per request on both paths, counted by wrapping
   ``BasisEncoding.parse`` (the entry point every served text side goes
   through).  The bound path must parse each text side exactly once
-  (asserted).
+  (asserted);
+* codec memo misses (``BasisEncoding.codec_info``) on a second pass over
+  the request set: every text and answer has been seen, so 0 (asserted).
 
 Answers of both paths, and the masks and texts of both codecs, are
 asserted identical before anything is timed.
@@ -43,12 +49,13 @@ left-hand side from the working set):
   handles these texts, so each must be 0 (asserted);
 * the median µs per ``add`` + ``retract`` pair through
   ``commands.execute``, on a session without a compiled plan (a
-  primary's) and on one with a live plan (a follower's);
+  primary's) and on one with a live plan (a follower's), memos warm as
+  in a served session;
 * the median ms of ``Session.snapshot_state`` at |Σ| = 200 (what a
-  compaction prints per session);
+  compaction prints per session) on a cold codec memo and on a warm one;
 * µs per edit text of ``parse_dependency`` against
   ``Session.dependency_masks`` and of ``Dependency.display`` against
-  ``Session.display_masks``.
+  ``Session.display_masks``, the latter two on a cold memo.
 
 Results land in ``BENCH_text_codec.json``.
 
@@ -159,6 +166,21 @@ def _count_parses(function) -> int:
     return calls
 
 
+def _cold(encoding: BasisEncoding, function):
+    """``function`` with the codec memos emptied before every call, so it
+    times the walk, not a memo hit."""
+    clear = encoding.cache_clear
+
+    def call(*args):
+        clear()
+        return function(*args)
+    return call
+
+
+def _codec_misses(encoding: BasisEncoding) -> int:
+    return sum(row[1] for row in encoding.codec_info().values())
+
+
 def _count_tree_parses(function) -> int:
     """``parse_subattribute`` calls made by ``function()``, wherever they
     are looked up."""
@@ -235,6 +257,7 @@ def _measure_mutations(root, session: Session, sigma, working, rhs_pool
 
     keys = list(map(session.dependency_masks, texts))
     assert [session.display_masks(*key) for key in keys] == texts
+    display_masks = _cold(encoding, session.display_masks)
 
     return {
         "edit_texts": len(texts),
@@ -248,17 +271,20 @@ def _measure_mutations(root, session: Session, sigma, working, rhs_pool
         "add_retract_pair_us_with_plan":
             median_of(pairs(planned), repeats=EDIT_REPEATS) / len(texts)
             * 1e6,
-        "snapshot_state_ms": median_of(bare.snapshot_state,
-                                       repeats=EDIT_REPEATS) * 1e3,
+        "snapshot_state_cold_ms": median_of(
+            _cold(encoding, bare.snapshot_state), repeats=EDIT_REPEATS) * 1e3,
+        "snapshot_state_warm_ms": median_of(bare.snapshot_state,
+                                            repeats=EDIT_REPEATS) * 1e3,
         "sigma": len(bare),
         "parse_dependency_us_per_edit": per_text(
             lambda text: parse_dependency(text, root)),
-        "dependency_masks_us_per_edit": per_text(session.dependency_masks),
+        "dependency_masks_us_per_edit": per_text(
+            _cold(encoding, session.dependency_masks)),
         "display_us_per_edit": median_of(
             lambda: [d.display(root) for d in dependencies],
             repeats=EDIT_REPEATS) / len(texts) * 1e6,
         "display_masks_us_per_edit": median_of(
-            lambda: [session.display_masks(*key) for key in keys],
+            lambda: [display_masks(*key) for key in keys],
             repeats=EDIT_REPEATS) / len(texts) * 1e6,
     }
 
@@ -311,23 +337,27 @@ def _measure() -> dict:
         for text in side_texts:
             encode(parse_subattribute(text, root))
 
-    def mask_parse():
-        for text in side_texts:
-            encoding.parse(text)
+    def sweep(function, items):
+        def run():
+            for item in items:
+                function(item)
+        return run
 
     def structural_render():
         for mask in printed_masks:
             unparse_abbreviated(decode(mask), root)
 
-    def mask_render():
-        for mask in printed_masks:
-            encoding.render(mask)
-
+    mask_parse = sweep(_cold(encoding, encoding.parse), side_texts)
+    mask_render = sweep(_cold(encoding, encoding.render), printed_masks)
     structural_parse_s, mask_parse_s, parse_speedup = paired_speedup(
         structural_parse, mask_parse, rounds=CODEC_ROUNDS)
     structural_render_s, mask_render_s, render_speedup = paired_speedup(
         structural_render, mask_render, rounds=CODEC_ROUNDS)
     assert 1 / parse_speedup <= MAX_PARSE_RATIO, parse_speedup
+    memo_parse_s = median_of(sweep(encoding.parse, side_texts),
+                             repeats=REPEATS)
+    memo_render_s = median_of(sweep(encoding.render, printed_masks),
+                              repeats=REPEATS)
 
     def bound():
         for command in requests:
@@ -344,6 +374,12 @@ def _measure() -> dict:
     bound_parses = _count_parses(bound)
     unbound_parses = _count_parses(unbound)
     assert bound_parses == sides, (bound_parses, sides)
+    encoding.cache_clear()
+    bound()
+    first_misses = _codec_misses(encoding)
+    bound()
+    repeat_misses = _codec_misses(encoding) - first_misses
+    assert repeat_misses == 0, repeat_misses
 
     return {
         "requests": len(requests),
@@ -356,16 +392,21 @@ def _measure() -> dict:
             structural_parse_s / len(side_texts) * 1e6,
         "mask_parse_us_per_side": mask_parse_s / len(side_texts) * 1e6,
         "mask_parse_paired_speedup": parse_speedup,
+        "mask_parse_memo_us_per_side": memo_parse_s / sides * 1e6,
         "decode_unparse_us_per_element":
             structural_render_s / len(printed_masks) * 1e6,
         "mask_render_us_per_element":
             mask_render_s / len(printed_masks) * 1e6,
         "mask_render_paired_speedup": render_speedup,
+        "mask_render_memo_us_per_element":
+            memo_render_s / len(printed_masks) * 1e6,
         "bound_request_us": bound_s / len(requests) * 1e6,
         "unbound_request_us": unbound_s / len(requests) * 1e6,
         "paired_median_speedup": speedup,
         "bound_parses_per_request": bound_parses / len(requests),
         "unbound_parses_per_request": unbound_parses / len(requests),
+        "codec_misses_first_pass": first_misses,
+        "codec_misses_repeat_pass": repeat_misses,
         "mutations": _measure_mutations(root, session, *edit_inputs),
     }
 
@@ -397,6 +438,10 @@ def test_text_codec_report(benchmark):
           f"{row['decode_unparse_us_per_element']:6.1f} us, "
           f"BasisEncoding.render {row['mask_render_us_per_element']:6.1f} us "
           f"({row['mask_render_paired_speedup']:.2f}x paired)")
+    print(f"  memo hits: parse {row['mask_parse_memo_us_per_side']:6.2f} "
+          f"us/side, render {row['mask_render_memo_us_per_element']:6.2f} "
+          f"us/element; codec misses {row['codec_misses_first_pass']} on "
+          f"the first pass, {row['codec_misses_repeat_pass']} on a repeat")
     print(f"  bound request   {row['bound_request_us']:8.1f} us "
           f"({row['bound_parses_per_request']:.2f} parses/request)")
     print(f"  unbound request {row['unbound_request_us']:8.1f} us "
@@ -412,7 +457,8 @@ def test_text_codec_report(benchmark):
     print(f"  add+retract pair {edits['add_retract_pair_us_without_plan']:8.1f}"
           f" us without a plan, "
           f"{edits['add_retract_pair_us_with_plan']:8.1f} us with one")
-    print(f"  snapshot_state   {edits['snapshot_state_ms']:8.2f} ms")
+    print(f"  snapshot_state   {edits['snapshot_state_cold_ms']:8.2f} ms cold, "
+          f"{edits['snapshot_state_warm_ms']:8.2f} ms warm")
     print(f"  per edit: parse_dependency "
           f"{edits['parse_dependency_us_per_edit']:6.1f} us, dependency_masks "
           f"{edits['dependency_masks_us_per_edit']:6.1f} us; display "

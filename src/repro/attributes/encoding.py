@@ -28,10 +28,11 @@ Possession (Definition 4.11 via the §6 characterisation): basis attribute
 ``i`` is possessed by ``X`` iff every basis attribute above ``i`` lies in
 ``SubB(X)``, i.e. ``above[i] & ~x == 0``.
 
-Only ``X^CC`` is memoised: Algorithm 5.1 normalises the same blocks on
-every pass.  ``X ∸ Y``, ``X^C`` and possession are computed directly —
-a down-closure is one table OR per byte of the mask, cheaper than a memo
-that cold queries (every one a new left-hand side) would almost never hit.
+Of the Brouwerian operations only ``X^CC`` is memoised: Algorithm 5.1
+normalises the same blocks on every pass.  ``X ∸ Y``, ``X^C`` and
+possession are computed directly — a down-closure is one table OR per
+byte of the mask, cheaper than a memo that cold queries (every one a new
+left-hand side) would almost never hit.
 
 Text goes to and from masks without building trees: :meth:`parse`
 walks the abbreviated notation over a node table of the root (one entry
@@ -40,7 +41,11 @@ down-set of its minimal basis attribute) and ORs node masks;
 :meth:`render` prints a mask from the same table.  Whatever the walk
 cannot decide alone goes to
 :func:`~repro.attributes.parser.parse_subattribute`, which stays the
-definition of the notation and the only source of its errors.
+definition of the notation and the only source of its errors.  Under
+§6's set representation a text is a pure function of ``(N, mask)``, so
+both directions are memoised on the encoding (text → mask for successful
+parses only, mask → text for every render) and need no invalidation:
+a served session sees the same few texts on every request.
 
 The encoding is cross-checked against the structural implementation in
 :mod:`repro.attributes.lattice` by property tests.
@@ -54,16 +59,16 @@ from typing import Iterable, Iterator
 from .basis import basis_poset
 from .nested import Flat, ListAttr, NestedAttribute, Record
 from .parser import _LAMBDAS, _TOKEN, parse_subattribute
-from .printer import LAMBDA, unparse_abbreviated
+from .printer import LAMBDA
 from .subattribute import bottom, is_subattribute, subattributes
 from ..exceptions import NotAnElementError
 
 __all__ = ["BasisEncoding", "EncodingCacheInfo", "iter_bits"]
 
 #: Bound of each memo of an encoding (``double_complement``, encode,
-#: decode).  A memo is emptied in one ``clear()`` when it reaches the
-#: bound, so a long-lived encoding (shell sessions, servers) cannot grow
-#: without limit and no miss pays for an eviction walk.
+#: decode, parse, render).  A memo is emptied in one ``clear()`` when it
+#: reaches the bound, so a long-lived encoding (shell sessions, servers)
+#: cannot grow without limit and no miss pays for an eviction walk.
 UNARY_CACHE_MAXSIZE = 16384
 
 
@@ -144,6 +149,12 @@ class BasisEncoding:
         "_misses",
         "_nodes",
         "_possessed_below",
+        "_parse_memo",
+        "_render_memo",
+        "_parse_hits",
+        "_parse_misses",
+        "_render_hits",
+        "_render_misses",
     )
 
     def __init__(self, root: NestedAttribute) -> None:
@@ -199,14 +210,19 @@ class BasisEncoding:
         self._dc_cache: dict[int, int] = {}
         self._hits = 0
         self._misses = 0
-        # The text codec's node table, built by the first parse/render.
+        # The text codec's node table, built by the first parse/render,
+        # and its memos (text -> mask, mask -> text).
         self._nodes: tuple | None = None
+        self._parse_memo: dict[str, int] = {}
+        self._render_memo: dict[int, str] = {}
+        self._parse_hits = self._parse_misses = 0
+        self._render_hits = self._render_misses = 0
         # possessed(below[i]) per index, built by the first kernel run.
         self._possessed_below: tuple[int, ...] | None = None
 
     def __reduce__(self):
         # Rebuild from the root on unpickling: the tables are derived
-        # data, and the memo is per-process state.
+        # data, and the memos are per-process state.
         return (type(self), (self.root,))
 
     def require_root(self, root: NestedAttribute) -> "BasisEncoding":
@@ -436,7 +452,8 @@ class BasisEncoding:
     def cache_info(self) -> EncodingCacheInfo:
         """``{op: (hits, misses, current size, maxsize)}`` for the memo
         of the Brouwerian operations (``double_complement``, the only
-        operation that is memoised)."""
+        operation that is memoised; the text codec's memos are in
+        :meth:`codec_info`)."""
         return EncodingCacheInfo(double_complement=(
             self._hits, self._misses, len(self._dc_cache), self._memo_maxsize))
 
@@ -449,8 +466,20 @@ class BasisEncoding:
         """
         return self._hits, self._misses
 
+    def codec_info(self) -> EncodingCacheInfo:
+        """``{op: (hits, misses, current size, maxsize)}`` for the text
+        codec's memos: ``parse`` (text → mask) and ``render``
+        (mask → text)."""
+        maxsize = self._memo_maxsize
+        return EncodingCacheInfo(
+            parse=(self._parse_hits, self._parse_misses,
+                   len(self._parse_memo), maxsize),
+            render=(self._render_hits, self._render_misses,
+                    len(self._render_memo), maxsize))
+
     def cache_clear(self) -> None:
-        """Drop the operation memo and reset its counters.
+        """Drop the operation memo and the codec memos and reset their
+        counters (what :meth:`cache_info` and :meth:`codec_info` report).
 
         The structural tables (``below``/``above``/down-closure tables)
         are kept — they are derived from the root, not from the query
@@ -460,6 +489,10 @@ class BasisEncoding:
         self._dc_cache.clear()
         self._hits = 0
         self._misses = 0
+        self._parse_memo.clear()
+        self._render_memo.clear()
+        self._parse_hits = self._parse_misses = 0
+        self._render_hits = self._render_misses = 0
 
     def maximal_of(self, mask: int) -> int:
         """``MaxB(X)``: the maximal-in-N basis attributes below ``X``."""
@@ -496,18 +529,28 @@ class BasisEncoding:
         positional mismatch — is handed to
         :func:`~repro.attributes.parser.parse_subattribute`, which
         returns the element or raises the error.
+
+        Successful parses are memoised by text, so a repeated text costs
+        one dict lookup; a text that raises is parsed again on every
+        call.  Texts longer than twice the root's own text (a canonical
+        spelling is never longer than it) are parsed but not memoised,
+        which bounds the memo's bytes by the root, not by the request.
         """
+        memo = self._parse_memo
+        mask = memo.get(text)
+        if mask is not None:
+            self._parse_hits += 1
+            return mask
+        self._parse_misses += 1
         root_node, parseable = self._nodes or self._build_nodes()
-        if parseable:
-            tokens = _CODEC_TOKEN_RE.findall(text)
-            tokens.append("")  # end-of-input sentinel
-            try:
-                mask, end = _match(root_node, tokens, 0)
-                if not tokens[end]:
-                    return mask
-            except _Refused:
-                pass
-        return self.encode(parse_subattribute(text, self.root))
+        mask = _walk(root_node, text) if parseable else None
+        if mask is None:
+            mask = self.encode(parse_subattribute(text, self.root))
+        if len(text) <= 2 * len(root_node[4]):
+            if len(memo) >= self._memo_maxsize:
+                memo.clear()
+            memo[text] = mask
+        return mask
 
     def render(self, mask: int) -> str:
         """The abbreviated text of the down-closed ``mask``.
@@ -516,9 +559,22 @@ class BasisEncoding:
         components at their bottom are left out when the record's heads
         identify the rest and shown as ``λ`` otherwise, a record of
         bottoms is its bottom, and the bottom of the root prints ``λ``.
+        Memoised by mask.
         """
-        root_node = (self._nodes or self._build_nodes())[0]
-        return _render(root_node, mask) or LAMBDA
+        memo = self._render_memo
+        text = memo.get(mask)
+        if text is not None:
+            self._render_hits += 1
+            return text
+        self._render_misses += 1
+        text = _render((self._nodes or self._build_nodes())[0], mask) or LAMBDA
+        if len(memo) >= self._memo_maxsize:
+            memo.clear()
+        memo[mask] = text
+        return text
+
+    #: Human-readable form of an element mask (paper notation).
+    describe = render
 
     def _build_nodes(self) -> tuple:
         """``(root node, parseable)``: the codec's table of the root.
@@ -574,18 +630,24 @@ class BasisEncoding:
         self._nodes = (root_node, names_ok)
         return self._nodes
 
-    # -- display -----------------------------------------------------------
-
-    def describe(self, mask: int) -> str:
-        """Human-readable form of an element mask (paper notation)."""
-        return unparse_abbreviated(self.decode(mask), self.root)
-
     def __repr__(self) -> str:
         return f"BasisEncoding(root={self.root}, size={self.size})"
 
 
 class _Refused(Exception):
     """The mask walk cannot decide a text; the structural parser will."""
+
+
+def _walk(root_node: tuple, text: str) -> int | None:
+    """The mask of ``text`` by the node walk, or None when the walk
+    leaves the text to the structural parser."""
+    tokens = _CODEC_TOKEN_RE.findall(text)
+    tokens.append("")  # end-of-input sentinel
+    try:
+        mask, end = _match(root_node, tokens, 0)
+    except _Refused:
+        return None
+    return None if tokens[end] else mask
 
 
 def _match(node: tuple, tokens: list[str], i: int) -> tuple[int, int]:

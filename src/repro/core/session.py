@@ -77,14 +77,15 @@ class SessionCacheInfo(tuple):
     ``retained`` (entries that survived a retraction because it was
     not).  ``plan`` carries the session's
     :class:`~repro.core.plan.PlanCacheInfo` — the closure-interval-cache
-    counters (exact/interval/miss).
+    counters (exact/interval/miss) — and ``codec`` the encoding's
+    :meth:`~repro.attributes.encoding.BasisEncoding.codec_info`.
     """
 
     def __new__(cls, computed: int, hits: int, *, warm_starts: int = 0,
                 evictions: int = 0, invalidations: int = 0, retained: int = 0,
                 maxsize: int | None = None, engine: str = "worklist",
                 encoding=None, kernel: KernelStats | None = None,
-                plan: PlanCacheInfo | None = None,
+                plan: PlanCacheInfo | None = None, codec=None,
                 ) -> "SessionCacheInfo":
         self = super().__new__(cls, (computed, hits))
         self.warm_starts = warm_starts
@@ -96,6 +97,7 @@ class SessionCacheInfo(tuple):
         self.encoding = encoding
         self.kernel = kernel
         self.plan = plan
+        self.codec = codec
         return self
 
     @property
@@ -712,6 +714,7 @@ class Session:
             encoding=self.encoding.cache_info(),
             kernel=self.kernel_stats,
             plan=self._interval.info(),
+            codec=self.encoding.codec_info(),
         )
 
     def cache_clear(self, *, encoding: bool = False) -> None:

@@ -1031,6 +1031,7 @@ class ReasoningServer:
                 "warm_starts": info.warm_starts,
                 "invalidations": info.invalidations,
                 "retained": info.retained,
+                "codec": {op: list(row) for op, row in info.codec.items()},
                 "idle_s": round(now - managed.last_used, 3),
             }
         return {"server": server, "sessions": sessions}

@@ -154,6 +154,9 @@ class TestServerOps:
                     assert metrics["server"]["sessions"] == 1
                     assert metrics["sessions"]["pub"]["generation"] == 2
                     assert metrics["sessions"]["pub"]["sigma"] == 1
+                    codec = metrics["sessions"]["pub"]["codec"]
+                    assert set(codec) == {"parse", "render"}
+                    assert codec["parse"][0] > 0  # NOT_IMPLIED's sides repeat
 
                     closed = await client.close_session("pub")
                     assert closed == {"closed": "pub", "sigma": 1}
