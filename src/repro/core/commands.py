@@ -123,19 +123,20 @@ class DeadlineExceeded(TimeoutError):
 class Deadline:
     """A soft deadline compound commands poll between units of work.
 
-    The hard per-request deadline on the server is ``asyncio.wait_for``;
-    this object lets long loops (batch sweeps, key searches) stop at a
-    clean boundary instead of being cancelled mid-kernel.
+    The server arms one per request (``request_timeout``): nothing can
+    pre-empt inline work, so long loops (batch sweeps, key searches)
+    stop at a clean boundary.  A single closure runs to completion.
     """
 
-    __slots__ = ("_expires_at",)
+    __slots__ = ("_expires_at", "_clock")
 
     def __init__(self, seconds: float, *,
                  clock: Callable[[], float] = time.monotonic) -> None:
+        self._clock = clock
         self._expires_at = clock() + seconds
 
     def remaining(self) -> float:
-        return self._expires_at - time.monotonic()
+        return self._expires_at - self._clock()
 
     @property
     def expired(self) -> bool:
@@ -312,9 +313,9 @@ class Command:
         Read queries bind to masks: each text side is parsed straight to
         its mask (:meth:`Session.attribute_mask`,
         :meth:`Session.dependency_masks`), and no tree is built.  The
-        server binds each session-scope command once, before its
-        shed-cold check calls :meth:`lhs_masks`, so the check and
-        :meth:`run` share one parse.  Commands whose text is first read inside
+        server binds a command only for its shed-cold check, which calls
+        :meth:`lhs_masks`, so the check and :meth:`run` share one
+        parse.  Commands whose text is first read inside
         :meth:`run` (add, retract, …) and commands without text return
         themselves, so a bad text fails where it always did.
         """

@@ -265,6 +265,18 @@ class TestExecute:
         assert issubclass(DeadlineExceeded, TimeoutError)
         assert issubclass(CommandParamError, ValueError)
 
+    def test_deadline_reads_its_injected_clock(self):
+        now = [1e9]
+        deadline = Deadline(5.0, clock=lambda: now[0])
+        assert deadline.remaining() == 5.0
+        now[0] += 3.0
+        assert deadline.remaining() == 2.0
+        assert not deadline.expired
+        now[0] += 2.0
+        assert deadline.expired
+        with pytest.raises(DeadlineExceeded):
+            deadline.check()
+
     def test_read_only_analysis_leaves_the_session_untouched(self):
         session = make_session()
         before = tuple(session.dependencies)

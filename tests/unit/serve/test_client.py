@@ -21,21 +21,12 @@ from repro.serve import (
 )
 from repro.serve.protocol import encode, error_response
 
+from tests.unit.serve.gated import GatedServer
+
 SCHEMA = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])"
 MVD = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"
 IMPLIED_FD = "Pubcrawl(Person) -> Pubcrawl(Visit[λ])"
 NOT_IMPLIED = "Pubcrawl(Person) -> Pubcrawl(Visit[Drink(Pub)])"
-
-
-class _GatedServer(ReasoningServer):
-    def __init__(self, config):
-        super().__init__(config)
-        self.gate = asyncio.Event()
-
-    async def _execute(self, request):
-        if request.params.get("gated"):
-            await self.gate.wait()
-        return await super()._execute(request)
 
 
 @pytest.fixture()
@@ -138,7 +129,7 @@ class TestAsyncClient:
         config = ServeConfig(request_timeout=None, idle_ttl=None)
 
         async def scenario():
-            async with _GatedServer(config) as server:
+            async with GatedServer(config) as server:
                 host, port = server.address
                 async with await AsyncClient.connect(host, port) as client:
                     slow = asyncio.ensure_future(
@@ -171,7 +162,7 @@ class TestAsyncClient:
                              drain_timeout=0.05)
 
         async def scenario():
-            server = _GatedServer(config)
+            server = GatedServer(config)
             host, port = await server.start()
             client = await AsyncClient.connect(host, port)
             try:
@@ -191,7 +182,7 @@ class TestAsyncClient:
         config = ServeConfig(request_timeout=None, idle_ttl=None)
 
         async def scenario():
-            async with _GatedServer(config) as server:
+            async with GatedServer(config) as server:
                 host, port = server.address
                 client = await AsyncClient.connect(host, port)
                 stuck = asyncio.ensure_future(

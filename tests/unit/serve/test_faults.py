@@ -23,6 +23,8 @@ from repro.serve import (
     ServerError,
 )
 
+from tests.unit.serve.gated import GatedServer
+
 SCHEMA = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])"
 MVD = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"
 IMPLIED_FD = "Pubcrawl(Person) -> Pubcrawl(Visit[λ])"
@@ -316,19 +318,6 @@ class TestInjectedFaultsOnTheWire:
         run(scenario())
 
 
-class _GatedServer(ReasoningServer):
-    """Requests with ``params.gated`` block until the gate opens."""
-
-    def __init__(self, config):
-        super().__init__(config)
-        self.gate = asyncio.Event()
-
-    async def _execute(self, request):
-        if request.params.get("gated"):
-            await self.gate.wait()
-        return await super()._execute(request)
-
-
 class TestHealthOp:
     def test_health_reports_ok_and_basic_gauges(self):
         async def scenario():
@@ -353,7 +342,7 @@ class TestHealthOp:
                              fault_plan=plan)
 
         async def scenario():
-            async with _GatedServer(config) as server:
+            async with GatedServer(config) as server:
                 host, port = server.address
                 async with await AsyncClient.connect(host, port) as probe:
                     # the plan drops every ping, but health is answered
@@ -382,7 +371,7 @@ class TestHealthOp:
                              drain_timeout=10.0)
 
         async def scenario():
-            server = _GatedServer(config)
+            server = GatedServer(config)
             host, port = await server.start()
             client = await AsyncClient.connect(host, port)
             try:
@@ -415,7 +404,7 @@ class TestColdWorkShedding:
                              idle_ttl=None, workers=0, shed_cold_at=0.5)
 
         async def scenario():
-            async with _GatedServer(config) as server:
+            async with GatedServer(config) as server:
                 host, port = server.address
                 async with await AsyncClient.connect(host, port) as client:
                     await client.open("pub", SCHEMA, [MVD])

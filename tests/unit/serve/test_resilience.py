@@ -202,11 +202,11 @@ class _FlakyServer(ReasoningServer):
         self.remaining = fail_first
         self.fail_op = fail_op
 
-    async def _execute(self, request):
+    def _dispatch(self, request):
         if self.remaining > 0 and self.fail_op in (None, request.op):
             self.remaining -= 1
             raise ProtocolError(ErrorCode.OVERLOADED, "injected flakiness")
-        return await super()._execute(request)
+        return super()._dispatch(request)
 
 
 @contextlib.contextmanager
