@@ -6,7 +6,7 @@ baseline is that same edit path without a store):
 
 * **What does the WAL cost per acknowledged edit?**  The server-side
   request stream (``commands.execute`` + generation bump, exactly what
-  ``ReasoningServer._execute`` runs) is timed with and without a
+  ``ReasoningServer._run`` runs) is timed with and without a
   ``store.append`` per mutation, in interleaved paired rounds, for
   every fsync policy.  The workload is the deployment shape the WAL
   actually rides: a session over the paper's nested running example

@@ -60,7 +60,7 @@ def scripts(draw):
 
 
 def server_path(manager, store, op, params):
-    """One mutation exactly as ``ReasoningServer._execute`` runs it:
+    """One mutation exactly as ``ReasoningServer._run`` runs it:
     execute through the registry, bump + persist only on mutation."""
     command = commands.from_wire(op, params)
     managed = manager.peek(params["session"])
