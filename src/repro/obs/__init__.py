@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from .metrics import Counter, Histogram, MetricsRegistry, DEFAULT_BOUNDS
+from .metrics import Counter, Histogram, MetricsRegistry, Tally, DEFAULT_BOUNDS
 from .sinks import InMemorySink, JsonlSink, NullSink, Sink
 from .spans import NULL_SPAN, Observer, Span, get_observer, set_observer
 from .validate import validate_records, validate_trace
@@ -43,6 +43,7 @@ __all__ = [
     "Observer",
     "Sink",
     "Span",
+    "Tally",
     "get_observer",
     "install",
     "set_observer",

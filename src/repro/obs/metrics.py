@@ -15,14 +15,19 @@ The registry is deliberately dumb: no tags, no time windows, no
 locking.  Per-query attribution lives on spans; the registry answers
 "what did this session do in aggregate" — the face of
 ``KernelStats``/``cache_info()`` generalised to every layer.
+
+A :class:`Tally` keeps one node's (or client's) counts whether or not
+an observer is installed, and mirrors each into the installed one.
 """
 
 from __future__ import annotations
 
+import collections
 from bisect import bisect_left
 from typing import Any, Sequence
 
-__all__ = ["Counter", "Histogram", "MetricsRegistry", "DEFAULT_BOUNDS"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "Tally",
+           "DEFAULT_BOUNDS"]
 
 #: Default histogram bucket upper bounds (inclusive); observations above
 #: the last bound land in the overflow bucket.
@@ -158,3 +163,16 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._histograms)
+
+
+class Tally(collections.Counter):
+    """Always-on counts (an unseen name reads 0); :meth:`add` is the
+    one place a count is mirrored into the installed observer."""
+
+    def add(self, name: str, amount: int = 1) -> None:
+        self[name] += amount
+        get_observer().add(name, amount)
+
+
+# Imported last: ``spans`` builds each observer's registry from this module.
+from .spans import get_observer  # noqa: E402

@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Mapping
 
-from ..obs import get_observer
+from ..obs import Tally, get_observer
 from ..store.recovery import apply_record
 from ..store.wal import StoreError, WalRecord
 from .primary import decode_batch
@@ -45,7 +45,7 @@ class Replicator:
                  batch: int = 256,
                  retry_delay: float = 0.25,
                  max_retry_delay: float = 2.0,
-                 counters: Any | None = None) -> None:
+                 counters: Tally | None = None) -> None:
         self.manager = manager
         self.store = store
         self.host = host
@@ -55,7 +55,7 @@ class Replicator:
         self.batch = batch
         self.retry_delay = retry_delay
         self.max_retry_delay = max_retry_delay
-        self.counters = counters
+        self.counters = Tally() if counters is None else counters
         #: Highest sequence applied locally (starts at the store's
         #: recovered position, so a restarted follower resumes its tail).
         self.applied_seq = store.last_seq if store is not None else 0
@@ -136,11 +136,6 @@ class Replicator:
 
     # -- the streaming loop --------------------------------------------------
 
-    def _tick(self, name: str, amount: int = 1) -> None:
-        if self.counters is not None:
-            self.counters[name] += amount
-        get_observer().add(name, amount)
-
     async def _run(self) -> None:
         # imported here, not at module top: repro.serve.server imports
         # this module, and client/resilience live in the same package
@@ -151,7 +146,7 @@ class Replicator:
             try:
                 client = await AsyncClient.connect(self.host, self.port)
             except (ConnectionError, TimeoutError, OSError):
-                self._tick("replicate.reconnects")
+                self.counters.add("replicate.reconnects")
                 await asyncio.sleep(delay)
                 delay = min(delay * 2, self.max_retry_delay)
                 continue
@@ -159,13 +154,13 @@ class Replicator:
                 delay = self.retry_delay
                 await self._stream(client)
             except (ConnectionError, TimeoutError, OSError):
-                self._tick("replicate.reconnects")
+                self.counters.add("replicate.reconnects")
                 self.state = "connecting"
                 await asyncio.sleep(delay)
                 delay = min(delay * 2, self.max_retry_delay)
             except ServerError as error:
                 if error.retryable:
-                    self._tick("replicate.reconnects")
+                    self.counters.add("replicate.reconnects")
                     self.state = "connecting"
                     await asyncio.sleep(delay)
                     delay = min(delay * 2, self.max_retry_delay)
@@ -174,14 +169,14 @@ class Replicator:
                 # has no WAL; shutting_down; …) — do not spin on it
                 self.state = "broken"
                 self.error = f"{error.code}: {error}"
-                self._tick("replicate.broken")
+                self.counters.add("replicate.broken")
                 return
             except (StoreError, ValueError) as error:
                 # shipped records that do not decode or re-execute mean
                 # divergence; serving stale reads silently would be worse
                 self.state = "broken"
                 self.error = str(error)
-                self._tick("replicate.broken")
+                self.counters.add("replicate.broken")
                 return
             finally:
                 await client.close()
@@ -213,7 +208,7 @@ class Replicator:
         else:
             applied = self._apply(records)
         self.batches += 1
-        self._tick("replicate.applied", applied)
+        self.counters.add("replicate.applied", applied)
         if self.store is not None and self.store.should_compact():
             self.store.compact(self.manager.snapshot_state())
 
@@ -257,5 +252,5 @@ class Replicator:
                                     reset["last_seq"])
             self.applied_seq = reset["last_seq"]
         self.resets += 1
-        self._tick("replicate.resets")
+        self.counters.add("replicate.resets")
         self._resolve_waiters()

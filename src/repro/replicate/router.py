@@ -30,11 +30,10 @@ per-node: one replica's open circuit never blocks the others.
 
 from __future__ import annotations
 
-from collections import Counter as TallyCounter
 from typing import Any, Callable, Sequence
 
 from ..core import commands
-from ..obs import get_observer
+from ..obs import Tally
 from ..serve.client import ServerError, _OpsMixin
 from ..serve.protocol import ErrorCode
 from ..serve.resilience import CircuitOpenError, RetryingClient
@@ -81,7 +80,7 @@ class RoutedClient(_OpsMixin):
         #: The read-your-writes fence: highest acknowledged WAL seq.
         self.min_seq = 0
         self.fence = fence
-        self.counters: TallyCounter = TallyCounter()
+        self.counters = Tally()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -111,10 +110,6 @@ class RoutedClient(_OpsMixin):
                 pass
 
     # -- routing -------------------------------------------------------------
-
-    def _tick(self, name: str, amount: int = 1) -> None:
-        self.counters[name] += amount
-        get_observer().add(name, amount)
 
     @staticmethod
     def _fans_out(op: str) -> bool:
@@ -151,20 +146,20 @@ class RoutedClient(_OpsMixin):
             try:
                 result = node.request(op, **params)
             except CircuitOpenError as error:
-                self._tick("routed.failover")
+                self.counters.add("routed.failover")
                 last_error = error
                 continue
             except (ConnectionError, TimeoutError, OSError) as error:
-                self._tick("routed.failover")
+                self.counters.add("routed.failover")
                 last_error = error
                 continue
             except ServerError as error:
                 if error.code in _REDIRECT_CODES and not final:
-                    self._tick("routed.redirects")
+                    self.counters.add("routed.redirects")
                     last_error = error
                     continue
                 raise
-            self._tick("routed.primary_reads" if final
+            self.counters.add("routed.primary_reads" if final
                        else "routed.replica_reads")
             return result
         raise last_error  # type: ignore[misc]  # plan is never empty

@@ -288,11 +288,10 @@ class FaultInjector:
     first one that fires as a :class:`FaultAction` (or ``None``).
     Rules that match but do not fire still advance their counters and
     RNG stream, so decisions are a pure function of the per-rule match
-    sequences.  Every injection is appended to :attr:`injected` and
-    tallied into ``counters`` (``serve.fault.injected`` and
-    ``serve.fault.<kind>``) — the server mirrors those into
-    :mod:`repro.obs` and emits the ``serve.fault`` span at the point
-    the fault is applied.
+    sequences.  Every injection is appended to :attr:`injected`; the
+    server counts it in its tally (``serve.fault.injected`` and
+    ``serve.fault.<kind>``) and emits the ``serve.fault`` span at the
+    point the fault is applied.
     """
 
     def __init__(self, plan: FaultPlan) -> None:

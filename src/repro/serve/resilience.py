@@ -38,8 +38,9 @@ loop:
 Every retry sleep is traced as a ``client.retry`` span and counted
 (``client.retry.attempts``, ``client.retry.reconnects``,
 ``client.retry.reopens``, ``client.retry.exhausted``,
-``client.retry.circuit_open``) through :mod:`repro.obs`; the same
-tallies are kept on the wrapper's always-on ``counters``.
+``client.retry.circuit_open``) on the wrapper's always-on ``counters``,
+a :class:`~repro.obs.Tally` that mirrors each count into the installed
+observer.
 
 One layer up, :class:`repro.replicate.RoutedClient` composes a
 *fleet* of these wrappers — one per replica plus the primary — and
@@ -53,12 +54,11 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from collections import Counter as TallyCounter
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..core import commands
-from ..obs import get_observer
+from ..obs import Tally, get_observer
 from .client import AsyncClient, Client, ServerError, _OpsMixin
 from .protocol import ErrorCode
 
@@ -228,18 +228,12 @@ class _ResilienceCore(_OpsMixin):
         self._clock = clock
         self._sessions: dict[str, _SessionLog] = {}
         self._replaying = False
-        #: Always-on local tallies (mirrored into the observer).
-        self.counters: TallyCounter = TallyCounter()
-
-    # -- counters / spans ---------------------------------------------------
-
-    def _tick(self, name: str, amount: int = 1) -> None:
-        self.counters[name] += amount
-        get_observer().add(name, amount)
+        #: Always-on counts of this client (mirrored into the observer).
+        self.counters = Tally()
 
     def _check_circuit(self) -> None:
         if not self.breaker.allow():
-            self._tick("client.retry.circuit_open")
+            self.counters.add("client.retry.circuit_open")
             raise CircuitOpenError(
                 "circuit breaker is open after "
                 f"{self.breaker.failures} consecutive failures",
@@ -355,7 +349,7 @@ class RetryingClient(_ResilienceCore):
     def _reopen(self, name: str) -> None:
         """Replay a tracked session after ``unknown_session``."""
         log = self._sessions[name]
-        self._tick("client.retry.reopens")
+        self.counters.add("client.retry.reopens")
         self._replaying = True
         try:
             self.open(name, log.schema, log.dependencies,
@@ -396,11 +390,11 @@ class RetryingClient(_ResilienceCore):
             delay = self.policy.next_delay(attempt,
                                            self._clock() - started, self._rng)
             if delay is None:
-                self._tick("client.retry.exhausted")
+                self.counters.add("client.retry.exhausted")
                 raise last_error
-            self._tick("client.retry.attempts")
+            self.counters.add("client.retry.attempts")
             if code == "connection":
-                self._tick("client.retry.reconnects")
+                self.counters.add("client.retry.reconnects")
             with get_observer().span("client.retry", op=op, attempt=attempt,
                                      code=code, sleep_s=round(delay, 6)):
                 if delay > 0:
@@ -468,7 +462,7 @@ class RetryingAsyncClient(_ResilienceCore):
 
     async def _reopen(self, name: str) -> None:
         log = self._sessions[name]
-        self._tick("client.retry.reopens")
+        self.counters.add("client.retry.reopens")
         self._replaying = True
         try:
             await self.open(name, log.schema, log.dependencies,
@@ -512,11 +506,11 @@ class RetryingAsyncClient(_ResilienceCore):
             delay = self.policy.next_delay(attempt,
                                            self._clock() - started, self._rng)
             if delay is None:
-                self._tick("client.retry.exhausted")
+                self.counters.add("client.retry.exhausted")
                 raise last_error
-            self._tick("client.retry.attempts")
+            self.counters.add("client.retry.attempts")
             if code == "connection":
-                self._tick("client.retry.reconnects")
+                self.counters.add("client.retry.reconnects")
             with get_observer().span("client.retry", op=op, attempt=attempt,
                                      code=code, sleep_s=round(delay, 6)):
                 if delay > 0:

@@ -26,11 +26,11 @@ server:
   the server stops accepting, answers new requests with
   ``shutting_down``, drains parked work, then closes the store.
 
-Instrumentation: always-on plain counters surfaced through the
-``metrics`` op, plus :mod:`repro.obs` spans (``serve.request``,
-``serve.evict``) and counters when an observer is installed.  Span
-parenting is exact for inline requests and best-effort across parked
-ones — see docs/SERVER.md.
+Instrumentation: an always-on :class:`~repro.obs.Tally` reported by
+the ``metrics`` op and mirrored into the installed observer, plus
+:mod:`repro.obs` spans (``serve.request``, ``serve.evict``) when one
+is installed.  Span parenting is exact for inline requests and
+best-effort across parked ones — see docs/SERVER.md.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import signal
 import time
-from collections import Counter as TallyCounter
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -49,7 +48,7 @@ from ..core import commands
 from ..core.session import Session
 from ..dependencies.dependency import Dependency
 from ..exceptions import ReproError
-from ..obs import get_observer
+from ..obs import Tally, get_observer
 from ..store import SessionStore
 from .faults import FaultAction, FaultInjector, FaultPlan
 from .protocol import (
@@ -173,19 +172,19 @@ class SessionManager:
     """Named sessions with LRU + idle-TTL eviction.
 
     Pure bookkeeping — no I/O, no asyncio — so it is directly unit
-    testable.  ``counters`` is the server's always-on tally; eviction
-    also emits ``serve.evict`` spans and ``serve.evictions`` counters
-    through the installed observer.
+    testable.  ``counters`` is the server's :class:`~repro.obs.Tally`
+    (its own when none is given); eviction also emits a ``serve.evict``
+    span through the installed observer.
     """
 
     def __init__(self, *, max_sessions: int = 64,
                  idle_ttl: float | None = None,
-                 counters: TallyCounter | None = None) -> None:
+                 counters: Tally | None = None) -> None:
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be >= 1, got {max_sessions!r}")
         self.max_sessions = max_sessions
         self.idle_ttl = idle_ttl
-        self.counters = counters if counters is not None else TallyCounter()
+        self.counters = Tally() if counters is None else counters
         self._sessions: "OrderedDict[str, ManagedSession]" = OrderedDict()
         #: The next session opening's epoch.
         self._next_epoch = 1
@@ -210,24 +209,8 @@ class SessionManager:
                 ErrorCode.SESSION_EXISTS,
                 f"session {name!r} is already open (pass replace to recreate)",
             )
-        try:
-            root = parse_attribute(schema) if isinstance(schema, str) else schema
-            session = Session(root, dependencies, engine=engine)
-        except ProtocolError:
-            raise
-        except (ReproError, ValueError) as error:
-            raise ProtocolError(ErrorCode.BAD_PARAMS, str(error)) from error
-        managed = ManagedSession(name, session,
-                                 time.monotonic() if now is None else now,
-                                 self._next_epoch)
-        self._next_epoch += 1
-        self._sessions[name] = managed
-        self._sessions.move_to_end(name)
-        self.counters["serve.sessions_opened"] += 1
-        while len(self._sessions) > self.max_sessions:
-            victim, _ = self._sessions.popitem(last=False)
-            self._evicted(victim, "lru")
-        return managed
+        return self._install(name, schema, dependencies, engine, now,
+                             "serve.sessions_opened")
 
     def restore(self, name: str, schema: str | NestedAttribute,
                 dependencies: Iterable[Dependency | str] = (), *,
@@ -241,13 +224,35 @@ class SessionManager:
         moves past it so later opens cannot collide.  Counted as a
         restore, not an open.
         """
-        managed = self.open(name, schema, dependencies, engine=engine,
-                            replace=True)
+        managed = self._install(name, schema, dependencies, engine, None,
+                                "serve.sessions_restored")
         managed.epoch = epoch
         managed.generation = generation
         self._next_epoch = max(self._next_epoch, epoch + 1)
-        self.counters["serve.sessions_opened"] -= 1
-        self.counters["serve.sessions_restored"] += 1
+        return managed
+
+    def _install(self, name: str, schema: str | NestedAttribute,
+                 dependencies: Iterable[Dependency | str],
+                 engine: str | None, now: float | None,
+                 count_as: str) -> ManagedSession:
+        """Build a session under the next epoch as ``name``'s holder."""
+        try:
+            root = parse_attribute(schema) if isinstance(schema, str) else schema
+            session = Session(root, dependencies, engine=engine)
+        except ProtocolError:
+            raise
+        except (ReproError, ValueError) as error:
+            raise ProtocolError(ErrorCode.BAD_PARAMS, str(error)) from error
+        managed = ManagedSession(name, session,
+                                 time.monotonic() if now is None else now,
+                                 self._next_epoch)
+        self._next_epoch += 1
+        self._sessions[name] = managed
+        self._sessions.move_to_end(name)
+        self.counters.add(count_as)
+        while len(self._sessions) > self.max_sessions:
+            victim, _ = self._sessions.popitem(last=False)
+            self._evicted(victim, "lru")
         return managed
 
     def snapshot_state(self) -> dict[str, dict[str, Any]]:
@@ -276,7 +281,7 @@ class SessionManager:
         if managed is None:
             raise ProtocolError(ErrorCode.UNKNOWN_SESSION,
                                 f"no session named {name!r}")
-        self.counters["serve.sessions_closed"] += 1
+        self.counters.add("serve.sessions_closed")
         return managed
 
     def peek(self, name: str) -> ManagedSession:
@@ -300,13 +305,10 @@ class SessionManager:
         return len(victims)
 
     def _evicted(self, name: str, reason: str) -> None:
-        self.counters["serve.evictions"] += 1
-        self.counters[f"serve.evictions.{reason}"] += 1
-        obs = get_observer()
-        if obs.enabled:
-            obs.add("serve.evictions")
-            with obs.span("serve.evict", session=name, reason=reason):
-                pass
+        self.counters.add("serve.evictions")
+        self.counters.add(f"serve.evictions.{reason}")
+        with get_observer().span("serve.evict", session=name, reason=reason):
+            pass
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +355,7 @@ class ReasoningServer:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config if config is not None else ServeConfig()
-        self.counters: TallyCounter = TallyCounter()
+        self.counters = Tally()
         self.sessions = SessionManager(
             max_sessions=self.config.max_sessions,
             # A follower must keep every replicated session resident:
@@ -529,7 +531,7 @@ class ReasoningServer:
                              writer: asyncio.StreamWriter) -> None:
         conn = _Connection(writer, asyncio.current_task())
         self._connections.add(conn)
-        self.counters["serve.connections"] += 1
+        self.counters.add("serve.connections")
         try:
             while True:
                 try:
@@ -564,8 +566,8 @@ class ReasoningServer:
         try:
             request = decode_request(line)
         except ProtocolError as error:
-            self._count("serve.errors")
-            self._count(f"serve.errors.{error.code}")
+            self.counters.add("serve.errors")
+            self.counters.add(f"serve.errors.{error.code}")
             conn.send(error_response(_recover_id(line), error.code,
                                      error.message))
             return
@@ -573,8 +575,8 @@ class ReasoningServer:
             # Liveness must stay observable when the server is sick:
             # health bypasses backpressure, draining refusal and fault
             # injection, and never counts against the inflight caps.
-            self._count("serve.requests")
-            self._count("serve.requests.health")
+            self.counters.add("serve.requests")
+            self.counters.add("serve.requests.health")
             conn.send(ok_response(request.id, self._op_health()))
             return
         if self._draining:
@@ -584,7 +586,7 @@ class ReasoningServer:
             return
         if (len(conn.parked) >= self.config.max_pending_per_conn
                 or self._inflight >= self.config.max_inflight):
-            self._count("serve.overloads")
+            self.counters.add("serve.overloads")
             conn.send(error_response(
                 request.id, ErrorCode.OVERLOADED,
                 f"server at capacity (inflight={self._inflight}, "
@@ -622,8 +624,8 @@ class ReasoningServer:
 
     async def _faulted(self, conn: _Connection, request: Request,
                        fault: FaultAction) -> None:
-        self._count("serve.fault.injected")
-        self._count(f"serve.fault.{fault.kind}")
+        self.counters.add("serve.fault.injected")
+        self.counters.add(f"serve.fault.{fault.kind}")
         if not await self._inject_pre(conn, request, fault):
             self._serve(conn, request, fault)
 
@@ -659,7 +661,7 @@ class ReasoningServer:
     def _error(self, error: Exception) -> tuple[str, str]:
         if isinstance(error, (TimeoutError, asyncio.TimeoutError)):
             # asyncio.wait_for, or the Deadline implies_batch polls
-            self._count("serve.timeouts")
+            self.counters.add("serve.timeouts")
             return (ErrorCode.TIMEOUT, f"request exceeded the "
                     f"{self.config.request_timeout}s deadline")
         if isinstance(error, ProtocolError):
@@ -669,8 +671,8 @@ class ReasoningServer:
         else:
             code = ErrorCode.INTERNAL
             message = f"{type(error).__name__}: {error}"
-        self._count("serve.errors")
-        self._count(f"serve.errors.{code}")
+        self.counters.add("serve.errors")
+        self.counters.add(f"serve.errors.{code}")
         return code, message
 
     # -- fault application (tests only; see repro.serve.faults) --------------
@@ -729,11 +731,6 @@ class ReasoningServer:
 
     # -- request execution ---------------------------------------------------
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        """Tick an always-on tally and mirror it into the observer."""
-        self.counters[name] += amount
-        get_observer().add(name, amount)
-
     def _dispatch(self, request: Request) -> Any:
         """Registry dispatch: build the typed command, run it, return
         its result — or a coroutine of it if the request waits (an
@@ -748,8 +745,8 @@ class ReasoningServer:
         the handler table built from the same registry in
         :meth:`_bind_admin_handlers`.
         """
-        self._count("serve.requests")
-        self._count(f"serve.requests.{request.op}")
+        self.counters.add("serve.requests")
+        self.counters.add(f"serve.requests.{request.op}")
         try:
             command = commands.from_wire(request.op, request.params)
         except KeyError:                                    # pragma: no cover
@@ -800,7 +797,7 @@ class ReasoningServer:
             command = command.bind(session)
             masks = command.lhs_masks(session)
             if not masks or not all(map(session.is_cached, masks)):
-                self._count("serve.shed_cold")
+                self.counters.add("serve.shed_cold")
                 raise ProtocolError(
                     ErrorCode.OVERLOADED,
                     f"shedding cold closure work near capacity "
@@ -852,7 +849,7 @@ class ReasoningServer:
                                                self.config.fence_wait)
             span.set(ok=ok)
         if not ok:
-            self._count("serve.fence_timeouts")
+            self.counters.add("serve.fence_timeouts")
             raise ProtocolError(
                 ErrorCode.REPLICA_BEHIND,
                 f"replica at seq {replicator.applied_seq} did not reach "
@@ -931,14 +928,14 @@ class ReasoningServer:
             if records is None:
                 # the tail is not contiguously servable from from_seq:
                 # ship a snapshot bootstrap instead
-                self._count("replicate.resets_served")
+                self.counters.add("replicate.resets_served")
                 span.set(records=0, last_seq=store.last_seq)
                 return {"records": [], "last_seq": store.last_seq,
                         "reset": {"last_seq": store.last_seq,
                                   "sessions": self.sessions.snapshot_state()}}
             span.set(records=len(records), last_seq=store.last_seq)
             if records:
-                self._count("replicate.shipped", len(records))
+                self.counters.add("replicate.shipped", len(records))
             return {"records": encode_batch(records),
                     "last_seq": store.last_seq}
 
@@ -946,7 +943,7 @@ class ReasoningServer:
             self, command: commands.ReplicateAck) -> dict[str, Any]:
         store = self._require_wal()
         acked = self._followers.ack(command.follower, command.seq)
-        self._count("replicate.acks")
+        self.counters.add("replicate.acks")
         return {"acked": acked, "last_seq": store.last_seq}
 
     def _op_replicate_status(

@@ -26,7 +26,7 @@ import json
 import os
 from typing import Any, Mapping
 
-from ..obs import get_observer
+from ..obs import Tally, get_observer
 from .manifest import atomic_write, fsync_dir
 from .wal import WalCorruptionError, apply_crash, crash_action
 
@@ -47,7 +47,7 @@ def snapshot_name(last_seq: int) -> str:
 
 
 def write_snapshot(data_dir: str, sessions: Mapping[str, Mapping[str, Any]],
-                   last_seq: int, *, counters: Any | None = None,
+                   last_seq: int, *, counters: Tally | None = None,
                    faults: Any | None = None) -> str:
     """Write one snapshot atomically; returns its file name.
 
@@ -72,9 +72,9 @@ def write_snapshot(data_dir: str, sessions: Mapping[str, Mapping[str, Any]],
             span.set(bytes=len(payload))
     else:
         _write(path, payload, action)
-    if counters is not None:
-        counters["store.snapshots"] += 1
-        counters["store.snapshot_bytes"] += len(payload)
+    counters = Tally() if counters is None else counters
+    counters.add("store.snapshots")
+    counters.add("store.snapshot_bytes", len(payload))
     return name
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 from typing import Any, Mapping
 
-from ..obs import get_observer
+from ..obs import Tally, get_observer
 from .manifest import (
     Manifest,
     load_manifest,
@@ -63,7 +63,7 @@ class SessionStore:
                  fsync_interval_s: float = 0.05,
                  compact_records: int = 4096,
                  compact_bytes: int = 1 << 22,
-                 counters: Any | None = None,
+                 counters: Tally | None = None,
                  faults: Any | None = None) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(f"fsync policy must be one of "
@@ -75,7 +75,7 @@ class SessionStore:
         self.fsync_interval_s = fsync_interval_s
         self.compact_records = compact_records
         self.compact_bytes = compact_bytes
-        self.counters = counters
+        self.counters = Tally() if counters is None else counters
         self.faults = faults
         self._manifest: Manifest | None = None
         self._writer: WalWriter | None = None
@@ -86,7 +86,6 @@ class SessionStore:
         #: Each tail record's encoded size in bytes, same indexes.
         self._tail_sizes: list[int] = []
         self._report: RecoveryReport | None = None
-        self._compactions = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -119,13 +118,12 @@ class SessionStore:
                                     self._manifest.segments[-1])
                 with open(last, "ab") as handle:
                     handle.truncate(report.last_segment_valid_bytes)
-                if self.counters is not None:
-                    self.counters["store.torn_records"] += report.torn
+                self.counters.add("store.torn_records", report.torn)
             keep = (frozenset(self._manifest.segments)
                     | frozenset({self._manifest.snapshot} - {None}))
             orphans = remove_stale(self.data_dir, keep)
-            if orphans and self.counters is not None:
-                self.counters["store.orphans_removed"] += orphans
+            if orphans:
+                self.counters.add("store.orphans_removed", orphans)
         self._next_seq = report.next_seq
         self._tail = _consecutive_tail(report.records, self.last_seq)
         self._tail_sizes = [len(encode_record(r.seq, r.op, r.params))
@@ -140,9 +138,8 @@ class SessionStore:
             start_records=report.last_segment_records,
             start_bytes=report.last_segment_valid_bytes,
             counters=self.counters, faults=self.faults)
-        if self.counters is not None:
-            self.counters["store.recoveries"] += 1
-            self.counters["store.replayed"] += report.replayed
+        self.counters.add("store.recoveries")
+        self.counters.add("store.replayed", report.replayed)
         self._report = report
         return report
 
@@ -297,9 +294,7 @@ class SessionStore:
         start = len(self._tail) - keep
         self._tail = self._tail[start:]
         self._tail_sizes = self._tail_sizes[start:]
-        self._compactions += 1
-        if self.counters is not None:
-            self.counters["store.compactions"] += 1
+        self.counters.add("store.compactions")
         return {"snapshot": self._manifest.snapshot,
                 "last_seq": self.last_seq, "segments_removed": removed}
 
@@ -348,7 +343,7 @@ class SessionStore:
             "data_dir": self.data_dir,
             "fsync": self.fsync,
             "last_seq": self.last_seq,
-            "compactions": self._compactions,
+            "compactions": self.counters["store.compactions"],
             "tail_records": len(self._tail),
         }
         if self._writer is not None:

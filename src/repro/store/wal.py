@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..exceptions import ReproError
-from ..obs import get_observer
+from ..obs import Tally, get_observer
 
 __all__ = ["FSYNC_POLICIES", "StoreError", "WalCorruptionError",
            "WalRecord", "WalWriter", "encode_record", "decode_record",
@@ -202,7 +202,7 @@ class WalWriter:
     def __init__(self, path: str, *, fsync: str = "interval",
                  fsync_interval_s: float = 0.05,
                  start_records: int = 0, start_bytes: int = 0,
-                 counters: Any | None = None,
+                 counters: Tally | None = None,
                  faults: Any | None = None) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(f"fsync policy must be one of "
@@ -212,7 +212,7 @@ class WalWriter:
         self.fsync_interval_s = fsync_interval_s
         self.records = start_records
         self.bytes = start_bytes
-        self._counters = counters
+        self._counters = Tally() if counters is None else counters
         self._faults = faults
         self._handle = open(path, "ab")
         self._last_fsync = time.monotonic()
@@ -232,9 +232,8 @@ class WalWriter:
             self._write(data, action)
         self.records += 1
         self.bytes += len(data)
-        if self._counters is not None:
-            self._counters["store.appends"] += 1
-            self._counters["store.append_bytes"] += len(data)
+        self._counters.add("store.appends")
+        self._counters.add("store.append_bytes", len(data))
         self._maybe_fsync()
         return len(data)
 
@@ -270,8 +269,7 @@ class WalWriter:
         else:
             os.fsync(self._handle.fileno())
         self._last_fsync = time.monotonic()
-        if self._counters is not None:
-            self._counters["store.fsyncs"] += 1
+        self._counters.add("store.fsyncs")
 
     def close(self) -> None:
         """Flush (and, unless ``off``, fsync) then close the segment."""

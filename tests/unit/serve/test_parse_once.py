@@ -1,9 +1,11 @@
 """Each text side of a served request is parsed exactly once, to a mask.
 
-The server binds a command (:meth:`repro.core.commands.Command.bind`)
-before it runs, so its shed-cold check and the run share one parse.  A
-side is parsed by :meth:`repro.attributes.encoding.BasisEncoding.parse`,
-straight to its mask; the structural parser
+The server runs a command unbound, and the run parses each side once.
+Only a cold command near capacity is bound first
+(:meth:`repro.core.commands.Command.bind`), so that the shed-cold check
+and the run share one parse.  A side is parsed by
+:meth:`repro.attributes.encoding.BasisEncoding.parse`, straight to its
+mask; the structural parser
 (:func:`repro.attributes.parser.parse_subattribute`) is reached only
 for texts the mask walk hands over, and none of the valid requests here
 is one.  The structural counts are real calls: every module that

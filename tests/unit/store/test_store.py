@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from repro.obs import Tally
 from repro.serve.server import SessionManager
 from repro.store import (
     SessionStore,
@@ -135,7 +136,7 @@ class TestRecover:
         clean = path.read_bytes()
         path.write_bytes(clean + encode_record(3, "add", {})[:12])
 
-        counters = Counter()
+        counters = Tally()
         store2 = fresh_store(tmp_path, counters=counters)
         assert counters["store.torn_records"] == 1
         assert store2.stats()["torn_records"] == 1
@@ -252,7 +253,7 @@ class TestSnapshotCompact:
         (tmp_path / "wal-00000009.log").write_bytes(b"")
         (tmp_path / "snapshot-1.json.tmp").write_bytes(b"")
 
-        counters = Counter()
+        counters = Tally()
         fresh_store(tmp_path, counters=counters).close()
         assert counters["store.orphans_removed"] == 3
         names = set(os.listdir(tmp_path))

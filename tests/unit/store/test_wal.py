@@ -129,8 +129,8 @@ class TestWalWriter:
         assert tail == b""
 
     def test_counters_and_sizes(self, tmp_path):
-        from collections import Counter
-        counters = Counter()
+        from repro.obs import Tally
+        counters = Tally()
         path = str(tmp_path / "wal-00000001.log")
         writer = WalWriter(path, fsync="always", counters=counters)
         n = writer.append(1, "add", {})
@@ -141,8 +141,8 @@ class TestWalWriter:
         writer.close()
 
     def test_interval_policy_skips_most_fsyncs(self, tmp_path):
-        from collections import Counter
-        counters = Counter()
+        from repro.obs import Tally
+        counters = Tally()
         writer = WalWriter(str(tmp_path / "wal-00000001.log"),
                            fsync="interval", fsync_interval_s=3600.0,
                            counters=counters)
