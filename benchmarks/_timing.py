@@ -101,3 +101,21 @@ def paired_speedup(fn_slow, fn_fast, args=(), *,
         times_fast.append(fast)
         ratios.append(slow / max(fast, 1e-12))
     return median(times_slow), median(times_fast), median(ratios)
+
+
+def paired_measure(measure_a, measure_b, *,
+                   rounds: int = 7) -> tuple[float, float, float]:
+    """Interleaved paired rounds of two measurements of any unit.
+
+    ``measure_a()`` and ``measure_b()`` each return one sample (a CPU
+    time per request, say) and run alternately for ``rounds`` rounds.
+    Returns ``(median_a, median_b, median_diff)`` where ``median_diff``
+    is the median of the per-round differences ``b - a``.
+    """
+    samples_a: list[float] = []
+    samples_b: list[float] = []
+    for _ in range(rounds):
+        samples_a.append(measure_a())
+        samples_b.append(measure_b())
+    diffs = [b - a for a, b in zip(samples_a, samples_b)]
+    return median(samples_a), median(samples_b), median(diffs)

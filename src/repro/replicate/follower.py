@@ -61,7 +61,6 @@ class Replicator:
         self.applied_seq = store.last_seq if store is not None else 0
         self.state = "connecting"
         self.error: str | None = None
-        self.resets = 0
         self.batches = 0
         self._task: asyncio.Task | None = None
         self._stopping = False
@@ -69,6 +68,11 @@ class Replicator:
         self._waiters: list[tuple[int, asyncio.Future]] = []
 
     # -- lifecycle -----------------------------------------------------------
+
+    @property
+    def resets(self) -> int:
+        """Snapshot bootstraps applied (the ``replicate.resets`` tally)."""
+        return self.counters["replicate.resets"]
 
     @property
     def primary_name(self) -> str:
@@ -251,6 +255,5 @@ class Replicator:
                 self.store.reset_to(self.manager.snapshot_state(),
                                     reset["last_seq"])
             self.applied_seq = reset["last_seq"]
-        self.resets += 1
         self.counters.add("replicate.resets")
         self._resolve_waiters()

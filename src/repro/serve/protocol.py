@@ -122,10 +122,15 @@ class Request:
                 "params": dict(self.params)}
 
 
+#: ``json.dumps`` with keyword arguments builds a fresh ``JSONEncoder``
+#: per call; every response reuses this one instead.
+_encode_json = json.JSONEncoder(ensure_ascii=False,
+                                separators=(",", ":")).encode
+
+
 def encode(message: dict[str, Any]) -> bytes:
     """Serialise one protocol message to a wire line (bytes incl. ``\\n``)."""
-    return json.dumps(message, ensure_ascii=False,
-                      separators=(",", ":")).encode("utf-8") + b"\n"
+    return _encode_json(message).encode("utf-8") + b"\n"
 
 
 def _decode_object(line: bytes | str) -> dict[str, Any]:

@@ -17,14 +17,19 @@ server:
   computing it).  Reads scale across cores through read replicas
   (:mod:`repro.replicate`), one process each.
 
-* **Backpressure + deadlines** — a request that does not wait is
-  answered in its connection's reader loop, which yields once per line
-  and awaits ``drain()`` before reading on.  Requests that wait are
-  parked as tasks under ``request_timeout``, at most ``max_inflight``
-  server-wide and ``max_pending_per_conn`` per connection; past a cap
-  a request gets an immediate typed ``overloaded`` error.  On SIGTERM
-  the server stops accepting, answers new requests with
-  ``shutting_down``, drains parked work, then closes the store.
+* **Backpressure + deadlines** — each connection is an
+  :class:`asyncio.Protocol` that answers a request that does not wait
+  in ``data_received``, at most ``_LINES_PER_TURN`` lines before the
+  other connections get a turn (``call_soon``).  While the transport's
+  write buffer is over its high-water mark (``pause_writing``) it
+  answers nothing and reads nothing; a connection waiting for its turn
+  is the *backlog* that ``shed_cold_at`` counts.  Requests that wait
+  are parked as tasks under ``request_timeout``, at most
+  ``max_inflight`` server-wide and ``max_pending_per_conn`` per
+  connection; past a cap a request gets an immediate typed
+  ``overloaded`` error.  On SIGTERM the server stops accepting,
+  answers new requests with ``shutting_down``, drains parked work,
+  then closes the transports and the store.
 
 Instrumentation: an always-on :class:`~repro.obs.Tally` reported by
 the ``metrics`` op and mirrored into the installed observer, plus
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import signal
+import sys
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -314,21 +320,102 @@ class SessionManager:
 # --------------------------------------------------------------------------
 # The server
 
-class _Connection:
-    """Per-connection state: writer, reader-loop task, parked requests."""
+#: Lines one connection answers per event-loop turn before the other
+#: connections get theirs.
+_LINES_PER_TURN = 2
 
-    __slots__ = ("writer", "task", "parked")
 
-    def __init__(self, writer: asyncio.StreamWriter,
-                 task: asyncio.Task) -> None:
-        self.writer = writer
-        self.task = task
+class _Connection(asyncio.Protocol):
+    """One client connection: frames request lines, answers them in
+    turns, holds its parked requests."""
+
+    __slots__ = ("server", "transport", "parked", "_buffer", "_writable",
+                 "_eof", "_turn")
+
+    def __init__(self, server: "ReasoningServer") -> None:
+        self.server = server
         self.parked: set[asyncio.Task] = set()
+        self._buffer = bytearray()  # received, not yet answered
+        #: ``False`` from ``pause_writing`` until ``resume_writing``.
+        self._writable = True
+        self._eof = False
+        #: The scheduled next turn (counted in the server's backlog).
+        self._turn: asyncio.Handle | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server.counters.add("serve.connections")
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._connections.discard(self)
+        if self._turn is not None:
+            self._turn.cancel()
+            self.server._backlog -= 1
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        if len(self._buffer) > 2 * self.server.config.max_line_bytes:
+            self.transport.pause_reading()
+        self._handle()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._handle()
+        return True  # _handle closes once the buffered lines are answered
+
+    def pause_writing(self) -> None:
+        self._writable = False
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._writable = True
+        self._schedule()  # not inline: the transport is mid-write
+
+    def _schedule(self) -> None:
+        if self._turn is None:
+            self.server._backlog += 1
+            self._turn = asyncio.get_running_loop().call_soon(
+                self._handle, True)
+
+    def _handle(self, turn: bool = False) -> None:
+        """Answer up to ``_LINES_PER_TURN`` buffered lines, then take
+        another turn, read on, or close."""
+        if turn:
+            self._turn = None
+            self.server._backlog -= 1
+        elif self._turn is not None:
+            return  # the scheduled turn answers what arrived
+        transport, buffer = self.transport, self._buffer
+        limit = self.server.config.max_line_bytes
+        start = 0
+        for _ in range(_LINES_PER_TURN):
+            end = buffer.find(b"\n", start)
+            if (end < 0 or end - start > limit or not self._writable
+                    or transport.is_closing()):
+                break
+            line = bytes(buffer[start:end + 1])
+            start = end + 1
+            if line.strip():
+                self.server._admit(self, line)
+        del buffer[:start]
+        if not self._writable or transport.is_closing():
+            return  # resume_writing schedules the next turn
+        end = buffer.find(b"\n")
+        if end > limit or (end < 0 and (self._eof or len(buffer) > limit)):
+            # an over-long line cannot be resynchronised; at EOF a
+            # trailing partial line is ignored
+            transport.close()
+            return
+        if end >= 0:
+            self._schedule()  # more lines, after the other connections
+        if len(buffer) <= limit:
+            transport.resume_reading()
 
     def send(self, message: dict[str, Any]) -> None:
         """Write one response frame (one ``write``: never interleaved)."""
-        if not self.writer.is_closing():
-            self.writer.write(encode(message))
+        if not self.transport.is_closing():
+            self.transport.write(encode(message))
 
 
 class ReasoningServer:
@@ -376,8 +463,8 @@ class ReasoningServer:
         self._address: tuple[str, int] | None = None
         #: Parked requests: the only requests the server holds.
         self._tasks: set[asyncio.Task] = set()
-        #: Backlog: lines read and waiting for their turn in the event
-        #: loop (at most one per connection).
+        #: Backlog: connections holding a received line and waiting for
+        #: their turn in the event loop (at most one count each).
         self._backlog = 0
         self._connections: set[_Connection] = set()
         self._draining = False
@@ -424,10 +511,8 @@ class ReasoningServer:
                 counters=self.counters, faults=self.faults)
             self.store.start(self.sessions)
         self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port,
-            limit=self.config.max_line_bytes,
-        )
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.config.host, self.config.port)
         sockname = self._server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
         self._started_at = time.monotonic()
@@ -498,8 +583,9 @@ class ReasoningServer:
         # their (possibly empty) batch instead of a cancelled request.
         self._wake_wal_waiters()
         if self._server is not None:
+            # stop accepting; wait_closed() would wait for every
+            # connection to end (Python 3.12+), and they close below
             self._server.close()
-            await self._server.wait_closed()
         if self._tasks:
             _done, pending = await asyncio.wait(
                 set(self._tasks),
@@ -507,15 +593,12 @@ class ReasoningServer:
             for task in pending:
                 task.cancel()
             await asyncio.gather(*self._tasks, return_exceptions=True)
-        stopping = [conn.task for conn in self._connections]
         for conn in list(self._connections):
-            conn.writer.close()
-            conn.task.cancel()
+            conn.transport.close()
         if self._sweeper is not None:
             self._sweeper.cancel()
-            stopping.append(self._sweeper)
+            await asyncio.gather(self._sweeper, return_exceptions=True)
             self._sweeper = None
-        await asyncio.gather(*stopping, return_exceptions=True)
         if self.store is not None:
             self.store.close()
         self._stopped.set()
@@ -526,40 +609,6 @@ class ReasoningServer:
             self.sessions.sweep_idle()
 
     # -- connection handling -----------------------------------------------
-
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(writer, asyncio.current_task())
-        self._connections.add(conn)
-        self.counters.add("serve.connections")
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ValueError, ConnectionError):
-                    break  # over-long line or dropped peer: cannot resync
-                if not line or not line.endswith(b"\n"):
-                    break  # EOF (a trailing partial line is ignored)
-                # Connections take turns: readline() and drain() need
-                # not suspend, so yield once per line, as backlog.
-                self._backlog += 1
-                try:
-                    await asyncio.sleep(0)
-                finally:
-                    self._backlog -= 1
-                if line.strip():
-                    self._admit(conn, line)
-                # Backpressure: read on only once the write buffer is
-                # below its high-water mark.
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    break
-        except asyncio.CancelledError:
-            pass  # server shutdown closes connections deliberately
-        finally:
-            self._connections.discard(conn)
-            writer.close()
 
     def _admit(self, conn: _Connection, line: bytes) -> None:
         """The request path: decode, gate, answer — or park if it waits."""
@@ -634,8 +683,7 @@ class ReasoningServer:
                       fault: FaultAction | None) -> None:
         """Await a parked request under ``request_timeout``; answer it."""
         try:
-            result = await asyncio.wait_for(waiting,
-                                            self.config.request_timeout)
+            result = await _within(self.config.request_timeout, waiting)
         except asyncio.CancelledError:
             with span:  # shutdown cancelled the wait: close its span
                 raise
@@ -660,7 +708,8 @@ class ReasoningServer:
 
     def _error(self, error: Exception) -> tuple[str, str]:
         if isinstance(error, (TimeoutError, asyncio.TimeoutError)):
-            # asyncio.wait_for, or the Deadline implies_batch polls
+            # a parked wait past its deadline, or the Deadline
+            # implies_batch polls
             self.counters.add("serve.timeouts")
             return (ErrorCode.TIMEOUT, f"request exceeded the "
                     f"{self.config.request_timeout}s deadline")
@@ -705,7 +754,7 @@ class ReasoningServer:
             with obs.span("serve.fault", op=request.op, kind="drop",
                           when="pre"):
                 pass
-            conn.writer.close()
+            conn.transport.close()
             return True
         return False
 
@@ -719,15 +768,15 @@ class ReasoningServer:
             with get_observer().span("serve.fault", op=request.op,
                                      kind="truncate"):
                 data = encode(message)
-                conn.writer.write(data[:max(1, len(data) // 2)])
-                conn.writer.close()
+                conn.transport.write(data[:max(1, len(data) // 2)])
+                conn.transport.close()
             return
         conn.send(message)
         if fault is not None and fault.kind == "drop" and fault.when == "post":
             with get_observer().span("serve.fault", op=request.op,
                                      kind="drop", when="post"):
                 pass
-            conn.writer.close()
+            conn.transport.close()
 
     # -- request execution ---------------------------------------------------
 
@@ -921,7 +970,7 @@ class ReasoningServer:
                 if remaining <= 0:
                     break
                 try:
-                    await asyncio.wait_for(self._appended.wait(), remaining)
+                    await _within(remaining, self._appended.wait())
                 except asyncio.TimeoutError:
                     break
                 records = store.records_since(command.from_seq, limit)
@@ -1030,6 +1079,19 @@ class ReasoningServer:
                 "idle_s": round(now - managed.last_used, 3),
             }
         return {"server": server, "sessions": sessions}
+
+
+async def _within(seconds: float | None, waiting: Any) -> Any:
+    """Await ``waiting`` within ``seconds`` (``None``: no deadline) in
+    the calling task; raises ``asyncio.TimeoutError`` past it.
+
+    Before Python 3.12, ``asyncio.wait_for`` runs a coroutine as a task
+    of its own: one more task and event-loop turn per parked request.
+    """
+    if sys.version_info < (3, 11):  # pragma: no cover - no asyncio.timeout
+        return await asyncio.wait_for(waiting, seconds)
+    async with asyncio.timeout(seconds):
+        return await waiting
 
 
 def _recover_id(line: bytes) -> int | str | None:

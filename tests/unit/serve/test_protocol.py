@@ -28,6 +28,20 @@ class TestFraming:
         assert b" " not in line  # compact separators
         assert "λ" in line.decode("utf-8")  # ensure_ascii off
 
+    @pytest.mark.parametrize("text", [
+        "R(λ) -> R(Visit[Drink(Bière)])", "tab\there, nul\x00, bell\x07",
+        'a "quoted" name', "back\\slash \\n not a newline", "line\nbreak",
+        "  🍺 \U0001f37a", "",
+    ])
+    def test_encode_matches_json_dumps(self, text):
+        """The shared encoder writes the bytes ``json.dumps`` would."""
+        for message in (ok_response(text, {"basis": [text, text[::-1]],
+                                           "implied": True, "n": 3}),
+                        error_response(None, ErrorCode.BAD_PARAMS, text)):
+            assert encode(message) == json.dumps(
+                message, ensure_ascii=False,
+                separators=(",", ":")).encode("utf-8") + b"\n"
+
     def test_request_round_trips(self):
         request = Request(7, "implies",
                           {"session": "s", "dependency": "R(A) -> R(B)"})

@@ -242,6 +242,142 @@ class TestServerOps:
         run(scenario())
 
 
+def _ping(request_id):
+    return b'{"v": 1, "id": %d, "op": "ping"}\n' % request_id
+
+
+async def _lines_until_eof(reader):
+    """Every response line the server sends before it closes."""
+    lines = []
+    while line := await asyncio.wait_for(reader.readline(), 5):
+        lines.append(json.loads(line))
+    return lines
+
+
+class TestFraming:
+    """How bytes on a connection become request lines: any split of
+    the stream into writes frames the same requests, a line over
+    ``max_line_bytes`` ends the connection after the lines before it
+    are answered, and a partial line at EOF is dropped."""
+
+    def test_a_request_written_one_byte_at_a_time(self):
+        line = (b'{"v": 1, "id": 5, "op": "closure", "params": {"session": '
+                b'"pub", "x": "Pubcrawl(Person)"}}\n')
+
+        async def scenario():
+            async with ReasoningServer(ServeConfig(idle_ttl=None)) as server:
+                host, port = server.address
+                async with await AsyncClient.connect(host, port) as client:
+                    await client.open("pub", SCHEMA, [MVD])
+                    expected = await client.closure("pub", "Pubcrawl(Person)")
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    for i in range(len(line)):
+                        writer.write(line[i:i + 1])
+                        await writer.drain()
+                        await asyncio.sleep(0.001)
+                    response = json.loads(await reader.readline())
+                finally:
+                    writer.close()
+            return expected, response
+
+        expected, response = run(scenario())
+        assert response["id"] == 5 and response["ok"]
+        assert response["result"]["closure"] == expected
+
+    def test_a_request_split_after_another_in_one_write(self):
+        second = _ping(2)
+
+        async def scenario():
+            async with ReasoningServer(ServeConfig(idle_ttl=None)) as server:
+                reader, writer = await asyncio.open_connection(
+                    *server.address)
+                try:
+                    writer.write(_ping(1) + second[:9])
+                    await writer.drain()
+                    first = json.loads(await reader.readline())
+                    await asyncio.sleep(0.01)
+                    writer.write(second[9:20])
+                    await writer.drain()
+                    await asyncio.sleep(0.01)
+                    writer.write(second[20:])
+                    return first, json.loads(await reader.readline())
+                finally:
+                    writer.close()
+
+        first, then = run(scenario())
+        assert (first["id"], first["ok"]) == (1, True)
+        assert (then["id"], then["ok"]) == (2, True)
+
+    @pytest.mark.parametrize("tail", [b"\n", b""],
+                             ids=["terminated", "unterminated"])
+    def test_an_over_long_line_closes_after_the_lines_before_it(self, tail):
+        limit = 200
+        padded = _ping(3)[:-1].ljust(limit) + b"\n"   # exactly the limit
+
+        async def scenario():
+            config = ServeConfig(idle_ttl=None, max_line_bytes=limit)
+            async with ReasoningServer(config) as server:
+                reader, writer = await asyncio.open_connection(
+                    *server.address)
+                try:
+                    writer.write(_ping(1) + _ping(2) + padded
+                                 + b"x" * (limit + 1) + tail + _ping(4))
+                    lines = await _lines_until_eof(reader)
+                finally:
+                    writer.close()
+                async with await AsyncClient.connect(
+                        *server.address) as client:
+                    alive = await client.ping()
+            return lines, alive
+
+        lines, alive = run(scenario())
+        assert [(line["id"], line["ok"]) for line in lines] == [
+            (1, True), (2, True), (3, True)]
+        assert alive["pong"] is True
+
+    def test_a_partial_line_at_eof_is_ignored(self):
+        async def scenario():
+            async with ReasoningServer(ServeConfig(idle_ttl=None)) as server:
+                reader, writer = await asyncio.open_connection(
+                    *server.address)
+                try:
+                    writer.write(_ping(1) + _ping(2)[:-1])
+                    writer.write_eof()
+                    lines = await _lines_until_eof(reader)
+                finally:
+                    writer.close()
+                async with await AsyncClient.connect(
+                        *server.address) as client:
+                    alive = await client.ping()
+                return lines, alive, server.counters["serve.requests"]
+
+        lines, alive, requests = run(scenario())
+        assert [(line["id"], line["ok"]) for line in lines] == [(1, True)]
+        assert alive["pong"] is True
+        assert requests == 2   # the first ping and the probe, no other
+
+    def test_a_peer_that_leaves_mid_burst_leaves_nothing_behind(self):
+        async def scenario():
+            async with ReasoningServer(ServeConfig(idle_ttl=None)) as server:
+                reader, writer = await asyncio.open_connection(
+                    *server.address)
+                writer.write(_ping_lines(5000))
+                first = json.loads(await reader.readline())
+                writer.transport.abort()
+                for _ in range(500):
+                    if not server._connections:
+                        break
+                    await asyncio.sleep(0.01)
+                others = asyncio.all_tasks() - {asyncio.current_task()}
+                return first, set(server._connections), server._tasks, others
+
+        first, connections, parked, others = run(scenario())
+        assert first["id"] == 0
+        assert connections == set()
+        assert not parked and not others
+
+
 class TestBackpressureAndDeadlines:
     def test_flooded_connection_gets_typed_overloads(self):
         config = ServeConfig(max_inflight=2, max_pending_per_conn=2,
@@ -288,6 +424,41 @@ class TestBackpressureAndDeadlines:
                     assert (await client.ping())["pong"] is True
 
         run(scenario())
+
+    def test_a_parked_request_is_one_task(self):
+        """The parked request's deadline runs in its own task, so a wait
+        costs one task, not one more for ``asyncio.wait_for``."""
+        created = []
+
+        def counting_factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            config = ServeConfig(request_timeout=5.0, idle_ttl=None)
+            async with GatedServer(config) as server:
+                async with await AsyncClient.connect(
+                        *server.address) as client:
+                    loop.set_task_factory(counting_factory)
+                    try:
+                        pending = [
+                            asyncio.ensure_future(
+                                client.request("ping", gated=True)),
+                            asyncio.ensure_future(
+                                client.request("ping", gated=True))]
+                        while server._inflight < 2:
+                            await asyncio.sleep(0.005)
+                        server.gate.set()
+                        results = await asyncio.gather(*pending)
+                    finally:
+                        loop.set_task_factory(None)
+            return results
+
+        results = run(scenario())
+        assert all(result["pong"] for result in results)
+        # the test's two request futures, then one task per request
+        assert len(created) == 4, created
 
     def test_request_timeout_stops_implies_batch_between_queries(
             self, monkeypatch):
@@ -351,7 +522,7 @@ class TestInlineRequestPath:
                 try:
                     writer.write(_ping_lines(count))
                     (conn,) = server._connections
-                    transport = conn.writer.transport
+                    transport = conn.transport
                     high = transport.get_write_buffer_limits()[1]
                     peak_buffer = peak_tasks = 0
                     # not reading: sample until the server stops moving
