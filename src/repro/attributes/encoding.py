@@ -54,7 +54,7 @@ The encoding is cross-checked against the structural implementation in
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .basis import basis_poset
 from .nested import Flat, ListAttr, NestedAttribute, Record
@@ -508,10 +508,6 @@ class BasisEncoding:
         """
         for element in subattributes(self.root):
             yield self.encode(element)
-
-    def decode_all(self, masks: Iterable[int]) -> tuple[NestedAttribute, ...]:
-        """Decode a collection of masks, preserving iteration order."""
-        return tuple(self.decode(mask) for mask in masks)
 
     # -- text codec ----------------------------------------------------------
 

@@ -90,7 +90,8 @@ def _add_common(parser: argparse.ArgumentParser, *, with_sigma: bool = True) -> 
         _add_obs(parser)
 
 
-def _load_sigma(schema: Schema, args: argparse.Namespace):
+def _sigma_texts(args: argparse.Namespace) -> list[str]:
+    """The ``-d`` dependencies, then ``--sigma-file``'s non-comment lines."""
     texts = list(args.dependency)
     if args.sigma_file:
         with open(args.sigma_file, encoding="utf-8") as handle:
@@ -98,7 +99,7 @@ def _load_sigma(schema: Schema, args: argparse.Namespace):
                 stripped = line.strip()
                 if stripped and not stripped.startswith("#"):
                     texts.append(stripped)
-    return schema.dependencies(*texts)
+    return texts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +390,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             return _run_query(args)
 
         schema = Schema(args.schema)
-        sigma = _load_sigma(schema, args)
+        sigma = schema.dependencies(*_sigma_texts(args))
 
         if args.command in ("implies", "closure", "basis") and args.stats:
             return _run_with_stats(schema, sigma, args)
@@ -561,14 +562,7 @@ def _run_query(args: argparse.Namespace) -> int:
                 if not args.schema:
                     print("error: 'open' needs --schema", file=sys.stderr)
                     return 2
-                texts = list(args.dependency)
-                if args.sigma_file:
-                    with open(args.sigma_file, encoding="utf-8") as handle:
-                        for line in handle:
-                            stripped = line.strip()
-                            if stripped and not stripped.startswith("#"):
-                                texts.append(stripped)
-                result = client.open(session, args.schema, texts,
+                result = client.open(session, args.schema, _sigma_texts(args),
                                      engine=args.engine, replace=args.replace)
                 print(f"opened session {result['name']!r} "
                       f"(|Σ|={result['sigma']}, engine={result['engine']})")

@@ -477,7 +477,8 @@ class Health(Command):
                 FieldSpec("uptime_s"), FieldSpec("sessions"),
                 FieldSpec("inflight"), FieldSpec("draining"),
                 FieldSpec("shedding"), FieldSpec("faults", doc="optional"),
-                FieldSpec("store", doc="optional")),
+                FieldSpec("store", doc="optional"),
+                FieldSpec("replication", doc="optional")),
         read_only=True, cost="admin", scope="server",
     )
 

@@ -12,8 +12,10 @@ keeping a single, totally ordered edit history.
 
 Pieces
 ------
+:mod:`~repro.replicate.role`
+    A server's role, chosen once: ephemeral, primary or follower.
 :class:`~repro.replicate.follower.Replicator`
-    The follower-side streaming loop (runs inside a follower server).
+    The follower-side streaming loop (run by its ``FollowerRole``).
 :class:`~repro.replicate.primary.FollowerTable`
     Primary-side lag bookkeeping behind ``replicate.status``.
 :class:`~repro.replicate.router.RoutedClient`

@@ -16,7 +16,8 @@ re-bases its store at the primary's ``last_seq``.
 Staleness is observable, not hidden: ``applied_seq`` is published to
 the server (read fences compare it against a client's ``min_seq``) and
 :meth:`Replicator.wait_for_seq` lets a fenced read block until the tail
-catches up or its budget expires.
+catches up or its budget expires.  :class:`FollowerRole`, a follower
+server's role, runs the replicator, fences reads and refuses writes.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ import asyncio
 from typing import Any, Mapping
 
 from ..obs import Tally, get_observer
+from ..serve.client import AsyncClient, ServerError
+from ..serve.protocol import ErrorCode, ProtocolError
 from ..store.recovery import apply_record
 from ..store.wal import StoreError, WalRecord
 from .primary import decode_batch
+from .role import Role
+from .router import parse_address
 
-__all__ = ["Replicator"]
-
-#: Replicator lifecycle states (``replicate.status`` / ``health``).
-STATES = ("connecting", "streaming", "stopped", "broken")
+__all__ = ["FollowerRole", "Replicator"]
 
 
 class Replicator:
@@ -59,7 +61,7 @@ class Replicator:
         #: Highest sequence applied locally (starts at the store's
         #: recovered position, so a restarted follower resumes its tail).
         self.applied_seq = store.last_seq if store is not None else 0
-        self.state = "connecting"
+        self.state = "connecting"  # streaming, stopped or broken
         self.error: str | None = None
         self.batches = 0
         self._task: asyncio.Task | None = None
@@ -89,10 +91,7 @@ class Replicator:
         self._stopping = True
         if self._task is not None:
             self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
+            await asyncio.gather(self._task, return_exceptions=True)
             self._task = None
         if self.state not in ("broken",):
             self.state = "stopped"
@@ -141,49 +140,38 @@ class Replicator:
     # -- the streaming loop --------------------------------------------------
 
     async def _run(self) -> None:
-        # imported here, not at module top: repro.serve.server imports
-        # this module, and client/resilience live in the same package
-        from ..serve.client import AsyncClient, ServerError
-
         delay = self.retry_delay
         while not self._stopping:
+            client = None
             try:
                 client = await AsyncClient.connect(self.host, self.port)
-            except (ConnectionError, TimeoutError, OSError):
-                self.counters.add("replicate.reconnects")
-                await asyncio.sleep(delay)
-                delay = min(delay * 2, self.max_retry_delay)
-                continue
-            try:
                 delay = self.retry_delay
                 await self._stream(client)
+                continue  # stopping
             except (ConnectionError, TimeoutError, OSError):
-                self.counters.add("replicate.reconnects")
-                self.state = "connecting"
-                await asyncio.sleep(delay)
-                delay = min(delay * 2, self.max_retry_delay)
+                pass
             except ServerError as error:
-                if error.retryable:
-                    self.counters.add("replicate.reconnects")
-                    self.state = "connecting"
-                    await asyncio.sleep(delay)
-                    delay = min(delay * 2, self.max_retry_delay)
-                    continue
-                # a typed, non-retryable answer (bad_params: the target
-                # has no WAL; shutting_down; …) — do not spin on it
-                self.state = "broken"
-                self.error = f"{error.code}: {error}"
-                self.counters.add("replicate.broken")
-                return
+                if not error.retryable:
+                    # a typed, non-retryable answer (bad_params: the
+                    # target has no WAL; not_primary: it is a follower;
+                    # shutting_down; …) — do not spin on it
+                    return self._broken(f"{error.code}: {error}")
             except (StoreError, ValueError) as error:
                 # shipped records that do not decode or re-execute mean
                 # divergence; serving stale reads silently would be worse
-                self.state = "broken"
-                self.error = str(error)
-                self.counters.add("replicate.broken")
-                return
+                return self._broken(str(error))
             finally:
-                await client.close()
+                if client is not None:
+                    await client.close()
+            self.counters.add("replicate.reconnects")
+            self.state = "connecting"
+            await asyncio.sleep(delay)
+            delay = min(delay * 2, self.max_retry_delay)
+
+    def _broken(self, error: str) -> None:
+        self.state = "broken"
+        self.error = error
+        self.counters.add("replicate.broken")
 
     async def _stream(self, client: Any) -> None:
         while not self._stopping:
@@ -203,14 +191,10 @@ class Replicator:
 
     def _apply_records(self, payload: Any) -> None:
         records = decode_batch(payload)
-        obs = get_observer()
-        from_seq = self.applied_seq
-        if obs.enabled:
-            with obs.span("replicate.apply", from_seq=from_seq) as span:
-                applied = self._apply(records)
-                span.set(records=applied, applied_seq=self.applied_seq)
-        else:
+        with get_observer().span("replicate.apply",
+                                 from_seq=self.applied_seq) as span:
             applied = self._apply(records)
+            span.set(records=applied, applied_seq=self.applied_seq)
         self.batches += 1
         self.counters.add("replicate.applied", applied)
         if self.store is not None and self.store.should_compact():
@@ -240,9 +224,9 @@ class Replicator:
                 or not isinstance(reset.get("sessions"), dict)):
             raise ValueError(f"malformed replication reset: {reset!r}")
         sessions: Mapping[str, Any] = reset["sessions"]
-        obs = get_observer()
-        with obs.span("replicate.reset", last_seq=reset["last_seq"],
-                      sessions=len(sessions)):
+        with get_observer().span("replicate.reset",
+                                 last_seq=reset["last_seq"],
+                                 sessions=len(sessions)):
             for name in list(self.manager.names()):
                 self.manager.close(name)
             for name in sorted(sessions):
@@ -257,3 +241,78 @@ class Replicator:
             self.applied_seq = reset["last_seq"]
         self.counters.add("replicate.resets")
         self._resolve_waiters()
+
+
+class FollowerRole(Role):
+    name = "replica"
+    # an idle-evicted session would make later records unreplayable
+    # (LRU capacity still applies: size max_sessions to the primary's)
+    sweeps_idle = False
+
+    def start(self, address: tuple[str, int]) -> None:
+        server, config = self.server, self.server.config
+        host, port = parse_address(config.replicate_from)
+        self.replicator = Replicator(
+            server.sessions, self.store, host, port,
+            follower_id=config.replica_id or f"{address[0]}:{address[1]}",
+            poll_wait=config.replicate_poll, batch=config.replicate_batch,
+            counters=server.counters)
+        self.replicator.start()
+
+    async def stop(self) -> None:
+        if self.replicator is not None:
+            await self.replicator.stop()
+
+    def _not_primary(self, message: str) -> ProtocolError:
+        return ProtocolError(ErrorCode.NOT_PRIMARY, f"{message} the primary "
+                             f"at {self.replicator.primary_name}")
+
+    def dispatch(self, request: Any, command: Any) -> Any:
+        spec = command.spec
+        if not spec.read_only:
+            # one primary serializes the WAL
+            raise self._not_primary(
+                "this node is a read-only replica; send mutations to")
+        if spec.scope == "session" and "min_seq" in request.params:
+            min_seq = request.params["min_seq"]
+            if type(min_seq) is not int or min_seq < 0:
+                raise ProtocolError(ErrorCode.BAD_PARAMS, "'min_seq' must "
+                                    "be a non-negative integer")
+            if self.replicator.applied_seq < min_seq:
+                # Bounded staleness: the read waits for the tail.
+                return self._fenced(command, min_seq)
+            with self._fence_span(min_seq) as span:
+                span.set(ok=True)
+        return self.server.execute(command).result
+
+    def _fence_span(self, min_seq: int) -> Any:
+        return get_observer().span("replicate.fence", min_seq=min_seq,
+                                   applied_seq=self.replicator.applied_seq)
+
+    async def _fenced(self, command: Any, min_seq: int) -> dict[str, Any]:
+        """Wait for ``applied_seq >= min_seq``, then run the read."""
+        replicator, wait = self.replicator, self.server.config.fence_wait
+        with self._fence_span(min_seq) as span:
+            ok = await replicator.wait_for_seq(min_seq, wait)
+            span.set(ok=ok)
+        if not ok:
+            self.server.counters.add("serve.fence_timeouts")
+            raise ProtocolError(
+                ErrorCode.REPLICA_BEHIND,
+                f"replica at seq {replicator.applied_seq} did not reach "
+                f"the min_seq={min_seq} fence within {wait}s; retry "
+                f"another node or the primary at {replicator.primary_name}")
+        return self.server.execute(command).result
+
+    def status(self) -> dict[str, Any]:
+        return {**super().status(), "replica": self.replicator.status()}
+
+    def health(self) -> dict[str, Any]:
+        return {**self.metrics(), "replication": self.status()}
+
+    def _op_replicate_subscribe(self, command: Any) -> Any:
+        raise self._not_primary(
+            "this node is a read-only replica and ships no WAL; "
+            "replicate from")
+
+    _op_replicate_ack = _op_replicate_subscribe

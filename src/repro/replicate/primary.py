@@ -1,20 +1,26 @@
-"""Primary-side replication bookkeeping.
+"""The primary: the only node that ships its WAL.
 
-The primary's wire surface (``replicate.subscribe`` / ``replicate.ack``)
-lives in :class:`~repro.serve.server.ReasoningServer`; this module holds
-the pure pieces under it — the follower lag table the ``replicate.status``
-op and the health payload report, and the batch encoding that turns
-:class:`~repro.store.wal.WalRecord` tails into wire JSON.
+:class:`PrimaryRole` is a store-backed server's role
+(:mod:`repro.replicate.role`): it logs each mutation and answers
+``replicate.subscribe`` / ``replicate.ack``.  Under it sit the follower
+lag table the ``replicate.status`` op and the health payload report,
+and the batch encoding that turns :class:`~repro.store.wal.WalRecord`
+tails into wire JSON.
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
 from typing import Any, Callable, Iterable
 
+from ..obs import get_observer
+from ..serve.protocol import ErrorCode, ProtocolError
+from ..serve.server import _within
 from ..store.wal import WalRecord
+from .role import Role
 
-__all__ = ["FollowerTable", "encode_batch", "decode_batch"]
+__all__ = ["FollowerTable", "PrimaryRole", "encode_batch", "decode_batch"]
 
 
 def encode_batch(records: Iterable[WalRecord]) -> list[dict[str, Any]]:
@@ -101,3 +107,88 @@ class FollowerTable:
         if not self._rows:
             return default
         return min(row["acked_seq"] for row in self._rows.values())
+
+
+class PrimaryRole(Role):
+    name = "primary"
+
+    def __init__(self, server: Any) -> None:
+        super().__init__(server)
+        self.followers = FollowerTable()
+        #: Set and replaced on every WAL append; long-polls wait on it.
+        self._appended = asyncio.Event()
+        self._stopping = False
+
+    async def stop(self) -> None:
+        # a draining follower gets a (possibly empty) batch, not an error
+        self._stopping = True
+        self._wake()
+
+    def _wake(self) -> None:
+        self._appended.set()
+        self._appended = asyncio.Event()
+
+    def dispatch(self, request: Any, command: Any) -> Any:
+        outcome = self.server.execute(command)
+        if not outcome.mutated:
+            return outcome.result
+        # logged before the answer leaves, and only if it changed
+        # state; ``seq`` is the client's read fence.  A compaction keeps
+        # the slowest follower's tail in memory.
+        store = self.store
+        seq = store.append(request.op, request.params)
+        if store.should_compact():
+            store.compact(self.server.sessions.snapshot_state(),
+                          retain_after=self.followers.min_acked(None))
+        self._wake()
+        return {**outcome.result, "seq": seq}
+
+    def status(self) -> dict[str, Any]:
+        status = super().status()
+        if len(self.followers):
+            status["followers"] = self.followers.stats(status["last_seq"])
+        return status
+
+    def health(self) -> dict[str, Any]:
+        return {**self.metrics(), "replication": self.status()}
+
+    async def _op_replicate_subscribe(self, command: Any) -> dict[str, Any]:
+        store, config = self.store, self.server.config
+        limit = command.max_records or config.replicate_batch
+        if limit < 1:
+            raise ProtocolError(ErrorCode.BAD_PARAMS,
+                                "'max_records' must be >= 1")
+        wait = min(command.wait or 0.0, config.replicate_max_wait)
+        self.followers.seen(command.follower, command.from_seq)
+        with get_observer().span("replicate.ship",
+                                 follower=command.follower or "?",
+                                 from_seq=command.from_seq) as span:
+            records = store.records_since(command.from_seq, limit)
+            deadline = time.monotonic() + wait
+            while records is not None and not records and not self._stopping:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                try:
+                    await _within(remaining, self._appended.wait())
+                except asyncio.TimeoutError:
+                    break
+                records = store.records_since(command.from_seq, limit)
+            if records is None:
+                # the tail is not contiguously servable from from_seq:
+                # ship a snapshot bootstrap instead
+                self.server.counters.add("replicate.resets_served")
+                span.set(records=0, last_seq=store.last_seq)
+                return {"records": [], "last_seq": store.last_seq,
+                        "reset": {"last_seq": store.last_seq, "sessions":
+                                  self.server.sessions.snapshot_state()}}
+            span.set(records=len(records), last_seq=store.last_seq)
+            if records:
+                self.server.counters.add("replicate.shipped", len(records))
+            return {"records": encode_batch(records),
+                    "last_seq": store.last_seq}
+
+    def _op_replicate_ack(self, command: Any) -> dict[str, Any]:
+        acked = self.followers.ack(command.follower, command.seq)
+        self.server.counters.add("replicate.acks")
+        return {"acked": acked, "last_seq": self.store.last_seq}

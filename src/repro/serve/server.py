@@ -1,15 +1,18 @@
 """The asyncio reasoning server: sessions over TCP.
 
 The server exposes :class:`repro.core.session.Session` as a network
-service speaking the :mod:`repro.serve.protocol` wire format.  Three
-concerns shape the design, the same ones that shape a model-inference
-server:
+service speaking the :mod:`repro.serve.protocol` wire format.  Four
+concerns shape the design:
 
-* **Session management** — :class:`SessionManager` owns named sessions
-  with LRU eviction (``max_sessions``) and idle-TTL eviction
-  (``idle_ttl``), so a long-running server sheds abandoned state
-  instead of accumulating it.  Every eviction is counted and traced
-  (``serve.evict`` spans, reason ``"lru"`` or ``"idle"``).
+* **Session management** — :class:`~repro.serve.sessions.SessionManager`
+  owns named sessions with LRU eviction (``max_sessions``) and
+  idle-TTL eviction (``idle_ttl``), each counted and traced
+  (``serve.evict`` spans).
+
+* **One role per node** — a follower, a primary or an ephemeral node,
+  chosen once from the config; the role object
+  (:mod:`repro.replicate.role`) supplies every hook in which they
+  differ, so the server never asks which node it is.
 
 * **Inline closures** — every closure is computed in the event loop
   by the session itself (Algorithm 5.1 is a sequential fixpoint per
@@ -44,15 +47,10 @@ import asyncio
 import signal
 import sys
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
-from ..attributes.nested import NestedAttribute
-from ..attributes.parser import parse_attribute
 from ..core import commands
-from ..core.session import Session
-from ..dependencies.dependency import Dependency
 from ..exceptions import ReproError
 from ..obs import Tally, get_observer
 from ..store import SessionStore
@@ -67,8 +65,10 @@ from .protocol import (
     error_response,
     ok_response,
 )
+from .sessions import ManagedSession, SessionManager
 
-__all__ = ["ServeConfig", "SessionManager", "ReasoningServer"]
+__all__ = ["ServeConfig", "ManagedSession", "SessionManager",
+           "ReasoningServer"]
 
 
 # --------------------------------------------------------------------------
@@ -121,13 +121,9 @@ class ServeConfig:
     store_compact_records: int = 4096
     #: … or this many bytes, whichever comes first.
     store_compact_bytes: int = 1 << 22
-    #: ``"HOST:PORT"`` of a primary to replicate from.  Makes this node
-    #: a read-only follower: it tails the primary's WAL, applies every
-    #: record through the recovery path, serves read-only commands
-    #: locally and rejects mutations with the typed ``not_primary``
-    #: error.  Idle-TTL eviction is disabled (replicated sessions must
-    #: stay resident to keep applying the stream).  See
-    #: docs/REPLICATION.md.
+    #: ``"HOST:PORT"`` of a primary to replicate from: makes this node
+    #: a read-only follower that never evicts idle sessions (see
+    #: docs/REPLICATION.md).
     replicate_from: str | None = None
     #: Stable follower id for the primary's lag table (default: this
     #: node's own bound address).
@@ -149,172 +145,6 @@ class ServeConfig:
                 f"workers={self.workers!r}: the server has no worker pool "
                 f"and computes closures inline; scale reads across cores "
                 f"with read replicas (replicate_from, docs/REPLICATION.md)")
-
-
-# --------------------------------------------------------------------------
-# Session management
-
-class ManagedSession:
-    """A named :class:`Session` plus its server-side bookkeeping."""
-
-    __slots__ = ("name", "session", "epoch", "generation", "last_used",
-                 "opened_at")
-
-    def __init__(self, name: str, session: Session, now: float,
-                 epoch: int) -> None:
-        self.name = name
-        self.session = session
-        #: Server-unique id for this *opening* of the name — two sessions
-        #: never share an epoch, even when one replaces the other under
-        #: the same name.
-        self.epoch = epoch
-        #: Bumped on every Σ edit.
-        self.generation = 0
-        self.last_used = now
-        self.opened_at = now
-
-
-class SessionManager:
-    """Named sessions with LRU + idle-TTL eviction.
-
-    Pure bookkeeping — no I/O, no asyncio — so it is directly unit
-    testable.  ``counters`` is the server's :class:`~repro.obs.Tally`
-    (its own when none is given); eviction also emits a ``serve.evict``
-    span through the installed observer.
-    """
-
-    def __init__(self, *, max_sessions: int = 64,
-                 idle_ttl: float | None = None,
-                 counters: Tally | None = None) -> None:
-        if max_sessions < 1:
-            raise ValueError(f"max_sessions must be >= 1, got {max_sessions!r}")
-        self.max_sessions = max_sessions
-        self.idle_ttl = idle_ttl
-        self.counters = Tally() if counters is None else counters
-        self._sessions: "OrderedDict[str, ManagedSession]" = OrderedDict()
-        #: The next session opening's epoch.
-        self._next_epoch = 1
-
-    def __len__(self) -> int:
-        return len(self._sessions)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._sessions
-
-    def names(self) -> tuple[str, ...]:
-        """Open session names, least recently used first."""
-        return tuple(self._sessions)
-
-    def open(self, name: str, schema: str | NestedAttribute,
-             dependencies: Iterable[Dependency | str] = (), *,
-             engine: str | None = None, replace: bool = False,
-             now: float | None = None) -> ManagedSession:
-        """Create (or, with ``replace``, recreate) a named session."""
-        if name in self._sessions and not replace:
-            raise ProtocolError(
-                ErrorCode.SESSION_EXISTS,
-                f"session {name!r} is already open (pass replace to recreate)",
-            )
-        return self._install(name, schema, dependencies, engine, now,
-                             "serve.sessions_opened")
-
-    def restore(self, name: str, schema: str | NestedAttribute,
-                dependencies: Iterable[Dependency | str] = (), *,
-                engine: str | None = None, epoch: int,
-                generation: int) -> ManagedSession:
-        """Rebuild a session from persisted state (recovery only).
-
-        Unlike :meth:`open`, the session keeps the ``(epoch,
-        generation)`` it had before the restart — clients tracking
-        lineage see one continuous session — and the epoch counter
-        moves past it so later opens cannot collide.  Counted as a
-        restore, not an open.
-        """
-        managed = self._install(name, schema, dependencies, engine, None,
-                                "serve.sessions_restored")
-        managed.epoch = epoch
-        managed.generation = generation
-        self._next_epoch = max(self._next_epoch, epoch + 1)
-        return managed
-
-    def _install(self, name: str, schema: str | NestedAttribute,
-                 dependencies: Iterable[Dependency | str],
-                 engine: str | None, now: float | None,
-                 count_as: str) -> ManagedSession:
-        """Build a session under the next epoch as ``name``'s holder."""
-        try:
-            root = parse_attribute(schema) if isinstance(schema, str) else schema
-            session = Session(root, dependencies, engine=engine)
-        except ProtocolError:
-            raise
-        except (ReproError, ValueError) as error:
-            raise ProtocolError(ErrorCode.BAD_PARAMS, str(error)) from error
-        managed = ManagedSession(name, session,
-                                 time.monotonic() if now is None else now,
-                                 self._next_epoch)
-        self._next_epoch += 1
-        self._sessions[name] = managed
-        self._sessions.move_to_end(name)
-        self.counters.add(count_as)
-        while len(self._sessions) > self.max_sessions:
-            victim, _ = self._sessions.popitem(last=False)
-            self._evicted(victim, "lru")
-        return managed
-
-    def snapshot_state(self) -> dict[str, dict[str, Any]]:
-        """Every open session's durable state, for
-        :meth:`repro.store.SessionStore.snapshot` (insertion = LRU
-        order; the session's own :meth:`~repro.core.session.Session.snapshot_state`
-        plus the server-side lineage pair)."""
-        return {name: {**managed.session.snapshot_state(),
-                       "epoch": managed.epoch,
-                       "generation": managed.generation}
-                for name, managed in self._sessions.items()}
-
-    def get(self, name: str, *, now: float | None = None) -> ManagedSession:
-        """Look up and LRU-touch a session; raises ``unknown_session``."""
-        managed = self._sessions.get(name)
-        if managed is None:
-            raise ProtocolError(ErrorCode.UNKNOWN_SESSION,
-                                f"no session named {name!r}")
-        managed.last_used = time.monotonic() if now is None else now
-        self._sessions.move_to_end(name)
-        return managed
-
-    def close(self, name: str) -> ManagedSession:
-        """Explicitly close a session; raises ``unknown_session``."""
-        managed = self._sessions.pop(name, None)
-        if managed is None:
-            raise ProtocolError(ErrorCode.UNKNOWN_SESSION,
-                                f"no session named {name!r}")
-        self.counters.add("serve.sessions_closed")
-        return managed
-
-    def peek(self, name: str) -> ManagedSession:
-        """Look up a session *without* touching its LRU/idle clock."""
-        managed = self._sessions.get(name)
-        if managed is None:
-            raise ProtocolError(ErrorCode.UNKNOWN_SESSION,
-                                f"no session named {name!r}")
-        return managed
-
-    def sweep_idle(self, *, now: float | None = None) -> int:
-        """Evict every session idle longer than ``idle_ttl``; returns count."""
-        if self.idle_ttl is None:
-            return 0
-        now = time.monotonic() if now is None else now
-        victims = [name for name, managed in self._sessions.items()
-                   if now - managed.last_used > self.idle_ttl]
-        for name in victims:
-            del self._sessions[name]
-            self._evicted(name, "idle")
-        return len(victims)
-
-    def _evicted(self, name: str, reason: str) -> None:
-        self.counters.add("serve.evictions")
-        self.counters.add(f"serve.evictions.{reason}")
-        with get_observer().span("serve.evict", session=name, reason=reason):
-            pass
 
 
 # --------------------------------------------------------------------------
@@ -443,22 +273,20 @@ class ReasoningServer:
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config if config is not None else ServeConfig()
         self.counters = Tally()
-        self.sessions = SessionManager(
-            max_sessions=self.config.max_sessions,
-            # A follower must keep every replicated session resident:
-            # an idle-evicted session would make later stream records
-            # unreplayable.  LRU capacity still applies — size
-            # max_sessions to the primary's session count.
-            idle_ttl=(None if self.config.replicate_from is not None
-                      else self.config.idle_ttl),
-            counters=self.counters,
-        )
         self.faults: FaultInjector | None = (
             FaultInjector(self.config.fault_plan)
             if self.config.fault_plan is not None else None)
-        #: Durable persistence, built (and recovered) in :meth:`start`
-        #: when ``config.data_dir`` is set.
-        self.store: SessionStore | None = None
+        # imported lazily: repro.replicate imports this module
+        from ..replicate import follower, primary, role
+        #: Every hook in which the nodes differ (:mod:`repro.replicate.role`).
+        self.role: role.Role = (
+            follower.FollowerRole if self.config.replicate_from is not None
+            else primary.PrimaryRole if self.config.data_dir is not None
+            else role.Role)(self)
+        self.sessions = SessionManager(
+            max_sessions=self.config.max_sessions,
+            idle_ttl=self.config.idle_ttl if self.role.sweeps_idle else None,
+            counters=self.counters)
         self._server: asyncio.AbstractServer | None = None
         self._address: tuple[str, int] | None = None
         #: Parked requests: the only requests the server holds.
@@ -471,20 +299,21 @@ class ReasoningServer:
         self._stopped: asyncio.Event | None = None
         self._sweeper: asyncio.Task | None = None
         self._started_at = time.monotonic()
-        #: Streaming loop when this node follows a primary (see
-        #: :mod:`repro.replicate`); built in :meth:`start`.
-        self.replicator = None
-        # Imported lazily: repro.replicate imports serve submodules.
-        from ..replicate.primary import FollowerTable
-
-        self._followers = FollowerTable()
-        #: Set and replaced on every WAL append; long-polls wait on it.
-        self._appended = asyncio.Event()
         self._admin_handlers = self._bind_admin_handlers()
 
     @property
     def _inflight(self) -> int:
         return len(self._tasks)
+
+    @property
+    def store(self) -> SessionStore | None:
+        """The durable store (``data_dir``), opened by :meth:`start`."""
+        return self.role.store
+
+    @property
+    def replicator(self) -> Any:
+        """A follower's ``Replicator`` (built by :meth:`start`), or None."""
+        return self.role.replicator
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -499,40 +328,17 @@ class ReasoningServer:
         """Recover durable state, bind, start the sweeper."""
         if self._server is not None:
             raise RuntimeError("server is already started")
-        if self.config.data_dir is not None and self.store is None:
-            # Recovery runs before the socket binds: a client can never
-            # reach a server whose sessions are not yet rebuilt, and a
-            # corrupt store refuses startup instead of serving partial
-            # state.
-            self.store = SessionStore(
-                self.config.data_dir, fsync=self.config.fsync,
-                compact_records=self.config.store_compact_records,
-                compact_bytes=self.config.store_compact_bytes,
-                counters=self.counters, faults=self.faults)
-            self.store.start(self.sessions)
+        self.role.recover()
         self._stopped = asyncio.Event()
         self._server = await asyncio.get_running_loop().create_server(
             lambda: _Connection(self), self.config.host, self.config.port)
         sockname = self._server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
         self._started_at = time.monotonic()
-        if (self.config.idle_ttl is not None
-                and self.config.replicate_from is None):
+        if self.sessions.idle_ttl is not None:
             self._sweeper = asyncio.get_running_loop().create_task(
                 self._sweep_loop())
-        if self.config.replicate_from is not None:
-            from ..replicate.follower import Replicator
-            from ..replicate.router import parse_address
-
-            host, port = parse_address(self.config.replicate_from)
-            self.replicator = Replicator(
-                self.sessions, self.store, host, port,
-                follower_id=(self.config.replica_id
-                             or f"{self._address[0]}:{self._address[1]}"),
-                poll_wait=self.config.replicate_poll,
-                batch=self.config.replicate_batch,
-                counters=self.counters)
-            self.replicator.start()
+        self.role.start(self._address)
         return self._address
 
     async def __aenter__(self) -> "ReasoningServer":
@@ -577,11 +383,7 @@ class ReasoningServer:
             await self._stopped.wait()
             return
         self._draining = True
-        if self.replicator is not None:
-            await self.replicator.stop()
-        # Wake pending subscribe long-polls so draining followers get
-        # their (possibly empty) batch instead of a cancelled request.
-        self._wake_wal_waiters()
+        await self.role.stop()
         if self._server is not None:
             # stop accepting; wait_closed() would wait for every
             # connection to end (Python 3.12+), and they close below
@@ -599,8 +401,7 @@ class ReasoningServer:
             self._sweeper.cancel()
             await asyncio.gather(self._sweeper, return_exceptions=True)
             self._sweeper = None
-        if self.store is not None:
-            self.store.close()
+        self.role.close()
         self._stopped.set()
 
     async def _sweep_loop(self) -> None:
@@ -781,19 +582,8 @@ class ReasoningServer:
     # -- request execution ---------------------------------------------------
 
     def _dispatch(self, request: Request) -> Any:
-        """Registry dispatch: build the typed command, run it, return
-        its result — or a coroutine of it if the request waits (an
-        unmet read fence, a ``replicate.subscribe`` long-poll).
-
-        No per-op branching lives here — the command registry
-        (:mod:`repro.core.commands`) supplies validation
-        (:func:`~repro.core.commands.from_wire`), the shed-cold seam
-        (:meth:`~repro.core.commands.Command.lhs_masks`, asked only
-        near capacity) and execution under the uniform ``command.run``
-        span.  Server-scope commands (ping, open, …) resolve through
-        the handler table built from the same registry in
-        :meth:`_bind_admin_handlers`.
-        """
+        """Hand the registry's typed command to the node's role: its
+        result, or a coroutine of it if the request waits."""
         self.counters.add("serve.requests")
         self.counters.add(f"serve.requests.{request.op}")
         try:
@@ -801,41 +591,18 @@ class ReasoningServer:
         except KeyError:                                    # pragma: no cover
             raise ProtocolError(ErrorCode.UNKNOWN_OP,        # guarded by
                                 f"unhandled op {request.op!r}")  # decode_request
-        spec = command.spec
-        if self.replicator is not None and not spec.read_only:
-            # Followers are read-only: one primary serializes the WAL.
-            raise ProtocolError(
-                ErrorCode.NOT_PRIMARY,
-                f"this node is a read-only replica; send mutations to "
-                f"the primary at {self.replicator.primary_name}")
-        if spec.scope == "server":
-            result = self._admin_handlers[spec.name](command)
-            if self.store is not None and not spec.read_only:
-                # open/close mutated the manager: durable before the
-                # response leaves the server; the WAL position rides on
-                # the result so clients can fence replica reads with it
-                result = {**result,
-                          "seq": self._persist(request.op, request.params)}
-            return result
-        if self.replicator is not None and "min_seq" in request.params:
-            min_seq = request.params["min_seq"]
-            if (not isinstance(min_seq, int) or isinstance(min_seq, bool)
-                    or min_seq < 0):
-                raise ProtocolError(ErrorCode.BAD_PARAMS, "'min_seq' must "
-                                    "be a non-negative integer")
-            if self.replicator.applied_seq < min_seq:
-                # Bounded staleness: the read waits for the tail.
-                return self._fenced(request, command, min_seq)
-            with self._fence_span(min_seq) as span:
-                span.set(ok=True)
-        return self._run(request, command)
+        return self.role.dispatch(request, command)
 
-    def _run(self, request: Request,
-             command: commands.Command) -> dict[str, Any]:
-        """Execute a session-scope command; log it if it mutated Σ."""
+    def execute(self, command: commands.Command) -> commands.Outcome:
+        """Run a command on this node, for its role: a server-scope one
+        through its handler, a session-scope one on its session."""
+        spec = command.spec
+        if spec.scope == "server":
+            return commands.Outcome(self._admin_handlers[spec.name](command),
+                                    mutated=not spec.read_only)
         managed = self.sessions.get(command.session)
         session = managed.session
-        if command.spec.cost == "cold" and self._shedding_cold():
+        if spec.cost == "cold" and self._shedding_cold():
             # Graceful load shedding: near capacity the server keeps
             # answering requests whose closures are all cached and
             # sheds any that needs a kernel run — the retryable
@@ -855,78 +622,33 @@ class ReasoningServer:
                                    timeout=self.config.request_timeout)
         if outcome.mutated:
             managed.generation += 1
-            if self.store is not None:
-                # WAL-before-response: only *actual* mutations are
-                # logged (an add of a present member neither bumps the
-                # generation nor writes a record), so replay re-executes
-                # exactly what changed state.  The position rides on the
-                # result as the client's read fence.
-                return {**outcome.result,
-                        "seq": self._persist(request.op, request.params)}
-        return outcome.result
-
-    def _persist(self, op: str, params: dict[str, Any]) -> int:
-        """Append one acknowledged mutation to the WAL; compact when
-        the live segment crosses a threshold.  Returns the record's
-        sequence number and wakes any subscribe long-polls.
-
-        A compaction keeps the records above the slowest registered
-        follower's acknowledged position in the store's memory (at most
-        ``store_compact_records``), so that follower is shipped records
-        on its next poll rather than a snapshot reset."""
-        seq = self.store.append(op, params)
-        if self.store.should_compact():
-            self.store.compact(self.sessions.snapshot_state(),
-                               retain_after=self._followers.min_acked(None))
-        self._wake_wal_waiters()
-        return seq
-
-    def _wake_wal_waiters(self) -> None:
-        self._appended.set()
-        self._appended = asyncio.Event()
-
-    def _fence_span(self, min_seq: int) -> Any:
-        return get_observer().span("replicate.fence", min_seq=min_seq,
-                                   applied_seq=self.replicator.applied_seq)
-
-    async def _fenced(self, request: Request, command: commands.Command,
-                      min_seq: int) -> dict[str, Any]:
-        """Wait for ``applied_seq >= min_seq``, then run the read."""
-        replicator = self.replicator
-        with self._fence_span(min_seq) as span:
-            ok = await replicator.wait_for_seq(min_seq,
-                                               self.config.fence_wait)
-            span.set(ok=ok)
-        if not ok:
-            self.counters.add("serve.fence_timeouts")
-            raise ProtocolError(
-                ErrorCode.REPLICA_BEHIND,
-                f"replica at seq {replicator.applied_seq} did not reach "
-                f"the min_seq={min_seq} fence within "
-                f"{self.config.fence_wait}s; retry another node or the "
-                f"primary at {replicator.primary_name}")
-        return self._run(request, command)
+        return outcome
 
     def _bind_admin_handlers(self) -> dict[str, Any]:
-        """Server-scope handlers, resolved from the registry by name.
+        """Server-scope handlers, from the registry by name: ``_op_<name>``
+        (dots as underscores) on the server, else on its role.  A
+        server-scope command without a handler fails here, at
+        construction — as the registry's import-time check does for
+        session-scope commands."""
+        handlers = {}
+        for name, cls in commands.REGISTRY.items():
+            if cls.spec.wire and cls.spec.scope == "server":
+                method = f"_op_{name.replace('.', '_')}"
+                handlers[name] = (getattr(self, method, None)
+                                  or getattr(self.role, method))
+        return handlers
 
-        Registering a new server-scope command without adding its
-        ``_op_<name>`` method (dots in wire names map to underscores:
-        ``replicate.subscribe`` → ``_op_replicate_subscribe``) fails
-        here at construction time — the same no-silent-drift guarantee
-        the import-time registry check gives session-scope commands.
-        """
-        return {name: getattr(self, f"_op_{name.replace('.', '_')}")
-                for name, cls in commands.REGISTRY.items()
-                if cls.spec.wire and cls.spec.scope == "server"}
+    def _vitals(self, load: bool = True) -> dict[str, Any]:
+        """What ``ping`` (without ``load``), ``health``, ``metrics`` share."""
+        vitals = {"uptime_s": round(time.monotonic() - self._started_at, 3),
+                  "sessions": len(self.sessions)}
+        if load:
+            vitals.update(inflight=self._inflight, draining=self._draining)
+        return vitals
 
     def _op_ping(self, command: commands.Ping) -> dict[str, Any]:
         return {"pong": True, "version": PROTOCOL_VERSION,
-                "uptime_s": round(time.monotonic() - self._started_at, 3),
-                "sessions": len(self.sessions)}
-
-    def _op_metrics(self, command: commands.Metrics) -> dict[str, Any]:
-        return self._metrics(command.session)
+                **self._vitals(load=False)}
 
     def _op_open(self, command: commands.Open) -> dict[str, Any]:
         managed = self.sessions.open(
@@ -938,80 +660,6 @@ class ReasoningServer:
     def _op_close(self, command: commands.Close) -> dict[str, Any]:
         managed = self.sessions.close(command.session)
         return {"closed": command.session, "sigma": len(managed.session)}
-
-    # -- replication (see repro.replicate and docs/REPLICATION.md) -----------
-
-    def _require_wal(self) -> "SessionStore":
-        if self.store is None:
-            raise ProtocolError(
-                ErrorCode.BAD_PARAMS,
-                "replication needs a WAL: start this node with --data-dir")
-        return self.store
-
-    async def _op_replicate_subscribe(
-            self, command: commands.ReplicateSubscribe) -> dict[str, Any]:
-        from ..replicate.primary import encode_batch
-
-        store = self._require_wal()
-        limit = command.max_records or self.config.replicate_batch
-        if limit < 1:
-            raise ProtocolError(ErrorCode.BAD_PARAMS,
-                                "'max_records' must be >= 1")
-        wait = min(command.wait or 0.0, self.config.replicate_max_wait)
-        self._followers.seen(command.follower, command.from_seq)
-        obs = get_observer()
-        with obs.span("replicate.ship", follower=command.follower or "?",
-                      from_seq=command.from_seq) as span:
-            records = store.records_since(command.from_seq, limit)
-            deadline = time.monotonic() + wait
-            while (records is not None and not records
-                   and not self._draining):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    await _within(remaining, self._appended.wait())
-                except asyncio.TimeoutError:
-                    break
-                records = store.records_since(command.from_seq, limit)
-            if records is None:
-                # the tail is not contiguously servable from from_seq:
-                # ship a snapshot bootstrap instead
-                self.counters.add("replicate.resets_served")
-                span.set(records=0, last_seq=store.last_seq)
-                return {"records": [], "last_seq": store.last_seq,
-                        "reset": {"last_seq": store.last_seq,
-                                  "sessions": self.sessions.snapshot_state()}}
-            span.set(records=len(records), last_seq=store.last_seq)
-            if records:
-                self.counters.add("replicate.shipped", len(records))
-            return {"records": encode_batch(records),
-                    "last_seq": store.last_seq}
-
-    def _op_replicate_ack(
-            self, command: commands.ReplicateAck) -> dict[str, Any]:
-        store = self._require_wal()
-        acked = self._followers.ack(command.follower, command.seq)
-        self.counters.add("replicate.acks")
-        return {"acked": acked, "last_seq": store.last_seq}
-
-    def _op_replicate_status(
-            self, command: commands.ReplicateStatus) -> dict[str, Any]:
-        return self._replication_status()
-
-    def _replication_status(self) -> dict[str, Any]:
-        last_seq = self.store.last_seq if self.store is not None else 0
-        status: dict[str, Any] = {
-            "role": ("replica" if self.replicator is not None
-                     else "primary" if self.store is not None
-                     else "ephemeral"),
-            "last_seq": last_seq,
-        }
-        if self.replicator is not None:
-            status["replica"] = self.replicator.status()
-        if len(self._followers):
-            status["followers"] = self._followers.stats(last_seq)
-        return status
 
     # -- health / shedding ---------------------------------------------------
 
@@ -1028,40 +676,22 @@ class ReasoningServer:
         shedding = self._shedding_cold()
         status = ("draining" if self._draining
                   else "shedding" if shedding else "ok")
-        health: dict[str, Any] = {
-            "status": status,
-            "version": PROTOCOL_VERSION,
-            "uptime_s": round(time.monotonic() - self._started_at, 3),
-            "sessions": len(self.sessions),
-            "inflight": self._inflight,
-            "draining": self._draining,
-            "shedding": shedding,
-        }
+        health: dict[str, Any] = {"status": status,
+                                  "version": PROTOCOL_VERSION,
+                                  **self._vitals(), "shedding": shedding}
         if self.faults is not None:
             health["faults"] = self.faults.stats()
-        if self.store is not None:
-            health["store"] = self.store.stats()
-        if self.store is not None or self.replicator is not None:
-            health["replication"] = self._replication_status()
+        health.update(self.role.health())
         return health
 
     # -- metrics -------------------------------------------------------------
 
-    def _metrics(self, only: Any = None) -> dict[str, Any]:
-        if only is not None and not isinstance(only, str):
-            raise ProtocolError(ErrorCode.BAD_PARAMS,
-                                "'session' must be a string")
+    def _op_metrics(self, command: commands.Metrics) -> dict[str, Any]:
+        server = {**self._vitals(), "counters": dict(self.counters),
+                  **self.role.metrics()}
         now = time.monotonic()
-        server = {
-            "uptime_s": round(now - self._started_at, 3),
-            "sessions": len(self.sessions),
-            "inflight": self._inflight,
-            "draining": self._draining,
-            "counters": dict(self.counters),
-        }
-        if self.store is not None:
-            server["store"] = self.store.stats()
-        names = (only,) if only is not None else self.sessions.names()
+        names = ((command.session,) if command.session is not None
+                 else self.sessions.names())
         sessions: dict[str, Any] = {}
         for name in names:
             managed = self.sessions.peek(name)

@@ -64,14 +64,10 @@ def write_snapshot(data_dir: str, sessions: Mapping[str, Mapping[str, Any]],
                       for session, state in sessions.items()}},
         indent=2, sort_keys=True, ensure_ascii=False).encode("utf-8")
     action = crash_action(faults, "store.snapshot")
-    obs = get_observer()
-    if obs.enabled:
-        with obs.span("store.snapshot", sessions=len(sessions),
-                      last_seq=last_seq) as span:
-            _write(path, payload, action)
-            span.set(bytes=len(payload))
-    else:
+    with get_observer().span("store.snapshot", sessions=len(sessions),
+                             last_seq=last_seq) as span:
         _write(path, payload, action)
+        span.set(bytes=len(payload))
     counters = Tally() if counters is None else counters
     counters.add("store.snapshots")
     counters.add("store.snapshot_bytes", len(payload))

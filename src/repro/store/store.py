@@ -36,7 +36,6 @@ from typing import Any, Mapping
 from ..obs import Tally, get_observer
 from .manifest import (
     Manifest,
-    load_manifest,
     save_manifest,
     segment_index,
     segment_name,
@@ -94,14 +93,11 @@ class SessionStore:
         if self._writer is not None:
             raise RuntimeError("store is already started")
         os.makedirs(self.data_dir, exist_ok=True)
-        obs = get_observer()
-        if obs.enabled:
-            with obs.span("store.recover", data_dir=self.data_dir) as span:
-                report = recover(self.data_dir, manager)
-                span.set(sessions=len(report.sessions),
-                         replayed=report.replayed, torn=report.torn)
-        else:
+        with get_observer().span("store.recover",
+                                 data_dir=self.data_dir) as span:
             report = recover(self.data_dir, manager)
+            span.set(sessions=len(report.sessions),
+                     replayed=report.replayed, torn=report.torn)
         if report.manifest is None:
             # fresh directory: one empty segment, no snapshot
             first = segment_name(1)
@@ -274,14 +270,11 @@ class SessionStore:
             raise RuntimeError("store is not started")
         old = self._manifest
         action = crash_action(self.faults, "store.compact")
-        obs = get_observer()
-        if obs.enabled:
-            with obs.span("store.compact", records=self._writer.records,
-                          bytes=self._writer.bytes) as span:
-                removed = self._compact(sessions, old, action)
-                span.set(segments_removed=removed)
-        else:
+        with get_observer().span("store.compact",
+                                 records=self._writer.records,
+                                 bytes=self._writer.bytes) as span:
             removed = self._compact(sessions, old, action)
+            span.set(segments_removed=removed)
         keep = 0
         if retain_after is not None:
             sizes = self._tail_sizes

@@ -262,11 +262,7 @@ class WalWriter:
 
     def sync(self) -> None:
         """``fsync`` the segment now (also used at snapshot boundaries)."""
-        obs = get_observer()
-        if obs.enabled:
-            with obs.span("store.fsync", policy=self.policy):
-                os.fsync(self._handle.fileno())
-        else:
+        with get_observer().span("store.fsync", policy=self.policy):
             os.fsync(self._handle.fileno())
         self._last_fsync = time.monotonic()
         self._counters.add("store.fsyncs")

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..attributes.nested import Flat, ListAttr, NestedAttribute, Null, Record
-from ..attributes.subattribute import bottom, is_subattribute
+from ..attributes.subattribute import is_subattribute
 from ..attributes.universe import Universe
 from ..exceptions import NotASubattributeError
 from ..values.value import OK, Value
@@ -154,12 +154,3 @@ class PairRealizer:
             return (OK, OK)
         raise TypeError(f"not a nested attribute: {root!r}")  # pragma: no cover
 
-
-def _module_self_check() -> None:  # pragma: no cover - executed by tests
-    """Tiny smoke check kept importable for the doctest harness."""
-    from ..attributes.parser import parse_attribute
-
-    realizer = PairRealizer()
-    root = parse_attribute("R(A, L[B])")
-    first, second = realizer.realize(root, bottom(root))
-    assert first != second

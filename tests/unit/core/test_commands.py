@@ -56,15 +56,6 @@ class TestCompleteness:
         assert {"cover", "keys", "check4nf",
                 "is_redundant"} <= commands.wire_ops()
 
-    def test_every_server_scope_op_has_a_server_handler(self):
-        from repro.serve.server import ReasoningServer
-
-        for name, cls in REGISTRY.items():
-            if cls.spec.wire and cls.spec.scope == "server":
-                # dotted wire names map to underscored method names
-                method = f"_op_{name.replace('.', '_')}"
-                assert hasattr(ReasoningServer, method), name
-
     def test_server_binds_all_admin_handlers(self):
         from repro.serve.server import ReasoningServer
 
