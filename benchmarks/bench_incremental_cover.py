@@ -19,7 +19,8 @@ architecture: every membership verdict pays one fresh
 :func:`compute_closure` against the then-current candidate Σ (no state
 survives an edit).  The *session* path keeps one
 :class:`repro.core.session.Session` alive through all five phases:
-retraction evicts only provenance-hit entries, re-adds warm-start, and
+retraction evicts only provenance-hit entries, a re-add drops the
+cached closures (each is recomputed from ``X`` when next asked), and
 phases 3–5 are mostly cache hits.
 
 ``BENCH_incremental_cover.json`` at the repository root records the

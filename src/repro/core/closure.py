@@ -285,7 +285,6 @@ def closure_of_masks_instrumented(
     *,
     stats: KernelStats | None = None,
     fired: set[int] | None = None,
-    warm_start: tuple[int, Iterable[int], Sequence[int]] | None = None,
 ) -> tuple[int, frozenset[int], int]:
     """The worklist kernel behind the observability layer.
 
@@ -302,8 +301,7 @@ def closure_of_masks_instrumented(
     """
     obs = get_observer()
     if not obs.enabled:
-        return closure_of_masks_fast(plan, x_mask, stats=stats, fired=fired,
-                                     warm_start=warm_start)
+        return closure_of_masks_fast(plan, x_mask, stats=stats, fired=fired)
 
     encoding = plan.encoding
     run_stats = KernelStats()
@@ -319,7 +317,6 @@ def closure_of_masks_instrumented(
     ) as span:
         closure_mask, blocks, passes = closure_of_masks_fast(
             plan, x_mask, stats=run_stats, fired=fired,
-            warm_start=warm_start,
         )
         hits_after, misses_after = encoding.cache_totals()
         cache_hits = hits_after - hits_before
@@ -372,31 +369,23 @@ def closure_of_masks(
     fd_labels: Sequence[Dependency] | None = None,
     mvd_labels: Sequence[Dependency] | None = None,
     fired: set[int] | None = None,
-    initial: tuple[int, Iterable[int]] | None = None,
 ) -> tuple[int, frozenset[int], int]:
     """Mask-level core of Algorithm 5.1; returns ``(X⁺, DB, passes)``.
 
     Separated from :func:`compute_closure` so the scaling benchmarks can
     time the algorithm without attribute-encoding overhead.  ``fired``
     optionally collects the FDs-then-MVDs indices of productive firings
-    (provenance, mirroring the worklist kernel's parameter); ``initial``
-    optionally seeds ``(X_new, DB_new)`` from a previously computed
-    fixpoint of a smaller Σ with the same left-hand side, which the
-    REPEAT loop then extends to the fixpoint of the full Σ.
+    (provenance, mirroring the worklist kernel's parameter).
     """
     x_new = x_mask
 
     # DB_new := MaxB(X^CC) ∪ {X^C}
     db: set[int] = set()
-    if initial is None:
-        for index in iter_bits(encoding.maximal_of(encoding.double_complement(x_mask))):
-            db.add(encoding.below[index])
-        x_complement = encoding.complement(x_mask)
-        if x_complement:
-            db.add(x_complement)
-    else:
-        x_new = initial[0]
-        db.update(initial[1])
+    for index in iter_bits(encoding.maximal_of(encoding.double_complement(x_mask))):
+        db.add(encoding.below[index])
+    x_complement = encoding.complement(x_mask)
+    if x_complement:
+        db.add(x_complement)
 
     if trace is not None:
         trace.initial(encoding, x_new, frozenset(db))

@@ -524,14 +524,14 @@ class Open(Command):
 @register
 @dataclass(frozen=True)
 class Add(Command):
-    """Add one dependency to Σ (idempotent; warm-starts the cache)."""
+    """Add one dependency to Σ (idempotent; drops cached closures)."""
 
     dependency: "Dependency | str" = ""
     session: str | None = None
 
     spec: ClassVar[CommandSpec] = CommandSpec(
         name="add",
-        summary="add a dependency to Σ (warm-starts cached closures)",
+        summary="add a dependency to Σ (drops cached closures)",
         usage="add <dep>",
         params=(_SESSION_PARAM, ParamSpec("dependency")),
         result=(FieldSpec("added"), FieldSpec("sigma"),

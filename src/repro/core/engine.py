@@ -83,8 +83,8 @@ algorithms exploit:
   ``(X⁺, DB, passes)``, the provenance and every :class:`KernelStats`
   counter are those of firing all of Σ, while Theorem 6.4's ``|Σ|``
   factor per cold run shrinks to the dependencies ``X`` covers (and
-  those after the first change).  Warm starts and masks that are not
-  down-closed queue every dependency.
+  those after the first change).  Masks that are not down-closed queue
+  every dependency.
 
 The REPEAT structure survives as *generations*: the initial queue (all
 of Σ, FDs first — the paper's order) is generation 1, dependencies
@@ -109,7 +109,6 @@ through the ``worklist`` engine, which compiles one on demand.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
 
 from ..attributes.encoding import iter_bits
 from .plan import CompiledPlan
@@ -179,7 +178,6 @@ def closure_of_masks_fast(
     *,
     stats: KernelStats | None = None,
     fired: set[int] | None = None,
-    warm_start: tuple[int, Iterable[int], Sequence[int]] | None = None,
 ) -> tuple[int, frozenset[int], int]:
     """Worklist kernel for Algorithm 5.1; returns ``(X⁺, DB, passes)``.
 
@@ -203,17 +201,6 @@ def closure_of_masks_fast(
         dependency absent from ``fired`` only ever fired as a no-op, so
         removing it from Σ replays the identical run — the invariant
         :class:`repro.core.session.Session` uses for cache retention.
-    warm_start:
-        Optional ``(x_plus, blocks, pending)`` resume state.  Instead of
-        initialising from ``X``, the kernel starts at the supplied
-        fixpoint of a *smaller* Σ (same left-hand side ``x_mask``) and
-        seeds the worklist with only the ``pending`` dependencies — the
-        ones added since that fixpoint was computed, as slots (mapped
-        through the plan's ``folded_of`` and queued in firing order).
-        Because the algorithm is a monotone fixpoint computation and the
-        old dependencies cannot fire productively at their own fixpoint
-        (they are re-queued if the new ones dirty their inputs), the
-        result is the same ``(X⁺, DB)`` as a cold run over the full Σ.
     """
     encoding = plan.encoding
     pseudo_difference = encoding.pseudo_difference
@@ -295,21 +282,16 @@ def closure_of_masks_fast(
     # doc) rather than run: those whose ``U`` the element ``X`` does not
     # cover.  Free positions are in no index, so only live ones appear.
     dismissed = 0
-    if warm_start is None:
-        # DB_new := MaxB(X^CC) ∪ {X^C}, and MaxB(X^CC) = X ∩ MaxB(N) (L4).
-        for index in iter_bits(x_mask & maximal):
-            add_single(index)
-        x_complement = encoding.complement(x_mask)
-        if x_complement:
-            add_block(x_complement)
-            if down_close(x_mask) == x_mask:
-                lhs_index = plan.lhs_index
-                for i in iter_bits(encoding.full & ~x_mask):
-                    dismissed |= lhs_index[i]
-    else:
-        x_new = warm_start[0]
-        for w in warm_start[1]:
-            add_block(w)
+    # DB_new := MaxB(X^CC) ∪ {X^C}, and MaxB(X^CC) = X ∩ MaxB(N) (L4).
+    for index in iter_bits(x_mask & maximal):
+        add_single(index)
+    x_complement = encoding.complement(x_mask)
+    if x_complement:
+        add_block(x_complement)
+        if down_close(x_mask) == x_mask:
+            lhs_index = plan.lhs_index
+            for i in iter_bits(encoding.full & ~x_mask):
+                dismissed |= lhs_index[i]
 
     # Blocks that are possibly *not* CC-closed.  The naive FD step maps
     # every block through ``(W ∸ Ṽ)^CC``, which is the identity on
@@ -349,25 +331,17 @@ def closure_of_masks_fast(
             stats.u_bar_blocks += blocks
         return result
 
-    # Worklist: initially every live folded position, in order (or, on
-    # warm starts, only the pending ones — slots mapped onto folded
-    # positions, in firing order); generations mirror the naive REPEAT
-    # passes for reporting purposes.  Tombstoned positions of an edited
-    # plan are never queued: they are outside ``live_mask`` and have no
-    # bit in any requeue mask.  A cold start leaves the dismissed
-    # positions out until the first state change.
+    # Worklist: initially every live folded position, in order;
+    # generations mirror the naive REPEAT passes for reporting purposes.
+    # Tombstoned positions of an edited plan are never queued: they are
+    # outside ``live_mask`` and have no bit in any requeue mask.  A cold
+    # start leaves the dismissed positions out until the first state
+    # change.
     cold = dismissed != 0
-    if warm_start is None:
-        queued_mask = plan.live_mask & ~dismissed  # over folded positions
-        if queued_mask == (1 << len(deps)) - 1:
-            queue: deque[int] = deque(range(len(deps)))
-        else:
-            queue = deque(iter_bits(queued_mask))
+    queued_mask = plan.live_mask & ~dismissed  # over folded positions
+    if queued_mask == (1 << len(deps)) - 1:
+        queue: deque[int] = deque(range(len(deps)))
     else:
-        folded_of = plan.folded_of
-        queued_mask = 0
-        for index in warm_start[2]:
-            queued_mask |= 1 << folded_of[index]
         queue = deque(iter_bits(queued_mask))
     passes = 1
     firings = 0

@@ -9,7 +9,7 @@ entry point with a uniform mask-level calling convention::
     engine = get_engine("worklist")          # or None for the default
     x_plus, blocks, passes = engine.run(
         encoding, x_mask, fd_masks, mvd_masks,
-        stats=stats, fired=fired, warm_start=warm_start, plan=plan,
+        stats=stats, fired=fired, plan=plan,
     )
 
 All registered engines are bit-identical on ``(X⁺, DB)`` — the corpus
@@ -20,18 +20,16 @@ and capabilities:
     The dirty-set kernel (:func:`repro.core.engine.closure_of_masks_fast`
     behind the observability wrapper), run off the supplied
     :class:`~repro.core.plan.CompiledPlan` — or off one compiled for the
-    call when ``plan`` is ``None``.  Supports warm starts and exact
-    provenance.  The default.
+    call when ``plan`` is ``None``.  Exact provenance.  The default.
 ``naive``
-    The pass-by-pass transcription of the paper's pseudocode.  Supports
-    warm starts (seeding ``(X_new, DB_new)``) and provenance; the only
-    engine with trace support (requested via
+    The pass-by-pass transcription of the paper's pseudocode.  Exact
+    provenance; the only engine with trace support (requested via
     :func:`repro.core.closure.compute_closure`, not through the
     registry).
 ``reference``
     The structural implementation over ``NestedAttribute`` values —
-    deliberately slow, deliberately encoding-free.  No warm starts; its
-    provenance is the conservative "all of Σ".
+    deliberately slow, deliberately encoding-free.  Its provenance is
+    the conservative "all of Σ".
 
 Only the worklist engine reads ``plan`` (:attr:`Engine.reads_plan`);
 the other two take it and ignore it, so a caller can always pass the
@@ -48,7 +46,7 @@ flag and the shell's ``engine`` command set it via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from ..attributes.encoding import BasisEncoding
 from ..dependencies.dependency import FunctionalDependency, MultivaluedDependency
@@ -76,7 +74,6 @@ class _RunFn(Protocol):
         *,
         stats: KernelStats | None = None,
         fired: set[int] | None = None,
-        warm_start: tuple[int, Iterable[int], Sequence[int]] | None = None,
         plan: CompiledPlan | None = None,
     ) -> tuple[int, frozenset[int], int]: ...
 
@@ -92,23 +89,18 @@ class Engine:
     description:
         One-line human description (the shell's ``engine`` command
         prints it).
-    supports_warm_start:
-        Whether :meth:`run` honours the ``warm_start`` resume state.  A
-        :class:`~repro.core.session.Session` falls back to a cold
-        recompute when the selected engine cannot warm-start.
     supports_trace:
         Whether the underlying kernel can replay pass-by-pass traces
         (only the naive transcription can).
     reads_plan:
         Whether :meth:`run` runs off the supplied ``plan``: Σ comes from
-        the plan (the mask arguments may be ``None``) and ``fired`` /
-        ``warm_start`` indices are the plan's slots.  Other engines take
+        the plan (the mask arguments may be ``None``) and ``fired``
+        indices are the plan's slots.  Other engines take
         Σ from the mask arguments, indexed FDs-then-MVDs.
     """
 
     name: str
     description: str
-    supports_warm_start: bool
     supports_trace: bool
     _run: _RunFn = field(repr=False)
     reads_plan: bool = False
@@ -122,26 +114,19 @@ class Engine:
         *,
         stats: KernelStats | None = None,
         fired: set[int] | None = None,
-        warm_start: tuple[int, Iterable[int], Sequence[int]] | None = None,
         plan: CompiledPlan | None = None,
     ) -> tuple[int, frozenset[int], int]:
         """Compute ``(X⁺, DB, passes)`` for ``x_mask`` under the mask Σ.
 
         ``fired`` optionally collects provenance (FDs-then-MVDs indices
-        of productive firings); ``warm_start`` optionally resumes from a
-        smaller-Σ fixpoint ``(x_plus, blocks, pending_indices)`` when
-        :attr:`supports_warm_start` — it is a programming error to pass
-        one otherwise.  ``plan`` optionally supplies the compiled form
-        of the same Σ (module doc); an engine that :attr:`reads_plan`
-        then accepts ``None`` for both mask arguments.
+        of productive firings).  ``plan`` optionally supplies the
+        compiled form of the same Σ (module doc); an engine that
+        :attr:`reads_plan` then accepts ``None`` for both mask
+        arguments.
         """
-        if warm_start is not None and not self.supports_warm_start:
-            raise ValueError(
-                f"engine {self.name!r} does not support warm starts"
-            )
         return self._run(
             encoding, x_mask, fd_masks, mvd_masks,
-            stats=stats, fired=fired, warm_start=warm_start, plan=plan,
+            stats=stats, fired=fired, plan=plan,
         )
 
 
@@ -208,7 +193,6 @@ def _worklist_run(
     *,
     stats: KernelStats | None = None,
     fired: set[int] | None = None,
-    warm_start: tuple[int, Iterable[int], Sequence[int]] | None = None,
     plan: CompiledPlan | None = None,
 ) -> tuple[int, frozenset[int], int]:
     # Route through the observability wrapper so every run — registry or
@@ -225,7 +209,7 @@ def _worklist_run(
             f"{len(fd_masks)} / {len(mvd_masks)}"
         )
     return closure_of_masks_instrumented(
-        plan, x_mask, stats=stats, fired=fired, warm_start=warm_start,
+        plan, x_mask, stats=stats, fired=fired,
     )
 
 
@@ -237,14 +221,12 @@ def _naive_run(
     *,
     stats: KernelStats | None = None,
     fired: set[int] | None = None,
-    warm_start: tuple[int, Iterable[int], Sequence[int]] | None = None,
     plan: CompiledPlan | None = None,
 ) -> tuple[int, frozenset[int], int]:
     from .closure import closure_of_masks
 
-    initial = (warm_start[0], warm_start[1]) if warm_start is not None else None
     x_plus, blocks, passes = closure_of_masks(
-        encoding, x_mask, fd_masks, mvd_masks, fired=fired, initial=initial,
+        encoding, x_mask, fd_masks, mvd_masks, fired=fired,
     )
     if stats is not None:
         # The naive kernel has no internal counters; runs/passes/firings
@@ -263,7 +245,6 @@ def _reference_run(
     *,
     stats: KernelStats | None = None,
     fired: set[int] | None = None,
-    warm_start: tuple[int, Iterable[int], Sequence[int]] | None = None,
     plan: CompiledPlan | None = None,
 ) -> tuple[int, frozenset[int], int]:
     root = encoding.root
@@ -288,8 +269,7 @@ def _reference_run(
 
 register_engine(Engine(
     name="worklist",
-    description="dirty-set worklist kernel over a compiled plan (fast; warm starts, provenance)",
-    supports_warm_start=True,
+    description="dirty-set worklist kernel over a compiled plan (fast; provenance)",
     supports_trace=False,
     _run=_worklist_run,
     reads_plan=True,
@@ -297,14 +277,12 @@ register_engine(Engine(
 register_engine(Engine(
     name="naive",
     description="pass-by-pass pseudocode transcription (traceable)",
-    supports_warm_start=True,
     supports_trace=True,
     _run=_naive_run,
 ))
 register_engine(Engine(
     name="reference",
     description="structural NestedAttribute implementation (slow; differential oracle)",
-    supports_warm_start=False,
     supports_trace=False,
     _run=_reference_run,
 ))

@@ -179,7 +179,7 @@ def minimal_cover(sigma: DependencySet,
     and re-added only if it does not follow from them.  Provenance-exact
     eviction means a retraction only discards the cache entries that
     actually used the candidate, so the per-candidate membership tests
-    mostly warm-start or hit outright.
+    mostly hit outright; re-adding a candidate drops the cache.
     """
     if session is None:
         from .session import Session

@@ -22,7 +22,7 @@ The plan holds three things:
    position → first live slot) reports the kernel's ``fired``
    provenance in slots (:meth:`CompiledPlan.sigma_indices` turns them
    back into FDs-then-MVDs indices), while ``folded_of`` (slot → folded
-   position) maps warm-start pending lists the other way.
+   position) finds the position an edit of a slot touches.
 
 2. **Inverted indexes.**  ``requeue_masks[bit]`` is an int bitmask over
    folded positions of every dependency whose relevance mask contains
@@ -144,7 +144,8 @@ class CompiledPlan:
     origin:
         Folded position → its first live slot (provenance remap).
     folded_of:
-        Slot → folded position (warm-start pending remap).
+        Slot → folded position (``None`` once retracted); the edit
+        path's slot lookup.
     requeue_masks:
         Per basis bit, an int bitmask over folded positions whose
         relevance mask ``u | v`` contains the bit.

@@ -6,16 +6,13 @@ membership algorithm.  All of those workflows *edit* Σ: they drop a
 candidate dependency, re-ask a few membership questions, and either keep
 the smaller set or put the dependency back.  Before this module every
 edit meant a fresh kernel run per query; a :class:`Session` instead owns
-the Σ lifecycle and keeps its per-left-hand-side closure cache **live
-across edits** using two pieces of kernel support
-(:mod:`repro.core.engine` / :mod:`repro.core.closure`):
+the Σ lifecycle and keeps its per-left-hand-side closure cache under
+one rule:
 
-* **Warm starts** — :meth:`Session.add` keeps every cached
-  ``(X⁺, DB)``.  The next query for a cached ``X`` resumes the monotone
-  fixpoint from the cached state with only the *new* dependencies in the
-  worklist, which is sound because the cached state is the fixpoint of
-  the old Σ (a subset of the new one) and Algorithm 5.1's fixpoint is
-  reached from any intermediate state between ``X`` and ``X⁺``.
+* **An add drops every cached closure** — :meth:`Session.add` clears
+  the cache, as it clears the closure-interval cache: a closure of the
+  old Σ lacks the new member, and Algorithm 5.1 recomputes it from
+  ``X_new := X``.  A hit is an entry that exists.
 
 * **Provenance-tracked retraction** — every cached result records which
   Σ-members actually *fired productively* into it (``ClosureResult.fired``).
@@ -28,9 +25,8 @@ across edits** using two pieces of kernel support
   see ``benchmarks/bench_incremental_cover.py`` for the measured effect.
 
 The engine is picked from the :mod:`repro.core.engines` registry and can
-be switched mid-session (:meth:`set_engine`); engines without warm-start
-support (the structural ``reference`` oracle) silently fall back to cold
-recomputes, so every engine answers every query correctly.
+be switched mid-session (:meth:`set_engine`); every engine answers
+every query correctly.
 
 :class:`repro.reasoner.Reasoner` is a thin façade over a Session with
 ``label="reasoner"`` (preserving its historical counter names and span
@@ -71,7 +67,6 @@ class SessionCacheInfo(tuple):
 
     Mirrors :class:`repro.reasoner.ReasonerCacheInfo` (the façade builds
     one from the other) and adds the incremental-editing counters:
-    ``warm_starts`` (queries resumed from a smaller-Σ fixpoint),
     ``invalidations`` (entries evicted by :meth:`Session.retract`
     because the retracted dependency was in their provenance) and
     ``retained`` (entries that survived a retraction because it was
@@ -81,14 +76,17 @@ class SessionCacheInfo(tuple):
     :meth:`~repro.attributes.encoding.BasisEncoding.codec_info`.
     """
 
-    def __new__(cls, computed: int, hits: int, *, warm_starts: int = 0,
+    #: Always 0: a session never resumes a cached fixpoint.  Kept only
+    #: because ``perfbench/tracing.py`` reads it.
+    warm_starts = 0
+
+    def __new__(cls, computed: int, hits: int, *,
                 evictions: int = 0, invalidations: int = 0, retained: int = 0,
                 maxsize: int | None = None, engine: str = "worklist",
                 encoding=None, kernel: KernelStats | None = None,
                 plan: PlanCacheInfo | None = None, codec=None,
                 ) -> "SessionCacheInfo":
         self = super().__new__(cls, (computed, hits))
-        self.warm_starts = warm_starts
         self.evictions = evictions
         self.invalidations = invalidations
         self.retained = retained
@@ -111,7 +109,7 @@ class SessionCacheInfo(tuple):
     def __repr__(self) -> str:
         return (
             f"SessionCacheInfo(computed={self[0]}, hits={self[1]}, "
-            f"warm_starts={self.warm_starts}, evictions={self.evictions}, "
+            f"evictions={self.evictions}, "
             f"invalidations={self.invalidations}, retained={self.retained}, "
             f"maxsize={self.maxsize}, engine={self.engine!r})"
         )
@@ -126,19 +124,14 @@ class _CacheEntry:
 
     ``provenance`` is the set of Σ-members (as keys, *not* indices —
     indices shift when Σ changes because the kernels fire FDs before
-    MVDs) that productively fired into ``result``.  ``sigma_keys`` is
-    the Σ snapshot the result is current for; dependencies added since
-    then are exactly ``Σ − sigma_keys`` and form the pending worklist of
-    the next warm start.
+    MVDs) that productively fired into ``result``.
     """
 
-    __slots__ = ("result", "provenance", "sigma_keys")
+    __slots__ = ("result", "provenance")
 
-    def __init__(self, result: ClosureResult, provenance: set[Key],
-                 sigma_keys: set[Key]) -> None:
+    def __init__(self, result: ClosureResult, provenance: set[Key]) -> None:
         self.result = result
         self.provenance = provenance
-        self.sigma_keys = sigma_keys
 
 
 class Session:
@@ -204,8 +197,8 @@ class Session:
         # as, or decoded on first demand (None until then).
         self._deps: dict[Key, Dependency | None] = {}
         self._dep_set: set[Key] = set()
-        # Plan + interval-cache state must exist before the initial adds
-        # below: add() edits the plan and invalidates views.  While a
+        # Plan and cache state must exist before the initial adds
+        # below: add() edits the plan and drops the caches.  While a
         # plan is live, _slot_deps / _slot_of map its member slots to
         # Σ-members and back.
         self._plan: CompiledPlan | None = None
@@ -213,11 +206,10 @@ class Session:
         self._slot_deps: list[Key | None] = []
         self._slot_of: dict[Key, int] = {}
         self._interval = ClosureIntervalCache()
+        self._entries: OrderedDict[int, _CacheEntry] = OrderedDict()
         for dependency in sigma:
             self.add(dependency)
-        self._entries: OrderedDict[int, _CacheEntry] = OrderedDict()
         self._hits = 0
-        self._warm_starts = 0
         self._evictions = 0
         self._invalidations = 0
         self._retained = 0
@@ -315,8 +307,7 @@ class Session:
     def set_engine(self, name: str | None) -> Engine:
         """Switch engines mid-session; returns the new engine.
 
-        Cached results stay valid (all engines are bit-identical); only
-        warm-start behaviour changes with the engine's capability.
+        Cached results stay valid (all engines are bit-identical).
         """
         self._engine = get_engine(name)
         return self._engine
@@ -330,10 +321,8 @@ class Session:
         which is also where bad text or a side outside ``Sub(N)`` fails;
         a member spelled differently is the same member.  A dependency
         object is kept as the member's tree.  A live plan takes the new
-        member in place (:meth:`CompiledPlan.add`).  No cache entry is
-        dropped: each one records its Σ snapshot (``sigma_keys``) and
-        the next query against it warm-starts the fixpoint with the
-        missing dependencies as the pending worklist.
+        member in place (:meth:`CompiledPlan.add`).  Every cached
+        closure is dropped: it is a fixpoint of the smaller Σ.
         """
         key = self.dependency_masks(dependency)
         if key in self._dep_set:
@@ -341,6 +330,7 @@ class Session:
         self._deps[key] = None if isinstance(dependency, str) else dependency
         self._dep_set.add(key)
         self._invalidate_views()
+        self._entries.clear()
         plan = self._plan
         if plan is not None:
             is_fd, lhs_mask, rhs_mask = key
@@ -377,10 +367,9 @@ class Session:
         an entry is dropped iff the retracted dependency productively
         fired into its cached result.
         All other entries are *retained* — their fixpoint provably does
-        not depend on the retracted member — and merely forget it from
-        their Σ snapshot (so a later re-add shows up as pending again);
-        their ``fired`` indices above the retracted member's move down
-        by one, so they keep naming the same members.
+        not depend on the retracted member; their ``fired`` indices
+        above the retracted member's move down by one, so they keep
+        naming the same members.
 
         Raises
         ------
@@ -411,7 +400,6 @@ class Session:
                 del self._entries[mask]
                 evicted += 1
             else:
-                entry.sigma_keys.discard(key)
                 fired = entry.result.fired
                 if fired and max(fired) > index:
                     entry.result = replace(entry.result, fired=frozenset(
@@ -496,34 +484,26 @@ class Session:
     # -- the cache -----------------------------------------------------------
 
     def result_for(self, x: NestedAttribute | str) -> ClosureResult:
-        """The (cached, possibly warm-started) result for left-hand side ``x``."""
+        """The (cached) result for left-hand side ``x``."""
         return self.result_for_mask(self.attribute_mask(x))
 
     def result_for_mask(self, mask: int) -> ClosureResult:
         """Mask-level :meth:`result_for` (the batch API's entry point)."""
         entry = self._entries.get(mask)
         if entry is not None:
-            if entry.sigma_keys == self._dep_set:
-                self._hits += 1
-                self._entries.move_to_end(mask)
-                get_observer().add(f"{self._label}.cache.hits")
-                return entry.result
-            if self._engine.supports_warm_start:
-                return self._resume(mask, entry)
-            # The engine cannot resume a fixpoint; recompute cold (the
-            # fresh result replaces the stale entry below).
+            self._hits += 1
+            self._entries.move_to_end(mask)
+            get_observer().add(f"{self._label}.cache.hits")
+            return entry.result
         return self._compute(mask)
 
-    def _run(self, mask: int, resume: ClosureResult | None,
-             pending: set[Key], *, warm: bool, counter: str
-             ) -> tuple[ClosureResult, set[Key]]:
-        """One engine run; returns the result and the Σ-members fired.
+    def _compute(self, mask: int) -> ClosureResult:
+        """One engine run, cached.
 
-        ``resume`` is the cached fixpoint of a smaller Σ to warm-start
-        from, with the ``pending`` members added since.  A plan-reading
-        engine runs off :attr:`plan` and speaks in its slots, which the
-        result's ``fired`` turns back into FDs-then-MVDs indices; any
-        other engine gets the FDs-then-MVDs mask tables.
+        A plan-reading engine runs off :attr:`plan` and speaks in its
+        slots, which the result's ``fired`` turns back into
+        FDs-then-MVDs indices; any other engine gets the FDs-then-MVDs
+        mask tables.
         """
         engine = self._engine
         if engine.reads_plan:
@@ -533,70 +513,30 @@ class Session:
         else:
             plan = None
             fd_masks, mvd_masks, members = self._mask_tables()
-        warm_start = None
-        if resume is not None:
-            if plan is not None:
-                slot_of = self._slot_of
-                indices = [slot_of[key] for key in pending]
-            else:
-                indices = [i for i, key in enumerate(members)
-                           if key in pending]
-            warm_start = (resume.closure_mask, resume.blocks, indices)
         fired: set[int] = set()
         obs = get_observer()
         if not obs.enabled:
             closure_mask, blocks, passes = engine.run(
                 self.encoding, mask, fd_masks, mvd_masks,
-                stats=self.kernel_stats, fired=fired, warm_start=warm_start,
-                plan=plan,
+                stats=self.kernel_stats, fired=fired, plan=plan,
             )
         else:
-            obs.add(counter)
+            obs.add(f"{self._label}.cache.misses")
             with obs.span(f"{self._label}.query", lhs=format(mask, "#x"),
-                          cached=False, engine=engine.name, warm=warm):
+                          cached=False, engine=engine.name):
                 closure_mask, blocks, passes = engine.run(
                     self.encoding, mask, fd_masks, mvd_masks,
-                    stats=self.kernel_stats, fired=fired,
-                    warm_start=warm_start, plan=plan,
+                    stats=self.kernel_stats, fired=fired, plan=plan,
                 )
         indices = (frozenset(fired) if plan is None
                    else plan.sigma_indices(fired))
         result = ClosureResult(self.encoding, mask, closure_mask, blocks,
                                passes, indices)
-        return result, {members[i] for i in fired}
-
-    def _resume(self, mask: int, entry: _CacheEntry) -> ClosureResult:
-        """Warm-start: extend the cached fixpoint by the pending Σ-members."""
-        # C-level set difference on stored hashes: O(|Σ|) without a
-        # Python __hash__ call per member.
-        pending = self._dep_set - entry.sigma_keys
-        self._warm_starts += 1
-        result, fired = self._run(
-            mask, entry.result, pending,
-            warm=True, counter=f"{self._label}.cache.warm_starts",
-        )
-        entry.result = result
-        # Everything that fired during the resume — pending members and
-        # re-dirtied old ones alike — joins the provenance; the original
-        # provenance stays (those firings shaped the state we resumed
-        # from).
-        entry.provenance.update(fired)
-        entry.sigma_keys = set(self._dep_set)
-        self._entries.move_to_end(mask)
-        self._interval.store(mask, result.closure_mask)
-        return result
-
-    def _compute(self, mask: int) -> ClosureResult:
-        result, fired = self._run(
-            mask, None, set(),
-            warm=False, counter=f"{self._label}.cache.misses",
-        )
-        self._store(mask, _CacheEntry(result, fired, set(self._dep_set)))
+        self._store(mask, _CacheEntry(result, {members[i] for i in fired}))
         return result
 
     def _store(self, mask: int, entry: _CacheEntry) -> None:
         self._entries[mask] = entry
-        self._entries.move_to_end(mask)
         # Every freshly computed fixpoint also feeds the
         # interval cache — it is current for today's Σ by construction.
         self._interval.store(mask, entry.result.closure_mask)
@@ -613,12 +553,11 @@ class Session:
     # -- cache membership ------------------------------------------------------
 
     def is_cached(self, mask: int) -> bool:
-        """Whether ``mask`` has a cache entry current for today's Σ."""
-        entry = self._entries.get(mask)
-        return entry is not None and entry.sigma_keys == self._dep_set
+        """Whether ``mask`` has a cache entry."""
+        return mask in self._entries
 
     def cached_masks(self) -> frozenset[int]:
-        """The cached left-hand-side masks (current and stale alike)."""
+        """The cached left-hand-side masks."""
         return frozenset(self._entries)
 
     # -- queries -------------------------------------------------------------
@@ -626,8 +565,8 @@ class Session:
     def closure_mask_for(self, mask: int) -> int:
         """``X⁺`` as a mask, answered as cheaply as possible.
 
-        Resolution order: the full result cache (exact hit, current Σ —
-        normal hit accounting), then the closure-interval cache (a
+        Resolution order: the full result cache (exact hit — normal hit
+        accounting), then the closure-interval cache (a
         cached ``X'`` with ``X' ≤ X ≤ X'⁺`` forces ``X⁺ = X'⁺`` without
         any kernel run), then a real computation.  Only closure-derived
         queries — FD membership, :meth:`closure`, :meth:`is_superkey` —
@@ -636,7 +575,7 @@ class Session:
         basis queries always take :meth:`result_for_mask`.
         """
         entry = self._entries.get(mask)
-        if entry is not None and entry.sigma_keys == self._dep_set:
+        if entry is not None:
             self._hits += 1
             self._entries.move_to_end(mask)
             get_observer().add(f"{self._label}.cache.hits")
@@ -705,7 +644,6 @@ class Session:
         """``(cached left-hand sides, hits)`` plus the incremental counters."""
         return SessionCacheInfo(
             len(self._entries), self._hits,
-            warm_starts=self._warm_starts,
             evictions=self._evictions,
             invalidations=self._invalidations,
             retained=self._retained,
@@ -726,7 +664,6 @@ class Session:
         """
         self._entries.clear()
         self._hits = 0
-        self._warm_starts = 0
         self._evictions = 0
         self._invalidations = 0
         self._retained = 0
@@ -753,7 +690,6 @@ class Session:
             head_line += f" maxsize={info.maxsize}"
         session_line = (
             f"session:  engine={info.engine} |Σ|={len(self._deps)} "
-            f"warm_starts={info.warm_starts} "
             f"invalidations={info.invalidations} retained={info.retained}"
         )
         plan = info.plan

@@ -79,8 +79,8 @@ def synthesize(sigma: DependencySet,
 
     One :class:`~repro.core.session.Session` is threaded through the
     whole pipeline: the minimal-cover sweep leaves it holding exactly
-    the cover, so the grouping closures and the superkey scan reuse (or
-    warm-start from) the cache entries the sweep already paid for.
+    the cover, so the grouping closures and the superkey scan reuse the
+    cache entries the sweep already paid for.
 
     Example
     -------

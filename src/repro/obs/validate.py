@@ -26,7 +26,7 @@ REQUIRED_ATTRS: dict[str, tuple[str, ...]] = {
     "closure.compute": ("lhs", "size", "sigma", "fds", "mvds", "kernel"),
     "plan.compile": ("size", "sigma", "fds", "mvds", "incremental"),
     "reasoner.query": ("lhs", "cached"),
-    "session.query": ("lhs", "cached", "engine", "warm"),
+    "session.query": ("lhs", "cached", "engine"),
     "session.add": ("dependency", "sigma"),
     "session.retract": ("dependency", "sigma"),
     "reasoner.add": ("dependency", "sigma"),

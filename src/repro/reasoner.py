@@ -170,7 +170,7 @@ class Reasoner:
         two-tuple; ``.evictions``, ``.maxsize``, ``.encoding`` and
         ``.kernel`` expose the bounded-cache and instrumentation
         counters added with the worklist kernel.  The full incremental
-        counters (warm starts, provenance invalidations) live on
+        counters (provenance invalidations, retained entries) live on
         ``self.session.cache_info()``.
         """
         info = self.session.cache_info()

@@ -21,8 +21,9 @@ concerns shape the design:
   (:mod:`repro.replicate`), one process each.
 
 * **Backpressure + deadlines** — each connection is an
-  :class:`asyncio.Protocol` that answers a request that does not wait
-  in ``data_received``, at most ``_LINES_PER_TURN`` lines before the
+  :class:`asyncio.BufferedProtocol` that reads into a buffer it owns
+  (no allocation per read) and answers a request that does not wait
+  in ``buffer_updated``, at most ``_LINES_PER_TURN`` lines before the
   other connections get a turn (``call_soon``).  While the transport's
   write buffer is over its high-water mark (``pause_writing``) it
   answers nothing and reads nothing; a connection waiting for its turn
@@ -154,18 +155,28 @@ class ServeConfig:
 #: connections get theirs.
 _LINES_PER_TURN = 2
 
+#: The least free space a connection's read buffer offers per read.
+_READ_SIZE = 16384
 
-class _Connection(asyncio.Protocol):
+
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: frames request lines, answers them in
-    turns, holds its parked requests."""
+    turns, holds its parked requests.
 
-    __slots__ = ("server", "transport", "parked", "_buffer", "_writable",
-                 "_eof", "_turn")
+    The transport reads straight into ``_buffer``; ``_buffer[_start:_end]``
+    is received and not yet answered.  The transport holds a view of the
+    buffer while :meth:`buffer_updated` runs, so only :meth:`get_buffer`
+    moves or resizes it.
+    """
+
+    __slots__ = ("server", "transport", "parked", "_buffer", "_start",
+                 "_end", "_writable", "_eof", "_turn")
 
     def __init__(self, server: "ReasoningServer") -> None:
         self.server = server
         self.parked: set[asyncio.Task] = set()
-        self._buffer = bytearray()  # received, not yet answered
+        self._buffer = bytearray(_READ_SIZE)
+        self._start = self._end = 0
         #: ``False`` from ``pause_writing`` until ``resume_writing``.
         self._writable = True
         self._eof = False
@@ -183,9 +194,27 @@ class _Connection(asyncio.Protocol):
             self._turn.cancel()
             self.server._backlog -= 1
 
-    def data_received(self, data: bytes) -> None:
-        self._buffer += data
-        if len(self._buffer) > 2 * self.server.config.max_line_bytes:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        buffer, start, end = self._buffer, self._start, self._end
+        if len(buffer) - end < _READ_SIZE:
+            size = end - start
+            if len(buffer) - size < _READ_SIZE:
+                grown = bytearray(2 * len(buffer))
+                grown[:size] = buffer[start:end]
+                self._buffer = buffer = grown
+            else:
+                buffer[:size] = buffer[start:end]
+            self._start, self._end = 0, size
+            end = size
+        elif start == end and len(buffer) > _READ_SIZE:
+            # a long line has been answered: give its room back
+            self._buffer = buffer = bytearray(_READ_SIZE)
+            self._start = self._end = end = 0
+        return memoryview(buffer)[end:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._end += nbytes
+        if self._end - self._start > 2 * self.server.config.max_line_bytes:
             self.transport.pause_reading()
         self._handle()
 
@@ -218,9 +247,9 @@ class _Connection(asyncio.Protocol):
             return  # the scheduled turn answers what arrived
         transport, buffer = self.transport, self._buffer
         limit = self.server.config.max_line_bytes
-        start = 0
+        start, stop = self._start, self._end
         for _ in range(_LINES_PER_TURN):
-            end = buffer.find(b"\n", start)
+            end = buffer.find(b"\n", start, stop)
             if (end < 0 or end - start > limit or not self._writable
                     or transport.is_closing()):
                 break
@@ -228,18 +257,22 @@ class _Connection(asyncio.Protocol):
             start = end + 1
             if line.strip():
                 self.server._admit(self, line)
-        del buffer[:start]
+        if start == stop:
+            start = stop = self._end = 0
+        self._start = start
         if not self._writable or transport.is_closing():
             return  # resume_writing schedules the next turn
-        end = buffer.find(b"\n")
-        if end > limit or (end < 0 and (self._eof or len(buffer) > limit)):
+        end = buffer.find(b"\n", start, stop)
+        pending = stop - start
+        if (end - start > limit
+                or (end < 0 and (self._eof or pending > limit))):
             # an over-long line cannot be resynchronised; at EOF a
             # trailing partial line is ignored
             transport.close()
             return
         if end >= 0:
             self._schedule()  # more lines, after the other connections
-        if len(buffer) <= limit:
+        if pending <= limit:
             transport.resume_reading()
 
     def send(self, message: dict[str, Any]) -> None:
@@ -702,7 +735,6 @@ class ReasoningServer:
                 "generation": managed.generation,
                 "computed": info.computed,
                 "hits": info.hits,
-                "warm_starts": info.warm_starts,
                 "invalidations": info.invalidations,
                 "retained": info.retained,
                 "codec": {op: list(row) for op, row in info.codec.items()},

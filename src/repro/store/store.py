@@ -14,9 +14,12 @@ the replayed segments and the previous snapshot deleted.  A crash
 between any two steps leaves a consistent manifest view; startup's
 orphan sweep collects the debris.
 
-The WAL tail also lives in memory.  Every record enters the tail once
-its append is flushed, the point at which the mutation may be
-acknowledged; recovery seeds the tail from the segments it replays.
+The WAL tail also lives in memory, on a primary.  Every record
+:meth:`SessionStore.append` logs enters the tail once its append is
+flushed, the point at which the mutation may be acknowledged; recovery
+seeds the tail from the segments it replays.  A follower logs through
+:meth:`SessionStore.append_record` and serves no tail, so its records
+stay out of it (a tail recovery seeded goes at its first compaction).
 :meth:`SessionStore.records_since` answers from the tail alone and
 never re-reads a segment file.  Compaction empties the tail except for
 a *retained window* the caller asks for (``retain_after``: the
@@ -167,14 +170,14 @@ class SessionStore:
         """Log one *already sequenced* record (a follower applying its
         primary's stream keeps the primary's numbering).  The sequence
         must be exactly the next one — a gap would acknowledge records
-        this store never saw."""
+        this store never saw.  The record does not enter the in-memory
+        tail: only a primary serves :meth:`records_since`."""
         if self._writer is None:
             raise RuntimeError("store is not started")
         if seq != self._next_seq:
             raise StoreError(f"replicated record seq={seq} does not follow "
                              f"local last_seq={self.last_seq}")
-        self._tail_sizes.append(self._writer.append(seq, op, params))
-        self._tail.append(WalRecord(seq, op, params))
+        self._writer.append(seq, op, params)
         self._next_seq = seq + 1
         return seq
 

@@ -19,11 +19,11 @@ Three families of laws back the plan subsystem:
   ``(X⁺, DB, passes)``, same provenance; and a recompile of it pickles
   byte-identically to a fresh compile;
 * **cold-start dismissal is exact** — a cold run, which accounts the
-  L5 no-op firings of uncovered dependencies in bulk, equals the
-  kernel's generic path seeded with the same cold-start state as a warm
-  start: same ``(X⁺, DB, passes)``, provenance and every
-  :class:`KernelStats` counter, on fresh and delta-edited plans, whose
-  LHS and RHS indexes hold exactly the live positions.
+  L5 no-op firings of uncovered dependencies in bulk, equals the same
+  run with an all-zero LHS index, which dismisses nothing and fires
+  the full queue one by one: same ``(X⁺, DB, passes)``, provenance and
+  every :class:`KernelStats` counter, on fresh and delta-edited plans,
+  whose LHS and RHS indexes hold exactly the live positions.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.attributes import BasisEncoding
-from repro.attributes.encoding import iter_bits
 from repro.core import Session
 from repro.core.closure import _as_mask_sigma, closure_of_masks
 from repro.core.engine import KernelStats, closure_of_masks_fast
@@ -247,31 +246,24 @@ def test_plan_deltas_fold_duplicates_like_a_compile(root_encoding_sigma,
         _assert_fires_like(plan, fresh, encoding, data)
 
 
-def cold_start_oracle(plan, x):
-    """A cold run of ``x`` as a warm start: ``X_new = X``, ``DB`` the
-    singletons of ``X ∩ MaxB(N)`` plus ``X^C``, every live slot pending.
-
-    The warm-start path fires every queued dependency one by one, so it
-    is the reference for the cold path's bulk accounting.
-    """
-    encoding = plan.encoding
-    blocks = [encoding.below[m] for m in iter_bits(x & encoding.maximal)]
-    x_complement = encoding.complement(x)
-    if x_complement:
-        blocks.append(x_complement)
-    pending = [slot for slot, position in enumerate(plan.folded_of)
-               if position is not None]
-    return x, blocks, pending
-
-
 def assert_cold_equals_oracle(plan, x):
+    """The cold run of ``x`` equals the run that dismisses nothing.
+
+    With ``lhs_index`` all zeros no position is dismissed, so the run
+    fires every queued dependency one by one: the reference for the
+    cold path's bulk accounting.
+    """
     got_stats, want_stats = KernelStats(), KernelStats()
     got_fired: set[int] = set()
     want_fired: set[int] = set()
     got = closure_of_masks_fast(plan, x, stats=got_stats, fired=got_fired)
-    want = closure_of_masks_fast(plan, x, stats=want_stats,
-                                 fired=want_fired,
-                                 warm_start=cold_start_oracle(plan, x))
+    lhs_index = plan.lhs_index
+    plan.lhs_index = [0] * len(lhs_index)
+    try:
+        want = closure_of_masks_fast(plan, x, stats=want_stats,
+                                     fired=want_fired)
+    finally:
+        plan.lhs_index = lhs_index
     assert got == want, format(x, "#x")
     assert got_fired == want_fired, format(x, "#x")
     assert got_stats.as_dict() == want_stats.as_dict(), format(x, "#x")
@@ -279,7 +271,7 @@ def assert_cold_equals_oracle(plan, x):
 
 @settings(max_examples=80, deadline=None)
 @given(roots_with_sigma(max_dependencies=8), st.data())
-def test_cold_dismissal_equals_the_warm_start_oracle(root_encoding_sigma,
+def test_cold_dismissal_equals_the_full_queue_oracle(root_encoding_sigma,
                                                      data):
     root, encoding, sigma = root_encoding_sigma
     fd_masks, mvd_masks = _sigma_masks(encoding, sigma)

@@ -157,11 +157,16 @@ class TestColdDismissal:
         # dismissed 0 in generation 1 would make a fourth call.
         assert len(calls) == 3
 
-        # The generic path, seeded with the cold-start state, agrees.
+        # With an all-zero LHS index nothing is dismissed: the full
+        # queue fires every position one by one, and agrees.
         oracle_stats = KernelStats()
         oracle_fired: set[int] = set()
-        oracle = closure_of_masks_fast(
-            plan, a, stats=oracle_stats, fired=oracle_fired,
-            warm_start=(a, [a, enc.complement(a)], range(4)))
+        lhs_index = plan.lhs_index
+        plan.lhs_index = [0] * len(lhs_index)
+        try:
+            oracle = closure_of_masks_fast(
+                plan, a, stats=oracle_stats, fired=oracle_fired)
+        finally:
+            plan.lhs_index = lhs_index
         assert (oracle, oracle_fired) == (result, fired)
         assert oracle_stats.as_dict() == stats.as_dict()

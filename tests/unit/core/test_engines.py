@@ -59,7 +59,6 @@ class TestRegistry:
         probe = Engine(
             name="probe-engine",
             description="test-only",
-            supports_warm_start=False,
             supports_trace=False,
             _run=lambda *a, **k: (0, frozenset(), 0),
         )
@@ -101,22 +100,3 @@ class TestRunContract:
         )
         assert fired == {0, 1}
 
-    def test_warm_start_refused_without_support(self, encoding):
-        with pytest.raises(ValueError, match="does not support warm starts"):
-            get_engine("reference").run(
-                encoding, 0, [], [], warm_start=(0, (), ())
-            )
-
-    def test_warm_start_resumes_fixpoint(self, encoding):
-        fd_masks = _masks(encoding, "R(A) -> R(B)", "R(B) -> R(C)")
-        x_mask = fd_masks[0][0]
-        for name in ("worklist", "naive"):
-            engine = get_engine(name)
-            partial = engine.run(encoding, x_mask, fd_masks[:1], [])
-            resumed = engine.run(
-                encoding, x_mask, fd_masks, [],
-                warm_start=(partial[0], partial[1], [1]),
-            )
-            cold = engine.run(encoding, x_mask, fd_masks, [])
-            assert resumed[0] == cold[0], name
-            assert resumed[1] == cold[1], name

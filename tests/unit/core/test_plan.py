@@ -131,18 +131,6 @@ class TestKernelEquivalence:
         closure_of_masks_fast(plan, fd_masks[0][0], fired=fired)
         assert fired == {0}      # the FIRST original index, never {1}
 
-    def test_warm_start_pending_uses_original_indices(self, encoding):
-        fd_masks = _masks(encoding, "R(A) -> R(B)", "R(A) -> R(B)",
-                          "R(B) -> R(C)")
-        plan = compile_plan(encoding, fd_masks, [])
-        x = fd_masks[0][0]
-        partial = closure_of_masks_fast(compile_plan(encoding, fd_masks[:2],
-                                                     []), x)
-        resumed = closure_of_masks_fast(
-            plan, x, warm_start=(partial[0], partial[1], [2]),
-        )
-        assert resumed[:2] == closure_of_masks_fast(plan, x)[:2]
-
     def test_requeue_scanned_shrinks_with_the_inverted_index(self, encoding):
         # Three productive FD firings are three dirty events.  A scan of
         # all of Σ per event would examine 3 × |Σ| = 9 positions; the

@@ -1,11 +1,14 @@
-"""Unit tests for the Session: warm starts, provenance-exact retraction.
+"""Unit tests for the Session's cache rule: an add drops every cached
+closure, a retract evicts by provenance.
 
 The exact-count tests drive ``KernelStats.runs`` directly: a cache hit
-must not run the kernel, a retraction must evict exactly the entries
-whose recorded firing set contains the retracted dependency, and a
-warm start must not recompute from scratch what the cached fixpoint
-already paid for.
+must not run the kernel, an add must leave nothing cached, and a
+retraction must evict exactly the entries whose recorded firing set
+contains the retracted dependency.
 """
+
+import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +16,8 @@ from repro.attributes import BasisEncoding, parse_attribute as p, parse_subattri
 from repro.core import Session, compute_closure, minimal_cover
 from repro.core.membership import is_redundant
 from repro.dependencies import DependencySet, parse_dependency
+from repro.workloads.random_schemas import mixed_family
+from repro.workloads.random_sigma import random_element_mask, random_sigma
 
 
 def s(text, root):
@@ -109,17 +114,29 @@ class TestQueriesAndCache:
         assert session.kernel_stats.runs == 0
 
 
-class TestWarmStarts:
-    def test_add_then_requery_warm_starts(self, root):
+class TestAddDropsEntries:
+    def test_add_then_requery_recomputes(self, root):
         session = Session(root, ["R(A) -> R(B)"])
         assert session.closure("R(A)") == s("R(A, B)", root)
         session.add("R(B) -> R(C)")
-        # The cached entry is stale but usable: the fixpoint resumes with
-        # only the new dependency pending.
+        # The cached closure is a fixpoint of the smaller Σ: the add
+        # drops it and the next query runs the kernel from X.
+        assert session.cached_masks() == frozenset()
+        runs = session.kernel_stats.runs
         assert session.closure("R(A)") == s("R(A, B, C)", root)
-        assert session.cache_info().warm_starts == 1
+        assert session.kernel_stats.runs == runs + 1
+        assert session.cache_info().warm_starts == 0
 
-    def test_warm_result_equals_fresh_session(self, root):
+    def test_duplicate_add_keeps_the_cache(self, root):
+        session = Session(root, ["R(A) -> R(B)"])
+        session.closure("R(A)")
+        assert not session.add("R(A) -> R(B)")
+        runs = session.kernel_stats.runs
+        session.closure("R(A)")
+        assert session.kernel_stats.runs == runs
+        assert session.cache_info().hits == 1
+
+    def test_result_after_add_equals_fresh_session(self, root):
         texts = ["R(A) -> R(B)", "R(B) ->> R(C)", "R(C) -> R(D)"]
         incremental = Session(root, texts[:1])
         for x in ("R(A)", "R(B)", "R(A, C)"):
@@ -128,19 +145,19 @@ class TestWarmStarts:
             incremental.add(text)
         fresh = Session(root, texts)
         for x in ("R(A)", "R(B)", "R(A, C)"):
-            warm = incremental.result_for(x)
+            edited = incremental.result_for(x)
             cold = fresh.result_for(x)
-            assert warm.closure_mask == cold.closure_mask, x
-            assert warm.blocks == cold.blocks, x
+            assert edited.closure_mask == cold.closure_mask, x
+            assert edited.blocks == cold.blocks, x
 
-    def test_warm_start_extends_provenance(self, root):
+    def test_recompute_after_add_records_the_new_member(self, root):
         session = Session(root, ["R(A) -> R(B)"])
         session.closure("R(A)")
         session.add("R(B) -> R(C)")
-        session.closure("R(A)")  # warm start; the new FD fires
+        session.closure("R(A)")  # recomputed; the new FD fires
         session.retract("R(B) -> R(C)")
         info = session.cache_info()
-        assert info.invalidations == 1  # the resumed entry depends on it now
+        assert info.invalidations == 1  # the entry depends on it
 
 
 class TestRetractionProvenance:
@@ -182,15 +199,17 @@ class TestRetractionProvenance:
         session.closure("R(C)")
         assert session.kernel_stats.runs == runs
 
-    def test_retract_then_readd_is_pending_again(self, root, sigma):
+    def test_retract_then_readd_recomputes(self, root, sigma):
         session = Session(root, sigma)
         session.closure("R(A)")
         session.retract("R(C) -> R(D)")  # retained (never fired for R(A))
+        assert session.is_cached(session.attribute_mask("R(A)"))
         session.add("R(C) -> R(D)")
-        # The entry forgot the retracted member; re-adding makes it
-        # pending, and the warm start proves nothing changed.
+        # Re-adding is an add like any other: the entry goes.
+        assert not session.is_cached(session.attribute_mask("R(A)"))
+        runs = session.kernel_stats.runs
         assert session.closure("R(A)") == s("R(A, B)", root)
-        assert session.cache_info().warm_starts == 1
+        assert session.kernel_stats.runs == runs + 1
 
     @pytest.mark.parametrize("engine", ["worklist", "naive"])
     def test_retained_fired_indices_follow_the_retract(self, root, engine):
@@ -316,3 +335,29 @@ class TestAgainstFreshRecompute:
             else:
                 expected = result.implies_mvd_rhs(rhs_mask)
             assert is_redundant(sigma, dependency) == expected, dependency
+
+
+class TestEntryMemory:
+    def test_a_cached_entry_stays_small(self):
+        # perfbench's problem: |N| = 64, |Σ| = 200.  An entry holds the
+        # result and its provenance; nothing in it grows with Σ.
+        root = mixed_family(16)
+        encoding = BasisEncoding(root)
+        sigma = random_sigma(random.Random(0), encoding, 200)
+        session = Session(root, sigma, encoding=encoding)
+        rng = random.Random(1)
+        masks = set()
+        while len(masks) < 65:
+            masks.add(random_element_mask(rng, encoding, 0.25))
+        first, *rest = masks
+        session.result_for_mask(first)   # compiles the plan
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for mask in rest:
+                session.result_for_mask(mask)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert session.cache_info().computed == 65
+        assert (after - before) / len(rest) <= 4096

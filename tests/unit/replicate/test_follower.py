@@ -196,6 +196,28 @@ class TestStreaming:
 
         asyncio.run(scenario())
 
+    def test_only_the_primary_keeps_a_wal_tail(self, tmp_path):
+        async def scenario():
+            primary_cfg = ServeConfig(port=0, idle_ttl=None,
+                                      data_dir=str(tmp_path / "primary"))
+            async with ReasoningServer(primary_cfg) as primary:
+                host, port = primary.address
+                async with ReasoningServer(
+                        follower_config(tmp_path, f"{host}:{port}")) as follower:
+                    async with await AsyncClient.connect(host, port) as up:
+                        seq = (await up.open("pub", SCHEMA))["seq"]
+                        for _ in range(25):
+                            await up.add("pub", MVD)
+                            seq = (await up.retract("pub", MVD))["seq"]
+                    assert seq == 51
+                    await caught_up(follower, seq)
+                    return (primary.store.stats()["tail_records"],
+                            follower.store.stats()["tail_records"],
+                            follower.store.last_seq)
+
+        # a follower serves no replicate.subscribe, so it keeps no tail
+        assert asyncio.run(scenario()) == (51, 0, 51)
+
     def test_cold_follower_bootstraps_via_reset(self, tmp_path):
         async def scenario():
             primary_cfg = ServeConfig(port=0, idle_ttl=None,

@@ -9,6 +9,8 @@ import asyncio
 import functools
 import itertools
 import json
+import socket
+import tracemalloc
 
 import pytest
 
@@ -376,6 +378,43 @@ class TestFraming:
         assert first["id"] == 0
         assert connections == set()
         assert not parked and not others
+
+    def test_reads_go_into_a_buffer_the_connection_owns(self):
+        # A client on a blocking socket, reading 4 KiB at a time, makes
+        # no large allocation itself; a server that allocated a fresh
+        # block per read (asyncio's 256 KiB for a plain Protocol)
+        # would raise the traced peak by at least one such block.
+        def answers(sock, count):
+            data = b""
+            while data.count(b"\n") < count:
+                chunk = sock.recv(4096)
+                assert chunk, "server closed early"
+                data += chunk
+            return data.count(b"\n")
+
+        def client(address):
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(_ping(0))
+                answers(sock, 1)
+                tracemalloc.start()
+                try:
+                    tracemalloc.reset_peak()
+                    base, _ = tracemalloc.get_traced_memory()
+                    sock.sendall(_ping_lines(200))
+                    answered = answers(sock, 200)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            return answered, peak - base
+
+        async def scenario():
+            async with ReasoningServer(ServeConfig(idle_ttl=None)) as server:
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, client, server.address)
+
+        answered, rise = run(scenario())
+        assert answered == 200
+        assert rise < 128 * 1024, rise
 
 
 class TestBackpressureAndDeadlines:

@@ -256,7 +256,7 @@ class TestIncrementalEditing:
         assert "dropped Pubcrawl(Person) ->>" in out
         assert "(Σ is empty)" in out
 
-    def test_add_after_query_warm_starts(self):
+    def test_add_after_query_recomputes(self):
         out = drive(
             f"schema {SCHEMA}",
             f"add {MVD}",
@@ -265,7 +265,10 @@ class TestIncrementalEditing:
             "closure Pubcrawl(Person)",
             "stats",
         )
-        assert "warm_starts=1" in out
+        # The add dropped the cached closure: two runs, no hit.
+        assert "computed=1 hits=0" in out
+        assert "runs=2 " in out
+        assert "warm_starts" not in out
 
     def test_engine_show_and_switch(self):
         out = drive(
