@@ -22,9 +22,15 @@ primary plus two tailing followers) over loopback:
   - ``read_cpu_us``: gross CPU µs per routed read, over the timed
     reads;
   - ``idle_cpu_us_per_s``: CPU µs per wall second of an idle window
-    as long as the timed reads, taken right after them on the same
-    fleet with no reads: what the followers' replication long-polls
-    (and the rest of the idle fleet) burn anyway;
+    taken right after the timed reads on the same fleet with no reads:
+    what the followers' replication long-polls (and the rest of the
+    idle fleet) burn anyway.  The window lasts as long as the reads,
+    and at least ``IDLE_MIN_S``, two of the followers' poll periods.
+    Nearly all of the idle cost is the poll expiries: on a 2-vCPU KVM
+    guest one expiry took ≈1.2 ms of CPU over the three node threads,
+    which wake from idle for it.  A window shorter than a period
+    catches none or one of them depending on its phase, so one
+    topology's median used to read 15–25 times the others';
   - ``net_read_cpu_us``: ``read_cpu_us`` less that idle rate over the
     reads' wall time, per read: what a routed read itself costs.
 
@@ -36,8 +42,10 @@ primary plus two tailing followers) over loopback:
 * **How far behind is a follower?**  For each of ``LAG_MUTATIONS``
   acknowledged mutations the benchmark measures the time from the
   primary's ack (which carries the WAL ``seq``) until the follower's
-  ``applied_seq`` reaches it.  Long-poll shipping should keep p95 in
-  the low milliseconds; the hard bound is generous for CI boxes.
+  ``applied_seq`` reaches it.  The primary writes the batch before the
+  ack, so the follower often has it applied before the client reads
+  the ack; p95 should stay in the low milliseconds, and the hard bound
+  is generous for CI boxes.
 
 * **What does the read fence cost when satisfied?**  Paired rounds of
   fenced (``min_seq`` at the primary's last ack) vs unfenced replica
@@ -79,6 +87,8 @@ FENCE_ROUNDS = 7         # interleaved fenced/unfenced paired rounds
 FENCE_REQUESTS = 150     # replica reads per fence round
 FENCE_ASSERT_PCT = 25.0  # noise-tolerant bound on fence overhead
 LAG_ASSERT_P95_MS = 1500.0
+FOLLOWER_POLL = 0.2      # the followers' replicate_poll, seconds
+IDLE_MIN_S = 2 * FOLLOWER_POLL
 
 
 @contextlib.contextmanager
@@ -123,7 +133,7 @@ def _fleet(tmp_path):
                 _served(data_dir=str(tmp_path / f"follower{index}"),
                         replicate_from=f"{host}:{port}",
                         replica_id=f"bench-f{index}",
-                        replicate_poll=0.2))
+                        replicate_poll=FOLLOWER_POLL))
             replicas.append((f_host, f_port))
             followers.append(follower)
         yield (host, port), replicas, followers
@@ -145,13 +155,14 @@ def _read_round(client, requests):
 
 
 def _read_window(client):
-    """One timed window of hot reads then an idle window as long:
-    ``(seconds, CPU seconds, idle CPU seconds per second)``."""
+    """One timed window of hot reads then an idle window as long (at
+    least ``IDLE_MIN_S``): ``(seconds, CPU seconds, idle CPU seconds
+    per second)``."""
     cpu_started = time.process_time()
     elapsed = _read_round(client, READ_REQUESTS)
     cpu = time.process_time() - cpu_started
     idle_started = time.process_time(), time.perf_counter()
-    time.sleep(elapsed)
+    time.sleep(max(elapsed, IDLE_MIN_S))
     idle_rate = ((time.process_time() - idle_started[0])
                  / (time.perf_counter() - idle_started[1]))
     return elapsed, cpu, idle_rate

@@ -1,9 +1,14 @@
 """Load-test harness for ``repro.serve``: QPS and latency percentiles.
 
-Three mixed workloads over one in-process :class:`ReasoningServer`,
-driven through the pipelining :class:`AsyncClient` exactly as a remote
-load generator would (same wire protocol, real TCP sockets on
-loopback):
+Three mixed workloads over one :class:`ReasoningServer` in a process
+of its own, driven through the pipelining :class:`AsyncClient` exactly
+as a remote load generator would (same wire protocol, real TCP sockets
+on loopback).  The client never takes turns in the server's event loop
+or waits for its interpreter lock: hosted on a thread of the client's
+process, the server and the client traded the lock at every socket
+call, so whether the 24-deep cold pipeline ever filled depended on
+which thread won, and the cold p50 read either ≈3 ms or ≈50 ms from
+run to run.
 
 * **cold closures** — every query has a distinct left-hand side, so
   each one pays a full worklist-kernel run, inline in the server's
@@ -32,12 +37,15 @@ Run:  pytest benchmarks/bench_serve_throughput.py -s
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
-from repro.serve import AsyncClient, ReasoningServer, ServeConfig
+from repro.serve import AsyncClient, Client, ServeConfig
 from repro.workloads import mixed_family
 
 from _timing import ab_compare
@@ -159,35 +167,76 @@ async def _churn_run(client: AsyncClient) -> dict:
     return _stats(latencies, time.perf_counter() - started)
 
 
-async def _measure(sigma: list[str]) -> dict:
-    config = ServeConfig(max_inflight=256,
-                         max_pending_per_conn=256, idle_ttl=None,
-                         request_timeout=None)
-    async with ReasoningServer(config) as server:
-        host, port = server.address
-        async with await AsyncClient.connect(host, port) as client:
-            warmup = await _cold_run(client, sigma)   # warm code paths
-            cold = await _cold_run(client, sigma)
-            hot = await _hot_run(client)
-            churn = await _churn_run(client)
+#: The server process: builds the config from the JSON in ``argv[1]``,
+#: prints its address, serves until SIGTERM.
+_SERVER_MAIN = """
+import asyncio, json, sys
+from repro.serve import ReasoningServer, ServeConfig
+
+async def main():
+    server = ReasoningServer(ServeConfig(**json.loads(sys.argv[1])))
+    await server.start()
+    print("%s %d" % server.address, flush=True)
+    await server.serve_forever()
+
+asyncio.run(main())
+"""
+
+
+@contextlib.contextmanager
+def _served(**config):
+    """One ReasoningServer in a child process: ``(host, port)``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    ServeConfig(**config)  # a bad field fails here, not in the child
+    server = subprocess.Popen(
+        [sys.executable, "-c", _SERVER_MAIN, json.dumps(config)],
+        stdout=subprocess.PIPE, env=env, text=True)
+    try:
+        host, port = server.stdout.readline().split()
+        yield host, int(port)
+    finally:
+        server.terminate()
+        server.wait(timeout=30)
+        server.stdout.close()
+
+
+async def _inline_runs(address: tuple[str, int], sigma: list[str]) -> dict:
+    async with await AsyncClient.connect(*address) as client:
+        warmup = await _cold_run(client, sigma)   # warm code paths
+        cold = await _cold_run(client, sigma)
+        hot = await _hot_run(client)
+        churn = await _churn_run(client)
     return {"warmup_qps": warmup["qps"], "cold": cold, "hot": hot,
             "churn": churn}
 
 
-async def _deep_run(sigma: list[str]) -> dict:
+def _measure(sigma: list[str]) -> dict:
+    with _served(max_inflight=256, max_pending_per_conn=256, idle_ttl=None,
+                 request_timeout=None) as address:
+        return asyncio.run(_inline_runs(address, sigma))
+
+
+async def _deep_client(address: tuple[str, int], sigma: list[str]) -> dict:
+    async with await AsyncClient.connect(*address) as client:
+        await client.open("bench", str(SCHEMA_ROOT), sigma)
+        return await _drive(client, [
+            ("implies", {"session": "bench",
+                         "dependency": _cold_queries()[0]})] * HOT_QUERIES,
+            depth=DEEP_PIPELINE)
+
+
+def _deep_run(sigma: list[str]) -> dict:
     """Hot queries pipelined ``DEEP_PIPELINE`` deep on default caps."""
     config = ServeConfig(idle_ttl=None, request_timeout=None)
     assert DEEP_PIPELINE > config.max_pending_per_conn
-    async with ReasoningServer(config) as server:
-        host, port = server.address
-        async with await AsyncClient.connect(host, port) as client:
-            await client.open("bench", str(SCHEMA_ROOT), sigma)
-            stats = await _drive(client, [
-                ("implies", {"session": "bench",
-                             "dependency": _cold_queries()[0]})] * HOT_QUERIES,
-                depth=DEEP_PIPELINE)
-        stats["max_pending_per_conn"] = config.max_pending_per_conn
-        stats["overloaded"] = server.counters["serve.overloads"]
+    with _served(idle_ttl=None, request_timeout=None) as address:
+        stats = asyncio.run(_deep_client(address, sigma))
+        with Client.connect(*address) as client:
+            counters = client.metrics()["server"]["counters"]
+    stats["max_pending_per_conn"] = config.max_pending_per_conn
+    stats["overloaded"] = counters.get("serve.overloads", 0)
     return {"depth": DEEP_PIPELINE, **stats}
 
 
@@ -202,8 +251,8 @@ def test_serve_throughput_report(benchmark):
             "sigma_size": len(sigma),
             "cold_queries": COLD_QUERIES,
             "concurrency": CONCURRENCY,
-            "inline": asyncio.run(_measure(sigma)),
-            "deep_pipeline": asyncio.run(_deep_run(sigma)),
+            "inline": _measure(sigma),
+            "deep_pipeline": _deep_run(sigma),
         }
 
     row = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -990,7 +990,8 @@ class ReplicateSubscribe(Command):
 
     A follower asks for everything after ``from_seq``; a store-backed
     node answers with the next batch of records (or long-polls up to
-    ``wait`` seconds when it is already caught up).  When ``from_seq``
+    ``wait`` seconds when it is already caught up).  A named
+    ``follower``'s subscribe also acknowledges ``from_seq``.  When ``from_seq``
     predates the retained history (the primary compacted past it), the
     answer carries a ``reset`` bootstrap instead: the current session
     snapshot plus ``last_seq``, from which a cold follower rebuilds.
@@ -1011,7 +1012,7 @@ class ReplicateSubscribe(Command):
                 ParamSpec("wait", type="number", required=False,
                           doc="? (long-poll seconds)"),
                 ParamSpec("follower", required=False,
-                          doc="? (follower id for lag tracking)")),
+                          doc="? (follower id, acking from_seq)")),
         result=(FieldSpec("records", doc="([{seq, op, params}, ...])"),
                 FieldSpec("last_seq"),
                 FieldSpec("reset", doc="optional")),

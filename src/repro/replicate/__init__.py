@@ -2,13 +2,14 @@
 
 One primary serializes every Σ-mutation through its write-ahead log
 (:mod:`repro.store`); any number of followers tail that log over the
-wire (``replicate.subscribe`` / ``replicate.ack``), re-execute each
-record through the command registry exactly like crash recovery, and
-answer read-only commands locally — rejecting mutations with the typed
-``not_primary`` error.  Because the implication workload the paper's
-Algorithm 5.1 serves is read-dominated (implies/closure/basis against a
-slowly edited Σ), this scales reads linearly with follower count while
-keeping a single, totally ordered edit history.
+wire (``replicate.subscribe``, whose ``from_seq`` also acknowledges
+the follower's position), re-execute each record through the command
+registry exactly like crash recovery, and answer read-only commands
+locally — rejecting mutations with the typed ``not_primary`` error.
+Because the implication workload the paper's Algorithm 5.1 serves is
+read-dominated (implies/closure/basis against a slowly edited Σ), this
+scales reads linearly with follower count while keeping a single,
+totally ordered edit history.
 
 Pieces
 ------

@@ -1,12 +1,15 @@
 """The follower side: tail the primary's WAL and re-execute it.
 
 A :class:`Replicator` runs inside a follower server's event loop.  It
-long-polls ``replicate.subscribe`` on the primary, appends each shipped
-record to the follower's *own* store (same bytes, same sequence
-numbers — a promoted follower recovers exactly like a primary), applies
-it through :func:`repro.store.recovery.apply_record` — the identical
-replay path crash recovery uses — then acknowledges its position with
-``replicate.ack``.
+long-polls ``replicate.subscribe`` on the primary and handles each
+answer inside the read callback of its client connection: it appends
+the shipped records to the follower's *own* store (same bytes, same
+sequence numbers — a promoted follower recovers exactly like a
+primary), applies them through :func:`repro.store.recovery.apply_record`
+— the identical replay path crash recovery uses — resolves the fence
+waiters and writes the next subscribe, whose ``from_seq`` acknowledges
+the new position.  A fenced read handled later in the same event-loop
+turn finds the records applied.
 
 When the primary answers with a ``reset`` (the follower's position
 predates the retained history, or the follower diverged), the
@@ -115,16 +118,19 @@ class Replicator:
             return True
         if timeout <= 0 or self.state in ("stopped", "broken"):
             return False
-        future = asyncio.get_running_loop().create_future()
-        self._waiters.append((seq, future))
+        loop = asyncio.get_running_loop()
+        waiter = (seq, loop.create_future())
+        timer = loop.call_later(timeout, self._expire, waiter)
+        self._waiters.append(waiter)
         try:
-            await asyncio.wait_for(future, timeout)
-            return True
-        except asyncio.TimeoutError:
-            return False
+            return await waiter[1]
         finally:
-            self._waiters = [(s, f) for s, f in self._waiters
-                             if not f.done() and f is not future]
+            timer.cancel()
+
+    def _expire(self, waiter: tuple[int, asyncio.Future]) -> None:
+        if not waiter[1].done():
+            waiter[1].set_result(False)
+            self._waiters.remove(waiter)
 
     def _resolve_waiters(self) -> None:
         pending = []
@@ -132,7 +138,7 @@ class Replicator:
             if future.done():
                 continue
             if self.applied_seq >= seq or self._stopping:
-                future.set_result(self.applied_seq)
+                future.set_result(self.applied_seq >= seq)
             else:
                 pending.append((seq, future))
         self._waiters = pending
@@ -173,21 +179,36 @@ class Replicator:
         self.error = error
         self.counters.add("replicate.broken")
 
-    async def _stream(self, client: Any) -> None:
-        while not self._stopping:
-            result = await client.request(
-                "replicate.subscribe", from_seq=self.applied_seq,
-                max_records=self.batch, wait=self.poll_wait,
-                follower=self.follower_id)
+    async def _stream(self, client: AsyncClient) -> None:
+        """Subscribe, then let :meth:`_on_batch` keep the stream going
+        until it fails with the error that ends it."""
+        ended = asyncio.get_running_loop().create_future()
+        self._subscribe(client, ended)
+        await ended
+
+    def _subscribe(self, client: AsyncClient, ended: asyncio.Future) -> None:
+        client.submit(lambda result: self._on_batch(client, ended, result),
+                      "replicate.subscribe", from_seq=self.applied_seq,
+                      max_records=self.batch, wait=self.poll_wait,
+                      follower=self.follower_id)
+
+    def _on_batch(self, client: AsyncClient, ended: asyncio.Future,
+                  result: Any) -> None:
+        """Apply one answer and ask for the next, inside the read
+        callback that received it."""
+        try:
+            if isinstance(result, Exception):
+                raise result
             self.state = "streaming"
             if result.get("reset") is not None:
                 self._apply_reset(result["reset"])
             elif result.get("records"):
                 self._apply_records(result["records"])
-            else:
-                continue  # caught up: immediately long-poll again
-            await client.request("replicate.ack", follower=self.follower_id,
-                                 seq=self.applied_seq)
+            if not self._stopping:
+                self._subscribe(client, ended)
+        except Exception as error:  # noqa: BLE001 — _run sorts it
+            if not ended.done():
+                ended.set_exception(error)
 
     def _apply_records(self, payload: Any) -> None:
         records = decode_batch(payload)

@@ -2,10 +2,12 @@
 
 :class:`PrimaryRole` is a store-backed server's role
 (:mod:`repro.replicate.role`): it logs each mutation and answers
-``replicate.subscribe`` / ``replicate.ack``.  Under it sit the follower
-lag table the ``replicate.status`` op and the health payload report,
-and the batch encoding that turns :class:`~repro.store.wal.WalRecord`
-tails into wire JSON.
+``replicate.subscribe`` / ``replicate.ack``.  A caught-up subscribe is
+held, not parked: the append that ends its wait writes the batch to
+the follower before the mutation's own answer is written.  Under it
+sit the follower lag table the ``replicate.status`` op and the health
+payload report, and the batch encoding that turns
+:class:`~repro.store.wal.WalRecord` tails into wire JSON.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Any, Callable, Iterable
 
 from ..obs import get_observer
 from ..serve.protocol import ErrorCode, ProtocolError
-from ..serve.server import _within
 from ..store.wal import WalRecord
 from .role import Role
 
@@ -55,8 +56,10 @@ class FollowerTable:
 
     Purely advisory: the primary never blocks on followers (replication
     is asynchronous — an acknowledged mutation is durable locally and
-    ships on the next poll).  The table feeds ``replicate.status``,
-    ``health`` and the lag numbers the scale-out benchmark records.
+    ships on the next poll).  A follower's position comes from its
+    subscribes' ``from_seq`` and from explicit ``replicate.ack``s.  The
+    table feeds ``replicate.status``, ``health``, the compaction horizon
+    and the lag numbers the scale-out benchmark records.
     """
 
     def __init__(self, *,
@@ -115,18 +118,14 @@ class PrimaryRole(Role):
     def __init__(self, server: Any) -> None:
         super().__init__(server)
         self.followers = FollowerTable()
-        #: Set and replaced on every WAL append; long-polls wait on it.
-        self._appended = asyncio.Event()
+        #: Held long-polls: reply callback -> (command, limit, timer).
+        self._polls: dict[Callable[[Any], None], tuple[Any, int, Any]] = {}
         self._stopping = False
 
     async def stop(self) -> None:
         # a draining follower gets a (possibly empty) batch, not an error
         self._stopping = True
-        self._wake()
-
-    def _wake(self) -> None:
-        self._appended.set()
-        self._appended = asyncio.Event()
+        self._ship()
 
     def dispatch(self, request: Any, command: Any) -> Any:
         outcome = self.server.execute(command)
@@ -140,7 +139,10 @@ class PrimaryRole(Role):
         if store.should_compact():
             store.compact(self.server.sessions.snapshot_state(),
                           retain_after=self.followers.min_acked(None))
-        self._wake()
+        if self._polls:
+            # shipped before the answer is written: a client that reads
+            # its ack finds the record already on its way to followers
+            self._ship()
         return {**outcome.result, "seq": seq}
 
     def status(self) -> dict[str, Any]:
@@ -152,37 +154,58 @@ class PrimaryRole(Role):
     def health(self) -> dict[str, Any]:
         return {**self.metrics(), "replication": self.status()}
 
-    async def _op_replicate_subscribe(self, command: Any) -> dict[str, Any]:
-        store, config = self.store, self.server.config
+    def _op_replicate_subscribe(self, command: Any) -> Any:
+        """The next batch, answered at once if there is one (or a reset
+        is due); a caught-up poll is held until an append, the end of
+        its ``wait`` or shutdown.  A named follower's poll acknowledges
+        ``from_seq``, as ``replicate.ack`` would."""
+        config = self.server.config
         limit = command.max_records or config.replicate_batch
         if limit < 1:
             raise ProtocolError(ErrorCode.BAD_PARAMS,
                                 "'max_records' must be >= 1")
         wait = min(command.wait or 0.0, config.replicate_max_wait)
-        self.followers.seen(command.follower, command.from_seq)
+        follower, from_seq = command.follower, command.from_seq
+        self.followers.seen(follower, from_seq)
+        last_seq = self.store.last_seq
+        if follower and from_seq <= last_seq:
+            self.followers.ack(follower, from_seq)
+        if from_seq != last_seq or wait <= 0 or self._stopping:
+            return self._batch(command, limit)
+
+        def hold(reply: Callable[[Any], None]) -> None:
+            timer = asyncio.get_running_loop().call_later(
+                wait, self._expire, reply)
+            self._polls[reply] = (command, limit, timer)
+
+        return hold
+
+    def _expire(self, reply: Callable[[Any], None]) -> None:
+        command, limit, _timer = self._polls.pop(reply)
+        reply(self._batch(command, limit))
+
+    def _ship(self) -> None:
+        """Answer every held poll."""
+        polls, self._polls = self._polls, {}
+        for reply, (command, limit, timer) in polls.items():
+            timer.cancel()
+            reply(self._batch(command, limit))
+
+    def _batch(self, command: Any, limit: int) -> dict[str, Any]:
+        """The ``replicate.subscribe`` answer for ``command`` now."""
+        store = self.store
         with get_observer().span("replicate.ship",
                                  follower=command.follower or "?",
                                  from_seq=command.from_seq) as span:
             records = store.records_since(command.from_seq, limit)
-            deadline = time.monotonic() + wait
-            while records is not None and not records and not self._stopping:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    await _within(remaining, self._appended.wait())
-                except asyncio.TimeoutError:
-                    break
-                records = store.records_since(command.from_seq, limit)
+            span.set(records=len(records or ()), last_seq=store.last_seq)
             if records is None:
                 # the tail is not contiguously servable from from_seq:
                 # ship a snapshot bootstrap instead
                 self.server.counters.add("replicate.resets_served")
-                span.set(records=0, last_seq=store.last_seq)
                 return {"records": [], "last_seq": store.last_seq,
                         "reset": {"last_seq": store.last_seq, "sessions":
                                   self.server.sessions.snapshot_state()}}
-            span.set(records=len(records), last_seq=store.last_seq)
             if records:
                 self.server.counters.add("replicate.shipped", len(records))
             return {"records": encode_batch(records),

@@ -46,7 +46,9 @@ class Role:
             self.store.close()
 
     def dispatch(self, request: Any, command: Any) -> Any:
-        """A request's result, or a coroutine of it if it waits."""
+        """A request's result, a coroutine of it if it waits, or a
+        function the server calls with a reply callback if the role
+        answers it later (a primary's held ``replicate.subscribe``)."""
         return self.server.execute(command).result
 
     def status(self) -> dict[str, Any]:

@@ -2,9 +2,11 @@
 sync one.
 
 :class:`AsyncClient` keeps any number of requests in flight on one
-connection (a background reader task matches responses to requests by
-id — the server may answer out of order), which is what the load
-generator and the ``implies_batch``-heavy workloads want.
+connection (it is the connection's :class:`asyncio.Protocol` and
+matches responses to requests by id as they are read — the server may
+answer out of order), which is what the load generator and the
+``implies_batch``-heavy workloads want; a follower's replicator takes
+its answers by callback, inside the read callback.
 :class:`Client` is the blocking convenience used by the CLI
 (``repro query --connect``) and by scripts: one request at a time over a
 plain socket.
@@ -18,10 +20,11 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .protocol import (
     RETRYABLE,
+    ProtocolError,
     Request,
     decode_response,
     encode,
@@ -147,8 +150,16 @@ class _OpsMixin:
         return self._request("replicate.status")
 
 
-class AsyncClient(_OpsMixin):
+class AsyncClient(_OpsMixin, asyncio.Protocol):
     """Pipelining asyncio client; create via :meth:`connect`.
+
+    The client is its connection's protocol: :meth:`data_received`
+    frames response lines and hands each to the request it answers — a
+    future that :meth:`request` awaits, or a callback given to
+    :meth:`submit`, which runs before ``data_received`` returns.  A
+    request's bytes are in the transport once it is sent, and every
+    request waits for its answer, so the client keeps no write flow
+    control of its own.
 
     >>> client = await AsyncClient.connect(host, port)   # doctest: +SKIP
     >>> await client.open("s", "R(A, B, C)", ["R(A) -> R(B)"])  # doctest: +SKIP
@@ -156,17 +167,17 @@ class AsyncClient(_OpsMixin):
     True
     """
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._pending: dict[int, asyncio.Future] = {}
+    def __init__(self, limit: int = 1 << 20) -> None:
+        self._limit = limit
+        self._transport: asyncio.Transport | None = None
+        self._buffer = bytearray()
+        #: Request id -> the future or callback its response goes to.
+        self._pending: dict[int, Any] = {}
         self._next_id = 1
         #: First failure that tore the connection down; once set, every
         #: later request is rejected immediately (see :meth:`request`).
         self._conn_error: Exception | None = None
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop())
+        self._lost = asyncio.get_running_loop().create_future()
 
     @classmethod
     async def connect(cls, host: str, port: int, *,
@@ -174,9 +185,9 @@ class AsyncClient(_OpsMixin):
         # The limit must cover the largest line the server may emit
         # (ServeConfig.max_line_bytes, 1 MiB) — check4nf on a wide
         # schema can list hundreds of KB of violations in one response.
-        reader, writer = await asyncio.open_connection(host, port,
-                                                       limit=limit)
-        return cls(reader, writer)
+        _transport, client = await asyncio.get_running_loop(
+        ).create_connection(lambda: cls(limit), host, port)
+        return client
 
     async def __aenter__(self) -> "AsyncClient":
         return self
@@ -186,17 +197,10 @@ class AsyncClient(_OpsMixin):
 
     async def close(self) -> None:
         """Close the connection; outstanding requests fail."""
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - teardown race
-            pass
         self._fail_pending(ConnectionError("client closed"))
+        if self._transport is not None:
+            self._transport.close()
+            await self._lost
 
     # -- plumbing ----------------------------------------------------------
 
@@ -204,26 +208,26 @@ class AsyncClient(_OpsMixin):
         """Send one request; await its (possibly out-of-order) response.
 
         Raises :class:`ConnectionError` *promptly* once the connection
-        has failed: a request submitted after (or racing with) the read
-        loop's teardown must never register a future nobody will ever
-        resolve — ``_fail_pending`` marks the connection dead before it
-        rejects the in-flight futures, and this check observes the mark.
+        has failed: a request submitted after (or racing with) the
+        teardown must never register a future nobody will ever resolve
+        — ``_fail_pending`` marks the connection dead before it rejects
+        the in-flight futures, and :meth:`_send` observes the mark.
         """
-        if self._conn_error is not None:
-            raise ConnectionError(
-                f"connection is closed ({self._conn_error})"
-            ) from self._conn_error
-        request_id = self._next_id
-        self._next_id += 1
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
+        future = asyncio.get_running_loop().create_future()
+        request_id = self._send(future, op, params)
         try:
-            self._writer.write(encode(Request(request_id, op, params).as_dict()))
-            await self._writer.drain()
             response = await future
         finally:
             self._pending.pop(request_id, None)
         return _result_or_raise(response)
+
+    def submit(self, callback: Callable[[Any], None], op: str, /,
+               **params: Any) -> None:
+        """Send one request without waiting for it: ``callback`` gets
+        its result, or the :class:`ServerError` or
+        :class:`ConnectionError` instead of one, inside the read
+        callback that receives the answer."""
+        self._send(callback, op, params)
 
     # the mixin's wrappers return the coroutine from request()
     _request = request
@@ -232,23 +236,61 @@ class AsyncClient(_OpsMixin):
     async def _map(awaitable, extract):
         return extract(await awaitable)
 
-    async def _read_loop(self) -> None:
+    def _send(self, waiter: Any, op: str, params: dict[str, Any]) -> int:
+        if self._conn_error is not None:
+            raise ConnectionError(
+                f"connection is closed ({self._conn_error})"
+            ) from self._conn_error
+        request_id = self._next_id
+        self._next_id += 1
+        self._pending[request_id] = waiter
+        self._transport.write(encode(Request(request_id, op,
+                                             params).as_dict()))
+        return request_id
+
+    # -- the protocol --------------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        # only the new bytes can end the buffered partial line
+        start, scanned = 0, len(buffer)
+        buffer += data
+        end = buffer.find(b"\n", scanned)
         try:
-            while True:
-                line = await self._reader.readline()
-                if not line or not line.endswith(b"\n"):
-                    break
-                response = decode_response(line)
-                future = self._pending.get(response.get("id"))
-                if future is not None and not future.done():
-                    future.set_result(response)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            raise
-        finally:
-            self._fail_pending(
-                ConnectionError("server closed the connection"))
+            while end >= 0:
+                self._deliver(decode_response(bytes(buffer[start:end + 1])))
+                start = end + 1
+                end = buffer.find(b"\n", start)
+        except ProtocolError as error:
+            self._abort(ConnectionError(f"undecodable response: {error}"))
+            return
+        del buffer[:start]
+        if len(buffer) > self._limit:
+            self._abort(ConnectionError(
+                f"response line exceeds {self._limit} bytes"))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._fail_pending(ConnectionError("server closed the connection"))
+        self._lost.set_result(None)
+
+    def _deliver(self, response: dict[str, Any]) -> None:
+        waiter = self._pending.pop(response.get("id"), None)
+        if isinstance(waiter, asyncio.Future):
+            if not waiter.done():
+                waiter.set_result(response)
+        elif waiter is not None:
+            try:
+                result = _result_or_raise(response)
+            except ServerError as error:
+                result = error
+            waiter(result)
+
+    def _abort(self, error: Exception) -> None:
+        self._fail_pending(error)
+        self._transport.close()
 
     def _fail_pending(self, error: Exception) -> None:
         # Mark the connection dead *first*: a request() racing with this
@@ -257,10 +299,12 @@ class AsyncClient(_OpsMixin):
         # in neither case can it hang on a future nobody resolves.
         if self._conn_error is None:
             self._conn_error = error
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(error)
-        self._pending.clear()
+        pending, self._pending = self._pending, {}
+        for waiter in pending.values():
+            if not isinstance(waiter, asyncio.Future):
+                waiter(error)
+            elif not waiter.done():
+                waiter.set_exception(error)
 
 
 class Client(_OpsMixin):

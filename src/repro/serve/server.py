@@ -49,6 +49,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from ..core import commands
@@ -484,7 +485,8 @@ class ReasoningServer:
 
     def _serve(self, conn: _Connection, request: Request,
                fault: FaultAction | None = None) -> None:
-        """Dispatch a request and answer it, or park it if it waits."""
+        """Dispatch a request and answer it, park it if it waits, or
+        hand the role a reply callback if the role answers it later."""
         started = time.monotonic()
         span = get_observer().span("serve.request", op=request.op,
                                    id=str(request.id))
@@ -495,6 +497,10 @@ class ReasoningServer:
         if asyncio.iscoroutine(result):
             self._park(conn, self._finish(conn, request, started, span,
                                           result, fault))
+        elif callable(result):
+            # held by the role, which answers it through this callback
+            result(partial(self._answer, conn, request, started, span,
+                           fault=fault))
         else:
             self._answer(conn, request, started, span, result, fault)
 
@@ -616,7 +622,8 @@ class ReasoningServer:
 
     def _dispatch(self, request: Request) -> Any:
         """Hand the registry's typed command to the node's role: its
-        result, or a coroutine of it if the request waits."""
+        result, a coroutine of it if the request waits, or a function
+        that takes a reply callback if the role holds it."""
         self.counters.add("serve.requests")
         self.counters.add(f"serve.requests.{request.op}")
         try:

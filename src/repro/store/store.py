@@ -19,7 +19,7 @@ The WAL tail also lives in memory, on a primary.  Every record
 flushed, the point at which the mutation may be acknowledged; recovery
 seeds the tail from the segments it replays.  A follower logs through
 :meth:`SessionStore.append_record` and serves no tail, so its records
-stay out of it (a tail recovery seeded goes at its first compaction).
+stay out of it (a tail recovery seeded goes at its first append).
 :meth:`SessionStore.records_since` answers from the tail alone and
 never re-reads a segment file.  Compaction empties the tail except for
 a *retained window* the caller asks for (``retain_after``: the
@@ -171,7 +171,9 @@ class SessionStore:
         primary's stream keeps the primary's numbering).  The sequence
         must be exactly the next one — a gap would acknowledge records
         this store never saw.  The record does not enter the in-memory
-        tail: only a primary serves :meth:`records_since`."""
+        tail, and a tail recovery seeded is dropped (it would no longer
+        end at ``last_seq``): only a primary serves
+        :meth:`records_since`."""
         if self._writer is None:
             raise RuntimeError("store is not started")
         if seq != self._next_seq:
@@ -179,6 +181,8 @@ class SessionStore:
                              f"local last_seq={self.last_seq}")
         self._writer.append(seq, op, params)
         self._next_seq = seq + 1
+        if self._tail:
+            self._tail, self._tail_sizes = [], []
         return seq
 
     # -- replication tailing -----------------------------------------------

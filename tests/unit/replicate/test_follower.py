@@ -367,3 +367,76 @@ class TestStreaming:
                     assert "WAL" in follower.replicator.error
 
         asyncio.run(scenario())
+
+
+class TestOneHop:
+    """A shipped batch is applied in the read callback that receives it,
+    and the next subscribe carries the follower's acknowledgement."""
+
+    def test_an_acknowledged_edit_is_applied_before_the_client_sees_it(
+            self, tmp_path):
+        async def scenario():
+            primary_cfg = ServeConfig(port=0, idle_ttl=None,
+                                      data_dir=str(tmp_path / "primary"))
+            async with ReasoningServer(primary_cfg) as primary:
+                host, port = primary.address
+                async with ReasoningServer(ServeConfig(
+                        port=0, data_dir=str(tmp_path / "follower"),
+                        replicate_from=f"{host}:{port}",
+                        replica_id="unit-f1")) as follower:
+                    replicator = follower.replicator
+                    async with await AsyncClient.connect(host, port) as up:
+                        await up.open("pub", SCHEMA, [MVD])
+                        await caught_up(follower, 1)
+                        behind = []
+                        for _ in range(100):
+                            for edit in (up.add, up.retract):
+                                seq = (await edit("pub", IMPLIED_FD))["seq"]
+                                # no sleep, no fence: read the position
+                                # the moment the ack is in hand
+                                if replicator.applied_seq < seq:
+                                    behind.append(seq)
+                        return behind, replicator.applied_seq
+
+        behind, applied = asyncio.run(scenario())
+        assert behind == []
+        assert applied == 201
+
+    def test_subscribes_acknowledge_and_no_ack_is_sent(self, tmp_path):
+        async def scenario():
+            primary_cfg = ServeConfig(port=0, idle_ttl=None,
+                                      data_dir=str(tmp_path / "primary"))
+            async with ReasoningServer(primary_cfg) as primary:
+                host, port = primary.address
+                async with ReasoningServer(ServeConfig(
+                        port=0, data_dir=str(tmp_path / "follower"),
+                        replicate_from=f"{host}:{port}",
+                        replica_id="unit-f1")) as follower:
+                    async with await AsyncClient.connect(host, port) as up:
+                        seq = (await up.open("pub", SCHEMA))["seq"]
+                        for _ in range(100):
+                            await up.add("pub", MVD)
+                            seq = (await up.retract("pub", MVD))["seq"]
+                        await caught_up(follower, seq)
+                        deadline = asyncio.get_running_loop().time() + 5.0
+                        while True:
+                            status = await up.replicate_status()
+                            acked = status["followers"]["unit-f1"]
+                            if (acked["acked_seq"] == seq
+                                    or asyncio.get_running_loop().time()
+                                    > deadline):
+                                break
+                            await asyncio.sleep(0.01)
+                    counters = primary.counters
+                    return (seq, acked, follower.replicator.batches,
+                            counters["serve.requests.replicate.ack"],
+                            counters["replicate.acks"],
+                            counters["serve.requests.replicate.subscribe"])
+
+        seq, acked, batches, ack_requests, acks, subscribes = asyncio.run(
+            scenario())
+        assert seq == 201
+        assert acked["acked_seq"] == 201 and acked["lag"] == 0
+        assert ack_requests == 0 and acks == 0
+        # one subscribe per shipped batch, plus the one held now
+        assert subscribes == batches + 1

@@ -379,6 +379,22 @@ class TestReplicationTailing:
             store.append_record(1, "add", {})  # duplicates refused too
         store.close()
 
+    def test_a_restarted_follower_serves_no_stale_tail(self, tmp_path):
+        # recovery seeds the tail with seqs 1-2; a sequenced append
+        # moves last_seq past it, so the tail can no longer be indexed
+        store = fresh_store(tmp_path)
+        store.append_record(1, "open", {"name": "pub", "schema": SCHEMA})
+        store.append_record(2, "add", {"session": "pub",
+                                       "dependency": DEP_A})
+        store.close()
+        store = fresh_store(tmp_path)
+        assert [r.seq for r in store.records_since(0)] == [1, 2]
+        store.append_record(3, "add", {"session": "pub",
+                                       "dependency": DEP_B})
+        assert store.records_since(1) is None     # a reset, not [1, 2]
+        assert store.stats()["tail_records"] == 0
+        store.close()
+
     def test_reset_to_rebases_the_store(self, tmp_path):
         manager = SessionManager()
         store = fresh_store(tmp_path, manager)
