@@ -34,9 +34,16 @@ run dismisses the firings of the dependencies whose left-hand side
 ``X`` does not cover (identity L5 of :mod:`repro.core.engine`), so only
 the few covered or productive firings call ``∸``: the count must stay
 at or below ``MAX_PD_CALLS``.  A kernel that fires every dependency one
-by one makes about 200 on this Σ.  Both counts are deterministic, so
-their gates hold on any machine.  Results land in
-``BENCH_cold_closure.json``.
+by one makes about 200 on this Σ.
+
+The same untimed pass counts the steps of ``iter_bits`` (one per set bit
+a Python loop walks) per fresh cold closure, in both
+:mod:`repro.attributes.encoding` and :mod:`repro.core.engine`.
+Possession is one set difference (``x & ~complement(x)``) and walks no
+bits, so the count must stay at or below ``MAX_BIT_STEPS``; a
+``possessed`` that loops over the bits of its mask makes about 180.
+All three counts are deterministic, so their gates hold on any machine.
+Results land in ``BENCH_cold_closure.json``.
 
 Run:  pytest benchmarks/bench_cold_closure.py -s --benchmark-disable
 """
@@ -48,7 +55,9 @@ import random
 from pathlib import Path
 from statistics import median
 
-from repro.attributes.encoding import BasisEncoding
+from repro.attributes import encoding as encoding_module
+from repro.attributes.encoding import BasisEncoding, iter_bits
+from repro.core import engine as engine_module
 from repro.core.engine import closure_of_masks_fast
 from repro.core.session import Session
 from repro.workloads.random_schemas import mixed_family
@@ -67,6 +76,7 @@ PROBES = 20           # unseen LHSs per round
 MAX_RATIO = 1.25      # aged / fresh median cold-closure ms
 MAX_DC_CALLS = 100    # double_complement calls per fresh cold closure
 MAX_PD_CALLS = 20     # pseudo_difference calls per fresh cold closure
+MAX_BIT_STEPS = 120   # iter_bits steps per fresh cold closure
 
 
 def _fresh_masks(rng: random.Random, encoding: BasisEncoding,
@@ -80,9 +90,10 @@ def _fresh_masks(rng: random.Random, encoding: BasisEncoding,
     return masks
 
 
-def _pseudo_difference_calls(plan, masks: list[int]) -> int:
-    """``∸`` calls made by one cold closure of each mask over ``plan``."""
-    calls = 0
+def _untimed_counts(plan, masks: list[int]) -> tuple[int, int]:
+    """``(∸ calls, iter_bits steps)`` made by one cold closure of each
+    mask over ``plan``."""
+    calls = steps = 0
     original = BasisEncoding.pseudo_difference
 
     def counting(self, left, right):
@@ -90,13 +101,21 @@ def _pseudo_difference_calls(plan, masks: list[int]) -> int:
         calls += 1
         return original(self, left, right)
 
+    def counting_bits(mask):
+        nonlocal steps
+        for index in iter_bits(mask):
+            steps += 1
+            yield index
+
     BasisEncoding.pseudo_difference = counting
+    encoding_module.iter_bits = engine_module.iter_bits = counting_bits
     try:
         for mask in masks:
             closure_of_masks_fast(plan, mask)
     finally:
         BasisEncoding.pseudo_difference = original
-    return calls
+        encoding_module.iter_bits = engine_module.iter_bits = iter_bits
+    return calls, steps
 
 
 def _measure() -> dict:
@@ -116,6 +135,7 @@ def _measure() -> dict:
     aged_ms: list[float] = []
     fresh_dc_calls = 0
     fresh_pd_calls = 0
+    fresh_bit_steps = 0
     for round_index in range(ROUNDS):
         fresh_plan = Session(root, sigma).plan
         fresh_totals = fresh_plan.encoding.cache_totals
@@ -136,7 +156,9 @@ def _measure() -> dict:
                 if name == "fresh":
                     fresh_dc_calls += sum(fresh_totals()) - before
             assert answers["fresh"] == answers["aged"], mask
-        fresh_pd_calls += _pseudo_difference_calls(fresh_plan, probes)
+        calls, steps = _untimed_counts(fresh_plan, probes)
+        fresh_pd_calls += calls
+        fresh_bit_steps += steps
         fresh_ms.append(median(fresh_times))
         aged_ms.append(median(aged_times))
         ratios.append(aged_ms[-1] / fresh_ms[-1])
@@ -154,6 +176,8 @@ def _measure() -> dict:
             fresh_dc_calls / (ROUNDS * PROBES),
         "fresh_pseudo_difference_calls_per_closure":
             fresh_pd_calls / (ROUNDS * PROBES),
+        "fresh_iter_bits_steps_per_closure":
+            fresh_bit_steps / (ROUNDS * PROBES),
         "aged_double_complement_memo": {
             "hits": hits, "misses": misses, "size": size,
             "maxsize": maxsize},
@@ -171,6 +195,7 @@ def test_cold_closure_does_not_age(benchmark):
         "max_ratio": MAX_RATIO,
         "max_double_complement_calls": MAX_DC_CALLS,
         "max_pseudo_difference_calls": MAX_PD_CALLS,
+        "max_iter_bits_steps": MAX_BIT_STEPS,
         "cpus": cpus(),
         **row,
     }
@@ -189,9 +214,14 @@ def test_cold_closure_does_not_age(benchmark):
     print(f"  pseudo_difference calls per fresh closure "
           f"{row['fresh_pseudo_difference_calls_per_closure']:.1f} "
           f"(bound {MAX_PD_CALLS})")
+    print(f"  iter_bits steps per fresh closure "
+          f"{row['fresh_iter_bits_steps_per_closure']:.1f} "
+          f"(bound {MAX_BIT_STEPS})")
     print(f"report written to {JSON_PATH.name}")
     assert row["aged_over_fresh"] <= MAX_RATIO, row
     assert (row["fresh_double_complement_calls_per_closure"]
             <= MAX_DC_CALLS), row
     assert (row["fresh_pseudo_difference_calls_per_closure"]
             <= MAX_PD_CALLS), row
+    assert (row["fresh_iter_bits_steps_per_closure"]
+            <= MAX_BIT_STEPS), row

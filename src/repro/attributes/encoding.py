@@ -25,8 +25,11 @@ operation                 bitmask realisation
 ========================  =============================================
 
 Possession (Definition 4.11 via the §6 characterisation): basis attribute
-``i`` is possessed by ``X`` iff every basis attribute above ``i`` lies in
-``SubB(X)``, i.e. ``above[i] & ~x == 0``.
+``i`` is possessed by ``X`` iff ``i ∈ SubB(X)`` and ``i ∉ SubB(X^C)``, so
+the possessed bits are one set difference, ``x & ~complement(x)``: one
+down-closure (a table OR per byte) instead of a walk over the bits.
+(``i ∈ SubB(X^C)`` iff some basis attribute above ``i`` lies outside
+``SubB(X)``, since ``below`` and ``above`` are duals.)
 
 Of the Brouwerian operations only ``X^CC`` is memoised: Algorithm 5.1
 normalises the same blocks on every pass.  ``X ∸ Y``, ``X^C`` and
@@ -425,14 +428,12 @@ class BasisEncoding:
         """Mask of the basis attributes *possessed* by the element ``mask``.
 
         Definition 4.11 / §6: ``i`` possessed iff ``i ∈ SubB(X)`` and
-        ``i ∉ SubB(X^C)``, equivalently iff ``above[i] ⊆ SubB(X)``.
+        ``i ∉ SubB(X^C)`` — the set difference ``mask & ~complement(mask)``.
+        It equals the per-bit test ``above[i] ⊆ SubB(X)`` on any mask:
+        ``i`` lies in the down-closure of the bits outside ``mask``
+        exactly when some bit above ``i`` is outside ``mask``.
         """
-        above = self.above
-        result = 0
-        for i in iter_bits(mask):
-            if above[i] & ~mask == 0:
-                result |= 1 << i
-        return result
+        return mask & ~self.down_close(self.full & ~mask)
 
     def possessed_below(self) -> tuple[int, ...]:
         """``possessed(below[i])`` for every index ``i``, built once.

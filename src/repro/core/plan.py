@@ -528,11 +528,14 @@ class ClosureIntervalCache:
     :meth:`lookup` serves an exact-mask hit directly, otherwise scans
     for a cached ``X'`` with ``X' ≤ X ≤ X'⁺`` — which forces
     ``X⁺ = X'⁺`` by monotonicity + idempotence of the closure operator
-    (module doc).  Entries must all be fixpoints of the *current* Σ:
-    the owner clears the cache on every Σ edit (closures grow on ``add``
-    and shrink on ``retract``, so stale entries are wrong in both
-    directions).  Counters survive :meth:`clear` (they describe the
-    session's lifetime traffic) and reset with :meth:`reset`.
+    (module doc).  The owner stores only proper intervals ``X' < X'⁺``:
+    a closed ``X'`` could answer ``X = X'`` alone, which the owner's own
+    result cache answers first.  Entries must all be fixpoints of the
+    *current* Σ: the owner clears the cache on every Σ edit (closures
+    grow on ``add`` and shrink on ``retract``, so stale entries are
+    wrong in both directions).  Counters survive :meth:`clear` (they
+    describe the session's lifetime traffic) and reset with
+    :meth:`reset`.
 
     Eviction is LRU on exact hits, FIFO otherwise, bounded by
     ``maxsize`` entries; the interval scan is ``O(entries)`` per miss,

@@ -537,9 +537,12 @@ class Session:
 
     def _store(self, mask: int, entry: _CacheEntry) -> None:
         self._entries[mask] = entry
-        # Every freshly computed fixpoint also feeds the
-        # interval cache — it is current for today's Σ by construction.
-        self._interval.store(mask, entry.result.closure_mask)
+        # Only X' < X'⁺ feeds the interval cache: a closed X' answers
+        # X = X' alone, which ``_entries`` answers first (the interval
+        # cache's keys are always a subset of it).
+        closure_mask = entry.result.closure_mask
+        if closure_mask != mask:
+            self._interval.store(mask, closure_mask)
         if self.maxsize is not None:
             while len(self._entries) > self.maxsize:
                 evicted_mask, _ = self._entries.popitem(last=False)

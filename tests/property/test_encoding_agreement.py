@@ -5,8 +5,10 @@ bitmask encoding and the structural recursion — must agree everywhere.
 """
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attributes import (
+    BasisEncoding,
     complement,
     double_complement,
     is_subattribute,
@@ -15,9 +17,19 @@ from repro.attributes import (
     pseudo_difference,
 )
 from repro.attributes.basis import is_possessed_by
+from repro.workloads.random_schemas import mixed_family
 from tests.strategies import roots_with_element_pairs, roots_with_elements
 
 SETTINGS = settings(max_examples=120, deadline=None)
+
+#: perfbench's root shape (|N| = 64), for masks no small root reaches.
+MIXED = BasisEncoding(mixed_family(16))
+
+
+def possessed_by_definition(enc, mask):
+    """Definition 4.11 bit by bit: ``{i ∈ mask : above[i] ⊆ mask}``."""
+    return sum(1 << i for i in range(enc.size)
+               if mask >> i & 1 and not enc.above[i] & ~mask)
 
 
 @SETTINGS
@@ -74,6 +86,25 @@ def test_possessed_agrees(case):
     element = enc.decode(x)
     for i, b in enumerate(enc.basis):
         assert bool(enc.possessed(x) >> i & 1) == is_possessed_by(root, b, element)
+
+
+def test_possessed_is_the_definition_on_every_mask(small_roots):
+    # every mask, down-closed or not: the set identity holds on all
+    for root in small_roots:
+        enc = BasisEncoding(root)
+        for mask in range(enc.full + 1):
+            assert enc.possessed(mask) == possessed_by_definition(enc, mask)
+
+
+@SETTINGS
+@given(st.integers(0, MIXED.full))
+def test_possessed_is_the_definition_on_random_masks(mask):
+    assert MIXED.possessed(mask) == possessed_by_definition(MIXED, mask)
+    element = MIXED.down_close(mask)
+    assert MIXED.possessed(element) == possessed_by_definition(MIXED, element)
+    complement = MIXED.complement(element)
+    assert (MIXED.possessed(complement)
+            == possessed_by_definition(MIXED, complement))
 
 
 @SETTINGS

@@ -114,6 +114,30 @@ class TestQueriesAndCache:
         assert session.kernel_stats.runs == 0
 
 
+class TestIntervalCacheHoldsIntervals:
+    def test_closed_lhs_is_not_stored(self, root, sigma):
+        session = Session(root, sigma)
+        for x in ("R(B)", "R(A, B)", "R(B, D)", "R(A, B, C, D)"):
+            assert session.closure(x) == s(x, root)  # every X is closed
+        info = session.cache_info()
+        assert info.computed == 4
+        assert info.plan.entries == 0
+        assert session.closure("R(A, B)") == s("R(A, B)", root)
+        assert session.cache_info().hits == 1  # answered by the entry
+
+    def test_proper_interval_answers_inside_it(self, root, sigma):
+        session = Session(root, sigma)
+        assert session.closure("R(A)") == s("R(A, B)", root)
+        assert session.cache_info().plan.entries == 1
+        runs = session.kernel_stats.runs
+        # R(A) ≤ R(A, B) ≤ R(A)⁺: answered without a kernel run
+        assert session.closure("R(A, B)") == s("R(A, B)", root)
+        plan = session.cache_info().plan
+        assert (plan.interval_hits, plan.exact_hits) == (1, 0)
+        assert session.kernel_stats.runs == runs
+        assert session.cache_info().computed == 1
+
+
 class TestAddDropsEntries:
     def test_add_then_requery_recomputes(self, root):
         session = Session(root, ["R(A) -> R(B)"])

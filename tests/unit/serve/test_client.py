@@ -8,6 +8,7 @@ server like tests/unit/serve/test_server.py.
 import asyncio
 import socket
 import threading
+import tracemalloc
 
 import pytest
 
@@ -157,6 +158,41 @@ class TestAsyncClient:
 
         asyncio.run(scenario())
 
+    def test_reads_allocate_no_buffer_per_read(self):
+        """The client reads into a buffer it owns: pipelining 200 pings
+        raises the traced peak by far less than one 256 KiB read buffer
+        (what a plain ``asyncio.Protocol`` has the transport allocate on
+        every read)."""
+        async def scenario():
+            async with ReasoningServer(ServeConfig(idle_ttl=None)) as server:
+                host, port = server.address
+                async with await AsyncClient.connect(host, port) as client:
+                    assert (await client.ping())["pong"] is True
+                    done = asyncio.get_running_loop().create_future()
+                    pongs = []
+
+                    def collect(result):
+                        # keep a bool, not the answer: 200 retained
+                        # answers would dominate the peak
+                        pongs.append(result["pong"] is True)
+                        if len(pongs) == 200:
+                            done.set_result(None)
+
+                    tracemalloc.start()
+                    try:
+                        tracemalloc.reset_peak()
+                        before, _ = tracemalloc.get_traced_memory()
+                        for _ in range(200):
+                            client.submit(collect, "ping")
+                        await done
+                        _, peak = tracemalloc.get_traced_memory()
+                    finally:
+                        tracemalloc.stop()
+                    assert all(pongs)
+                    assert peak - before < 128 * 1024, peak - before
+
+        asyncio.run(scenario())
+
     def test_pending_requests_fail_when_server_vanishes(self):
         config = ServeConfig(request_timeout=None, idle_ttl=None,
                              drain_timeout=0.05)
@@ -288,6 +324,93 @@ class TestAsyncClientTeardownRace:
                     with pytest.raises(ConnectionError):
                         await asyncio.wait_for(client.ping(), timeout=5)
                     assert not client._pending
+                finally:
+                    await client.close()
+
+        asyncio.run(scenario())
+
+
+class TestAsyncClientFraming:
+    """The client's read buffer: lines split across reads or longer
+    than one read, and the two ways a response stream is refused."""
+
+    @staticmethod
+    def _answer(request_id, filler=""):
+        return encode({"v": 1, "id": request_id, "ok": True,
+                       "result": {"pong": True, "filler": filler}})
+
+    def test_long_and_split_lines_are_framed(self):
+        long_line = self._answer(1, "x" * 100_000)  # > one read
+
+        async def handler(reader, writer):
+            try:
+                await reader.readline()
+                await reader.readline()
+                second = self._answer(2)
+                for start in range(0, len(long_line), 7001):
+                    writer.write(long_line[start:start + 7001])
+                    await writer.drain()
+                writer.write(second[:5])
+                await writer.drain()
+                await asyncio.sleep(0.01)
+                writer.write(second[5:])
+                await writer.drain()
+                await reader.read()
+            finally:
+                writer.close()
+
+        async def scenario():
+            async with _StubPeer(handler) as (host, port):
+                async with await AsyncClient.connect(host, port) as client:
+                    first, second = await asyncio.wait_for(asyncio.gather(
+                        client.request("ping"), client.request("ping")),
+                        timeout=5)
+                    assert len(first["filler"]) == 100_000
+                    assert second == {"pong": True, "filler": ""}
+                    assert client._start == client._end == 0
+
+        asyncio.run(scenario())
+
+    def test_line_over_limit_aborts(self):
+        async def handler(reader, writer):
+            try:
+                await reader.readline()
+                writer.write(b'{"v": 1, "id": 1, "ok": true, "result": "'
+                             + b"x" * 5000)
+                await writer.drain()
+                await reader.read()
+            finally:
+                writer.close()
+
+        async def scenario():
+            async with _StubPeer(handler) as (host, port):
+                client = await AsyncClient.connect(host, port, limit=4096)
+                try:
+                    with pytest.raises(ConnectionError,
+                                       match="exceeds 4096 bytes"):
+                        await asyncio.wait_for(client.ping(), timeout=5)
+                finally:
+                    await client.close()
+
+        asyncio.run(scenario())
+
+    def test_undecodable_response_aborts(self):
+        async def handler(reader, writer):
+            try:
+                await reader.readline()
+                writer.write(b"not json\n")
+                await writer.drain()
+                await reader.read()
+            finally:
+                writer.close()
+
+        async def scenario():
+            async with _StubPeer(handler) as (host, port):
+                client = await AsyncClient.connect(host, port)
+                try:
+                    with pytest.raises(ConnectionError,
+                                       match="undecodable response"):
+                        await asyncio.wait_for(client.ping(), timeout=5)
                 finally:
                     await client.close()
 
