@@ -36,6 +36,20 @@ The two alternate for ``ROUNDS`` paired rounds
 ratio delta / full, and it must stay at or below ``MAX_RATIO`` for
 both sequences.
 
+**Closures after an edit.**  The same Σ in a ``Session``, and
+``EDIT_SET`` left-hand sides ``X``.  Each of ``CYCLES`` cycles adds a
+random FD or MVD ``X → Y`` not in Σ, asks for ``X⁺``, retracts it and
+asks again, as perfbench's edit-replicated workload does.  An add drops
+the session's cached closures, so each probe after one is a kernel run
+that changes the state.  In an untimed pass the report counts the
+``BasisEncoding.pseudo_difference`` calls per kernel run.  The kernel
+dismisses every firing with ``Ū = X_new^C`` in every state (identity L6
+of :mod:`repro.core.engine`), not only at the cold start, so only the
+few firings that can change the state call ``∸``: the count must stay
+at or below ``MAX_PD_CALLS``.  A kernel that dismisses only at the cold
+start (L5) makes about 120.  The count is deterministic, so the gate
+holds on any machine.
+
 **Replication polls.**  A ``SessionStore`` (``fsync off``) holds
 ``TAILS`` records in its live segment, and a follower one record behind
 asks ``records_since(last_seq - 1)``.  Reported in µs per call next to
@@ -58,10 +72,13 @@ from repro.attributes.encoding import BasisEncoding
 from repro.core.closure import _as_mask_sigma
 from repro.core.plan import compile_plan
 from repro.core.session import Session
+from repro.dependencies.dependency import (FunctionalDependency,
+                                          MultivaluedDependency)
 from repro.serve.server import SessionManager
 from repro.store import SessionStore, read_segment
 from repro.workloads.random_schemas import mixed_family
-from repro.workloads.random_sigma import random_dependency, random_sigma
+from repro.workloads.random_sigma import (random_dependency,
+                                          random_element_mask, random_sigma)
 
 from _timing import cpus, median_of, paired_speedup
 
@@ -75,6 +92,9 @@ ROUNDS = 7            # paired rounds
 MAX_RATIO = 0.2       # delta / full compile, per edit
 TAILS = (100, 4096)   # records held by the store
 SEQUENCES = ("churn", "fd_growth")
+EDIT_SET = 8          # left-hand sides the edit cycles draw from
+CYCLES = 100          # add/closure/retract/closure cycles
+MAX_PD_CALLS = 40     # pseudo_difference calls per kernel run
 
 
 def _plan_edits(sequence: str) -> dict:
@@ -132,6 +152,50 @@ def _plan_edits(sequence: str) -> dict:
     }
 
 
+def _edit_closures() -> dict:
+    """``∸`` calls per kernel run over add/closure/retract/closure
+    cycles (module doc)."""
+    root = mixed_family(SCALE)
+    encoding = BasisEncoding(root)
+    session = Session(root, list(random_sigma(random.Random(0), encoding,
+                                               SIGMA_SIZE)),
+                      encoding=encoding)
+    rng = random.Random(32)
+    edit_set = [random_element_mask(rng, encoding, 0.25)
+                for _ in range(EDIT_SET)]
+    for mask in edit_set:
+        session.closure_mask_for(mask)
+    calls = 0
+    original = BasisEncoding.pseudo_difference
+
+    def counting(self, left, right):
+        nonlocal calls
+        calls += 1
+        return original(self, left, right)
+
+    runs_before = session.kernel_stats.runs
+    BasisEncoding.pseudo_difference = counting
+    try:
+        for _ in range(CYCLES):
+            while True:
+                x = rng.choice(edit_set)
+                cls = (MultivaluedDependency if rng.random() < 0.5
+                       else FunctionalDependency)
+                dependency = cls(encoding.decode(x), encoding.decode(
+                    random_element_mask(rng, encoding, 0.35)))
+                if dependency not in session:
+                    break
+            session.add(dependency)
+            session.closure_mask_for(x)
+            session.retract(dependency)
+            session.closure_mask_for(x)
+    finally:
+        BasisEncoding.pseudo_difference = original
+    runs = session.kernel_stats.runs - runs_before
+    return {"cycles": CYCLES, "kernel_runs": runs,
+            "pseudo_difference_calls_per_run": calls / runs}
+
+
 def _polls() -> list[dict]:
     root = mixed_family(SCALE)
     encoding = BasisEncoding(root)
@@ -161,6 +225,7 @@ def _polls() -> list[dict]:
 def _measure() -> dict:
     return {"plan": {sequence: _plan_edits(sequence)
                      for sequence in SEQUENCES},
+            "edit_closures": _edit_closures(),
             "records_since": _polls()}
 
 
@@ -177,6 +242,7 @@ def test_edit_path(benchmark):
         "full": "one compile, then compile_plan(reuse=previous) per edit",
         "rounds": ROUNDS,
         "max_ratio": MAX_RATIO,
+        "max_pseudo_difference_calls": MAX_PD_CALLS,
         "cpus": cpus(),
         **row,
     }
@@ -188,6 +254,11 @@ def test_edit_path(benchmark):
               f"full compile {plan['full_compile_us_per_edit']:7.1f} µs, "
               f"delta/full {plan['delta_over_full']:.3f} "
               f"(bound {MAX_RATIO})")
+    closures = row["edit_closures"]
+    print(f"  closures after an edit: "
+          f"{closures['pseudo_difference_calls_per_run']:.1f} ∸ calls per "
+          f"kernel run over {closures['kernel_runs']} runs "
+          f"(bound {MAX_PD_CALLS})")
     for poll in row["records_since"]:
         print(f"  records_since, {poll['records']:5d} records: "
               f"{poll['records_since_us']:7.1f} µs "
@@ -195,3 +266,5 @@ def test_edit_path(benchmark):
     print(f"report written to {JSON_PATH.name}")
     for plan in row["plan"].values():
         assert plan["delta_over_full"] <= MAX_RATIO, plan
+    assert closures["pseudo_difference_calls_per_run"] <= MAX_PD_CALLS, (
+        closures)

@@ -314,22 +314,26 @@ def _dispatch_fixture():
 
 
 def _if_chain_dispatch(session, op, params):
-    """The pre-registry server hot path, kept as the baseline."""
+    """The pre-registry server hot path, kept as the baseline.
+
+    An if-chain over the same mask-level session calls the registry's
+    commands make (``dependency_masks``/``implies_masks``,
+    ``encoding.parse``/``render``), so the two differ by the registry's
+    own cost alone: ``from_wire``, the param checks and ``execute``.
+    """
     if op == "implies":
         text = params.get("dependency")
         if not isinstance(text, str):
             raise ValueError("'dependency' must be a string")
-        dependency = session.dependency(text)
-        dependency.validate(session.root)
-        return {"implied": session.implies(dependency)}
+        return {"implied": session.implies_masks(
+            *session.dependency_masks(text))}
     if op == "closure":
         text = params.get("x")
         if not isinstance(text, str):
             raise ValueError("'x' must be a string")
-        from repro.attributes import unparse_abbreviated
-        mask = session.encoding.encode(session.attribute(text))
-        result = session.result_for_mask(mask)
-        return {"closure": unparse_abbreviated(result.closure, session.root),
+        encoding = session.encoding
+        result = session.result_for_mask(encoding.parse(text))
+        return {"closure": encoding.render(result.closure_mask),
                 "passes": result.passes}
     raise AssertionError(f"unhandled op {op!r}")
 

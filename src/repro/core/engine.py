@@ -54,37 +54,76 @@ algorithms exploit:
   the counters and ``(X⁺, DB, passes)`` are exactly those of the
   general code.
 
-* **Cold starts by dismissal.**  At the cold start of an element ``X``
-  with ``X^C ≠ λ`` (``X_new = X``, ``DB`` the singletons of ``X ∩
-  MaxB(N)`` plus ``X^C``) a fifth identity holds for every ``V``:
+* **No-ops dismissed in bulk.**  Most firings of a run change nothing,
+  and a §6 identity finds most of them without firing them.  Call a
+  block *outer* when it possesses a bit outside ``X_new``.  In every
+  state reached from an element ``X`` with ``X^C ≠ λ``:
 
-  - **(L5)** every dependency with ``U ≰ X`` has ``Ū = X^C``, one
-    block, and fires as a no-op.  Basis attributes are join-prime
-    (Theorem 3.9), so a bit outside ``X`` lies under ``X^C``; every bit
-    above it is outside ``X`` too, so ``X^C`` possesses it, while a
-    singleton of ``X`` possesses only bits of ``X``.  Then ``Ṽ = V ∸
-    X^C ≤ X``: an FD adds nothing to ``X_new``, no singleton is new,
-    and ``(X^C ∸ Ṽ)^CC = X^C``, as each bit of ``Ṽ`` lies under a bit
-    outside ``X^C`` and so is not possessed by ``X^C``.  An MVD's
-    overlap lies under ``Ṽ ≤ X``, and ``(Ṽ ⊓ X^C)^CC = λ``:
-    a bit possessed there has a maximal bit above it inside ``X`` and
-    ``X^C`` at once, but a maximal bit in ``X^C`` lies outside ``X``.
-    (``X^C`` is CC-closed, so there is no suspect block to rewrite.)
+  - **(L6)** every dependency with ``Ū ⊇ X_new^C`` has ``Ū =
+    X_new^C`` and fires as a no-op; and ``Ū ⊇ X_new^C`` holds iff
+    ``U`` meets the possession outside ``X_new`` of every outer block.
 
-  So a cold run ORs the plan's ``lhs_index`` at the bits outside ``X``
-  to find these *dismissed* positions and leaves them out of generation
-  1.  Their firings are accounted in bulk: each is one firing, one
-  ``Ū`` lookup of one block, and a skipped firing when ``V`` holds no
-  bit outside ``X^C`` (one OR of ``rhs_index`` per such bit).  L5 holds
-  only until the first state change.  When a firing at position ``p``
-  changes the state, the dismissed positions below ``p`` stay
-  dismissed, and generation 1 goes on with every live position above
+  *Proof.*  (i) An invariant: ``X_new`` is an element; every block is
+  CC-closed; every block other than the singletons ``below[m]`` with
+  ``m ∈ X_new`` lies under ``X_new^C``; each maximal bit lies in at
+  most one block, each one outside ``X_new`` in exactly one; and each
+  one in ``X_new`` has its singleton in ``DB``.  It holds at the
+  start, where ``DB`` is the singletons of ``X ∩ MaxB(N)`` and
+  ``X^C``, a complement.  Singletons map to themselves under every
+  firing (L2, L3), so take a block ``W ≤ X_new^C``.  An FD makes
+  ``X_new ⊔ Ṽ``, whose complement is ``X_new^C ∸ Ṽ``, and maps ``W``
+  to ``(W ∸ Ṽ)^CC ≤ W ∸ Ṽ ≤ X_new^C ∸ Ṽ``; its new singletons are
+  those of ``Ṽ ∩ MaxB(N) ≤ X_new ⊔ Ṽ``.  An MVD makes ``X_new ⊔ O``
+  with ``O = Ṽ ⊓ Ṽ^C``, which holds no maximal bit (one in ``Ṽ`` is
+  outside ``Ṽ^C``) and whose complement is ``X_new^C ∸ O``, and
+  splits ``W`` into ``(W ∸ Ṽ)^CC ≤ W ∸ O ≤ X_new^C ∸ O`` and ``Z =
+  (Ṽ ⊓ W)^CC``.  ``Z`` is the down-closure of its possessed bits, and
+  each of them has every bit above it in ``Z ≤ Ṽ``, so lies outside
+  ``Ṽ^C ⊇ O``; hence ``Z ≤ X_new^C ∸ O``.  A maximal bit of ``W`` goes
+  to exactly one piece, or, under an FD, into ``X_new`` and its own
+  singleton.  (ii) The blocks of ``Ū`` own a bit of ``U`` outside
+  ``X_new``.  A singleton of ``X_new`` possesses only bits of
+  ``X_new``, so by (i) every such block lies under ``X_new^C``, and
+  ``Ū ⊇ X_new^C`` forces ``Ū = X_new^C``.  Then ``Ṽ = V ∸ X_new^C ≤
+  X_new^CC ≤ X_new``, so ``X_new`` gains nothing.  (iii) Every bit of
+  ``X_new^CC`` lies under a bit outside ``X_new^C``, which no block
+  ``W ≤ X_new^C`` holds, so no such block possesses a bit of
+  ``X_new^CC ⊇ Ṽ``: an FD touches no block, and an MVD finds none
+  straddling ``Ṽ``.  The FD's new singletons are the maximal bits of
+  ``Ṽ``, which lie in ``X_new`` and are in ``DB`` already, and the
+  MVD's overlap is ``≤ Ṽ ≤ X_new``.  The firing changes nothing.
+  (iv) ``X_new^C`` is the down-closure of the maximal bits outside
+  ``X_new``.  By (i) each lies in exactly one block, an outer one, and
+  every outer block lies under ``X_new^C``, so ``X_new^C`` is the union
+  of the outer blocks, and ``Ū ⊇ X_new^C`` iff every outer block owns
+  a bit of ``U`` outside ``X_new``.  ∎
+
+  L5 is L6 in the initial state, where the one outer block is ``X^C``
+  and possesses every bit outside ``X``: the cold start dismisses
+  every dependency with ``U ≰ X``.  The gate is the element start: the
+  ``X^C`` of a mask that is not down-closed can fail to be CC-closed,
+  and (i) fails with it.
+
+  So on every state change (and at the start) the kernel ORs the plan's
+  ``lhs_index`` over each outer block's possession outside ``X_new``
+  (once per distinct such set in a run), and ANDs the results into the
+  state's *dismissable* positions.  A popped position in that set is
+  not fired; the dismissed firings of a state are accounted in bulk
+  when the state next changes, or at the end.  Each is one firing, one
+  ``Ū`` lookup of as many blocks as there are outer blocks, and a
+  skipped firing when ``V ≤ X_new^C``, i.e. when ``V`` holds no bit of
+  ``possessed(X_new)``, an up-set that only grows with ``X_new``: the
+  run ORs ``rhs_index`` over each of its bits once.  Only a state change
+  wakes a position, so a position leaves the queue at most once per
+  state.  At the cold start the dismissed positions are not queued at
+  all.  When a firing at position ``p`` first changes the state, the
+  dismissed positions below ``p`` are generation 1's dismissed firings
+  so far, and generation 1 goes on with every live position above
   ``p``, in order: the queue a full generation 1 would have there.  So
   ``(X⁺, DB, passes)``, the provenance and every :class:`KernelStats`
-  counter are those of firing all of Σ, while Theorem 6.4's ``|Σ|``
-  factor per cold run shrinks to the dependencies ``X`` covers (and
-  those after the first change).  Masks that are not down-closed queue
-  every dependency.
+  counter are those of firing each dependency one by one, while
+  Theorem 6.4's ``|Σ|`` factor per pass shrinks to the dependencies
+  that can still change the state.
 
 The REPEAT structure survives as *generations*: the initial queue (all
 of Σ, FDs first — the paper's order) is generation 1, dependencies
@@ -211,6 +250,7 @@ def closure_of_masks_fast(
     below = encoding.below
     above = encoding.above
     maximal = encoding.maximal
+    full = encoding.full
 
     # Folded arrays and compiled indexes (module doc, plan.py).
     deps = plan.deps
@@ -278,20 +318,12 @@ def closure_of_masks_fast(
             return w in others
         return bool(singles >> index & 1)
 
-    # Positions whose firing at the cold start is dismissed by L5 (module
-    # doc) rather than run: those whose ``U`` the element ``X`` does not
-    # cover.  Free positions are in no index, so only live ones appear.
-    dismissed = 0
     # DB_new := MaxB(X^CC) ∪ {X^C}, and MaxB(X^CC) = X ∩ MaxB(N) (L4).
     for index in iter_bits(x_mask & maximal):
         add_single(index)
     x_complement = encoding.complement(x_mask)
     if x_complement:
         add_block(x_complement)
-        if down_close(x_mask) == x_mask:
-            lhs_index = plan.lhs_index
-            for i in iter_bits(encoding.full & ~x_mask):
-                dismissed |= lhs_index[i]
 
     # Blocks that are possibly *not* CC-closed.  The naive FD step maps
     # every block through ``(W ∸ Ṽ)^CC``, which is the identity on
@@ -331,14 +363,73 @@ def closure_of_masks_fast(
             stats.u_bar_blocks += blocks
         return result
 
+    # L6 (module doc): in the current state, the positions whose firing
+    # is a no-op with Ū = X_new^C, the number of blocks in that Ū, and
+    # X_new^C itself (the union of those blocks).  Only a run from an
+    # element keeps the invariant L6 rests on.
+    lhs_index = plan.lhs_index
+    rhs_index = plan.rhs_index
+    element = x_complement != 0 and down_close(x_mask) == x_mask
+    no_ops = outer = state_complement = 0
+    # A block's possession outside X_new -> the positions whose U meets
+    # it.  Most blocks outlive a state change unchanged, so each one's
+    # positions are ORed once per run.
+    meeting: dict[int, int] = {}
+    # The positions whose V meets possessed(X_new), and that possession.
+    # It only grows with X_new, so each of its bits is ORed once per run.
+    reaching = reached = 0
+
+    def dismissable() -> None:
+        """Recompute ``no_ops``, ``outer`` and ``state_complement``: the
+        AND, over the blocks owning a bit outside ``X_new``, of the
+        positions whose ``U`` meets that block's possession there."""
+        nonlocal no_ops, outer, state_complement
+        outside = full & ~x_new
+        result = outside and -1     # X_new = N dismisses nothing
+        union = 0
+        blocks = list(others.items())
+        if singles & outside:
+            blocks += [(below[index], possessed_below[index])
+                       for index in iter_bits(singles & outside)]
+        for w, p in blocks:
+            bits = p & outside
+            hits = meeting.get(bits)
+            if hits is None:
+                hits = 0
+                for i in iter_bits(bits):
+                    hits |= lhs_index[i]
+                meeting[bits] = hits
+            result &= hits
+            union |= w
+        no_ops, outer, state_complement = result, len(blocks), union
+
+    def account(dropped: int) -> None:
+        """Count the dismissed firings ``dropped`` of the current state
+        into ``stats``: each is one firing and one Ū lookup of ``outer``
+        blocks, and is skipped when V holds no bit outside X_new^C."""
+        nonlocal reaching, reached
+        count = dropped.bit_count()
+        stats.firings += count
+        stats.u_bar_lookups += count
+        stats.u_bar_blocks += count * outer
+        possession = full & ~state_complement
+        for i in iter_bits(possession & ~reached):
+            reaching |= rhs_index[i]
+        reached = possession
+        stats.skipped_firings += (dropped & ~reaching).bit_count()
+
     # Worklist: initially every live folded position, in order;
     # generations mirror the naive REPEAT passes for reporting purposes.
     # Tombstoned positions of an edited plan are never queued: they are
     # outside ``live_mask`` and have no bit in any requeue mask.  A cold
-    # start leaves the dismissed positions out until the first state
-    # change.
-    cold = dismissed != 0
-    queued_mask = plan.live_mask & ~dismissed  # over folded positions
+    # start leaves its dismissed positions out of the queue until the
+    # first state change (L5); ``dropped`` holds the dismissed firings
+    # of the current state, accounted when the state changes.
+    if element:
+        dismissable()
+    dropped = no_ops
+    cold = dropped != 0
+    queued_mask = plan.live_mask & ~dropped  # over folded positions
     if queued_mask == (1 << len(deps)) - 1:
         queue: deque[int] = deque(range(len(deps)))
     else:
@@ -362,6 +453,9 @@ def closure_of_masks_fast(
 
         position = queue.popleft()
         queued_mask &= ~(1 << position)
+        if no_ops >> position & 1:
+            dropped |= 1 << position
+            continue
         u_mask, v_mask, is_fd = deps[position]
         firings += 1
 
@@ -441,14 +535,20 @@ def closure_of_masks_fast(
             if fired is not None:
                 fired.add(origin[position])
             if cold:
-                # L5 no longer holds.  The dismissed firings below this
-                # position stay dismissed; the rest of generation 1 is
-                # every live position above it, as in a full queue.
+                # L5's cold start ends.  The dismissed firings below this
+                # position were due before it; the rest of generation 1
+                # is every live position above it, as in a full queue.
                 cold = False
-                dismissed &= (1 << position) - 1
+                dropped &= (1 << position) - 1
                 queued_mask = plan.live_mask >> position + 1 << position + 1
                 queue = deque(iter_bits(queued_mask))
                 generation_left = len(queue)
+            if dropped:
+                if stats is not None:
+                    account(dropped)
+                dropped = 0
+            if element:
+                dismissable()
         if dirty:
             if track_dirty:
                 dirty_total += dirty.bit_count()
@@ -460,24 +560,11 @@ def closure_of_masks_fast(
             scanned += wake.bit_count()
             wake &= ~queued_mask
             queued_mask |= wake
-            for other in iter_bits(wake):
-                queue.append(other)
-                requeues += 1
+            queue.extend(iter_bits(wake))
+            requeues += wake.bit_count()
 
-    if dismissed:
-        # Each dismissed firing is an L5 no-op: one Ū lookup that finds
-        # the one block X^C, skipped when Ṽ = V ∸ X^C = λ, i.e. when V
-        # holds no bit outside X^C.
-        count = dismissed.bit_count()
-        firings += count
-        if stats is not None:
-            stats.u_bar_lookups += count
-            stats.u_bar_blocks += count
-            rhs_index = plan.rhs_index
-            reaching = 0
-            for i in iter_bits(encoding.full & ~x_complement):
-                reaching |= rhs_index[i]
-            skipped += (dismissed & ~reaching).bit_count()
+    if dropped and stats is not None:
+        account(dropped)
 
     if stats is not None:
         stats.runs += 1

@@ -31,11 +31,11 @@ The plan holds three things:
    index lookups instead of an ``O(|Σ|)`` scan of every relevance mask
    per dirty event.  ``lhs_index[bit]`` and ``rhs_index[bit]`` split
    the same relation by side: the positions whose ``U``, respectively
-   ``V``, holds the bit.  A cold run ORs the ``lhs_index`` of the bits
-   outside ``X`` to find every dependency whose left-hand side ``X``
-   does not cover — the firings identity L5 of :mod:`repro.core.engine`
-   dismisses in bulk — and the ``rhs_index`` of the bits outside
-   ``X^C`` to count the dismissed firings with ``Ṽ = V ∸ X^C = λ``.
+   ``V``, holds the bit.  After each state change the kernel ORs the
+   ``lhs_index`` of each block's possession outside ``X_new`` to find
+   the firings identity L6 of :mod:`repro.core.engine` dismisses in
+   bulk, and the ``rhs_index`` of the bits of ``possessed(X_new)`` to
+   count the dismissed firings with ``Ṽ = V ∸ X_new^C = λ``.
 
 3. **Per-dependency Ū = 0 constants.**  When ``Ū = λ`` (the common case
    once ``X_new`` covers a left-hand side), ``Ṽ = V ∸ λ`` and the MVD

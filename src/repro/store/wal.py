@@ -87,14 +87,61 @@ _encode_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
                                 ensure_ascii=False).encode
 
 
+#: The encoder's own string escaper (``ensure_ascii=False``).
+_encode_string = json.encoder.encode_basestring
+
+#: ``(op, param names in the caller's order)`` → the record's template:
+#: the names in canonical (sorted) order and a ``%``-format of the
+#: payload with one ``%s`` per value and ``%d`` for the seq, or ``None``
+#: when a name is not a string.  Every record of an op has the same
+#: shape, so only the string values need escaping.  Emptied at
+#: :data:`_TEMPLATES_MAXSIZE` entries: the wire does not reject unknown
+#: params, so the shapes are not a closed set.
+_TEMPLATES: dict[tuple, tuple | None] = {}
+_TEMPLATES_MAXSIZE = 64
+
+
+def _template(op: str, names: tuple) -> tuple | None:
+    if not all(type(name) is str for name in names):
+        return None
+    order = tuple(sorted(names))
+
+    def text(value: str) -> str:
+        return _encode_string(value).replace("%", "%%")
+
+    fields = ",".join(f"{text(name)}:%s" for name in order)
+    return order, f'{{"op":{text(op)},"params":{{{fields}}},"seq":%d}}'
+
+
 def encode_record(seq: int, op: str, params: Mapping[str, Any]) -> bytes:
-    """One record as bytes (header + canonical JSON payload + newline)."""
-    if type(params) is not dict:
-        params = dict(params)
-    payload = _encode_json({"op": op, "params": params,
-                            "seq": seq}).encode("utf-8")
-    header = f"{len(payload):08x} {zlib.crc32(payload):08x} "
-    return header.encode("ascii") + payload + b"\n"
+    """One record as bytes (header + canonical JSON payload + newline).
+
+    The payload is the canonical JSON of ``{"op", "params", "seq"}``
+    (sorted keys, no spaces, non-ASCII kept).  When every param value is
+    a string it fills the op's template; otherwise the JSON encoder
+    writes it.  Both give the same bytes.
+    """
+    payload = None
+    if type(op) is str and type(seq) is int:
+        names = tuple(params)
+        template = _TEMPLATES.get((op, names), False)
+        if template is False:
+            if len(_TEMPLATES) >= _TEMPLATES_MAXSIZE:
+                _TEMPLATES.clear()
+            template = _TEMPLATES[op, names] = _template(op, names)
+        if template is not None:
+            order, text = template
+            try:
+                values = [_encode_string(params[name]) for name in order]
+            except TypeError:       # a value that is not a string
+                pass
+            else:
+                payload = (text % (*values, seq)).encode("utf-8")
+    if payload is None:
+        payload = _encode_json({"op": op, "params": dict(params),
+                                "seq": seq}).encode("utf-8")
+    return (b"%08x %08x " % (len(payload), zlib.crc32(payload))
+            + payload + b"\n")
 
 
 def decode_record(line: bytes) -> WalRecord:

@@ -247,11 +247,12 @@ def test_plan_deltas_fold_duplicates_like_a_compile(root_encoding_sigma,
 
 
 def assert_cold_equals_oracle(plan, x):
-    """The cold run of ``x`` equals the run that dismisses nothing.
+    """The run of ``x`` equals the run that dismisses nothing.
 
     With ``lhs_index`` all zeros no position is dismissed, so the run
     fires every queued dependency one by one: the reference for the
-    cold path's bulk accounting.
+    bulk accounting of the dismissed firings (L5 at the cold start, L6
+    in every later state).
     """
     got_stats, want_stats = KernelStats(), KernelStats()
     got_fired: set[int] = set()
@@ -312,3 +313,19 @@ def test_cold_dismissal_equals_the_full_queue_oracle(root_encoding_sigma,
     for _ in range(3):
         assert_cold_equals_oracle(plan, lhs())
         assert_cold_equals_oracle(fresh, lhs())
+
+
+@settings(max_examples=120, deadline=None)
+@given(roots_with_sigma(max_dependencies=16), st.data())
+def test_dismissal_in_every_state_equals_the_full_queue_oracle(
+        root_encoding_sigma, data):
+    # A larger Σ than the cold property above, so a run goes through
+    # several state changes (rewrites and splits) and L6 dismisses
+    # firings after them.  Sparse left-hand sides (the AND of two
+    # random masks, down-closed) leave more dependencies to dismiss.
+    root, encoding, sigma = root_encoding_sigma
+    plan = compile_plan(encoding, *_sigma_masks(encoding, sigma))
+    masks = st.integers(min_value=0, max_value=encoding.full)
+    for _ in range(4):
+        assert_cold_equals_oracle(plan, encoding.down_close(
+            data.draw(masks) & data.draw(masks)))

@@ -116,9 +116,24 @@ class TestKernelStats:
         assert "runs=0" in repr(stats)
 
 
+def _undismissed(plan, x):
+    """``(result, fired, stats)`` of the run of ``x`` with an all-zero
+    LHS index, which dismisses nothing."""
+    stats = KernelStats()
+    fired: set[int] = set()
+    lhs_index = plan.lhs_index
+    plan.lhs_index = [0] * len(lhs_index)
+    try:
+        result = closure_of_masks_fast(plan, x, stats=stats, fired=fired)
+    finally:
+        plan.lhs_index = lhs_index
+    return result, fired, stats.as_dict()
+
+
 class TestColdDismissal:
-    """A cold run dismisses the L5 no-ops of generation 1 in bulk, up to
-    the first state change, and still counts every firing."""
+    """A run from an element dismisses the L6 no-ops of every state in
+    bulk (at the cold start, L5's, never queued) and still counts every
+    firing."""
 
     def test_switch_mid_generation_one(self, monkeypatch):
         # R(A, B, C, D) from X = A: DB = {A, BCD}.  Σ in firing order:
@@ -128,7 +143,8 @@ class TestColdDismissal:
         #   2  B -> C    uncovered at the start, now productive with
         #                Ū = λ: X_new = ABC, CD -> C | D; wakes 2
         #   3  C ->> D   covered by now: a no-op
-        # Generation 2 re-fires 0 (Ū = D, a no-op), 1 and 2.
+        # Generation 2 re-fires 0, 1 and 2.  From X_new = ABC, DB = {A,
+        # B, C, D}, 0 has Ū = D = X_new^C: L6 dismisses it, a no-op.
         root = parse_attribute("R(A, B, C, D)")
         enc = BasisEncoding(root)
         a, b, c, d = (enc.encode(parse_subattribute(f"R({name})", root))
@@ -153,20 +169,49 @@ class TestColdDismissal:
             "u_bar_lookups": 2, "u_bar_blocks": 2, "block_splits": 0,
             "db_rewrites": 2, "dirty_bits": 5,
         }
-        # The two rewrites and the Ṽ of 0 in generation 2; firing the
-        # dismissed 0 in generation 1 would make a fourth call.
-        assert len(calls) == 3
+        # The two rewrites; firing the dismissed 0 in generation 1 or 2
+        # would make a third call (its Ṽ).
+        assert len(calls) == 2
 
         # With an all-zero LHS index nothing is dismissed: the full
         # queue fires every position one by one, and agrees.
-        oracle_stats = KernelStats()
-        oracle_fired: set[int] = set()
-        lhs_index = plan.lhs_index
-        plan.lhs_index = [0] * len(lhs_index)
-        try:
-            oracle = closure_of_masks_fast(
-                plan, a, stats=oracle_stats, fired=oracle_fired)
-        finally:
-            plan.lhs_index = lhs_index
-        assert (oracle, oracle_fired) == (result, fired)
-        assert oracle_stats.as_dict() == stats.as_dict()
+        assert _undismissed(plan, a) == (result, fired, stats.as_dict())
+
+    def test_dismissal_after_a_split(self, monkeypatch):
+        # R(A, B, C, D) from X = A: DB = {A, BCD}.  Σ in firing order:
+        #   0  D -> C     uncovered: dismissed at the cold start (L5)
+        #   1  A ->> B    covered: splits BCD -> B | CD, X_new stays A;
+        #                 wakes 0 and 1 (2 is still queued)
+        #   2  BC ->> A   U meets both outer blocks, B and CD: Ū = BCD =
+        #                 X_new^C, and L6 dismisses it in the new state
+        #                 (Ṽ = A ∸ BCD = A, a no-op that is not skipped)
+        # Generation 2 fires 0 (Ū = CD, skipped) and 1 (no split).
+        root = parse_attribute("R(A, B, C, D)")
+        enc = BasisEncoding(root)
+        a, b, c, d = (enc.encode(parse_subattribute(f"R({name})", root))
+                      for name in "ABCD")
+        plan = compile_plan(enc, [(d, c)], [(a, b), (b | c, a)])
+        calls = []
+        pseudo_difference = BasisEncoding.pseudo_difference
+
+        def counting(self, left, right):
+            calls.append((left, right))
+            return pseudo_difference(self, left, right)
+
+        monkeypatch.setattr(BasisEncoding, "pseudo_difference", counting)
+        stats = KernelStats()
+        fired: set[int] = set()
+        result = closure_of_masks_fast(plan, a, stats=stats, fired=fired)
+        assert result == (a, frozenset({a, b, c | d}), 2)
+        assert fired == {1}
+        assert stats.as_dict() == {
+            "runs": 1, "passes": 2, "firings": 5, "requeues": 2,
+            "requeue_scanned": 3, "skipped_firings": 2,
+            "u_bar_lookups": 3, "u_bar_blocks": 4, "block_splits": 1,
+            "db_rewrites": 0, "dirty_bits": 3,
+        }
+        # The split's outer piece and 0's Ṽ in generation 2; firing 2
+        # would make a third call (A ∸ BCD).
+        assert calls == [(b | c | d, b), (c, c | d)]
+
+        assert _undismissed(plan, a) == (result, fired, stats.as_dict())
