@@ -18,8 +18,9 @@ Two workloads, matching the experiments the optimisation targets:
   pre-PR way (one stateless naive-kernel closure per query, encoding
   memo caches cleared per query — the pre-PR encoding had no memo
   layer, and in-run warmth still flatters this baseline, so measured
-  speedups are *under*-estimates) and through
-  :class:`repro.batch.BulkReasoner` (one worklist closure per distinct
+  speedups are *under*-estimates) and through the registry's
+  :class:`repro.core.commands.ImpliesBatch` on a fresh
+  :class:`repro.core.session.Session` (one worklist closure per distinct
   LHS, everything else from the cache).  The original small Gene-schema
   stream is per-query-overhead bound (parse/validate dominates both
   paths), which is why the throughput criterion is assessed at a scale
@@ -41,10 +42,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.batch import BulkReasoner
+from repro.core import commands
 from repro.core.closure import closure_of_masks, compute_closure
 from repro.core.engine import KernelStats, closure_of_masks_fast
 from repro.core.plan import compile_plan
+from repro.core.session import Session
 
 from _timing import cpus
 from _workloads import chain_problem, sized_sigma
@@ -147,10 +149,11 @@ def _measure_throughput() -> dict:
         return answered
 
     schema = Schema(encoding.root)
+    batch = commands.ImpliesBatch(dependencies=tuple(q for q, _, _ in queries))
 
     def batched() -> int:
-        bulk = BulkReasoner(schema, sigma)
-        return sum(bulk.implies_all([q for q, _, _ in queries]))
+        session = Session(schema.root, sigma, encoding=schema.encoding)
+        return sum(commands.execute(batch, session).value)
 
     assert baseline() == batched()
     baseline_s = _best_of(baseline)

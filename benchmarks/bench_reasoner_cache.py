@@ -1,12 +1,13 @@
-"""E19 — query throughput: stateless API vs the caching Reasoner.
+"""E19 — query throughput: stateless API vs a caching Session.
 
 Algorithm 5.1 answers *every* question about one left-hand side in a
 single run; applications firing many queries against a fixed Σ should
 pay for that run once.  This experiment measures a 60-query workload
 (the kind a 4NF checker or an interactive design session produces)
-through the stateless `implies` and through the memoising `Reasoner`.
+through the stateless `implies` and through a `Session`, which memoises
+one Algorithm 5.1 run per left-hand side, driven by the command registry.
 
-Expected shape: the Reasoner wins by roughly the ratio of queries to
+Expected shape: the session wins by roughly the ratio of queries to
 distinct left-hand sides.
 
 Run:  pytest benchmarks/bench_reasoner_cache.py --benchmark-only
@@ -15,8 +16,13 @@ Run:  pytest benchmarks/bench_reasoner_cache.py --benchmark-only
 import pytest
 
 from repro import Schema
-from repro.core import implies
-from repro.reasoner import Reasoner
+from repro.core import commands, implies
+from repro.core.session import Session
+
+
+def ask(session, dependency):
+    return commands.execute(
+        commands.Implies(dependency=dependency), session).value
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +73,9 @@ def test_reasoner_cached_queries(benchmark, workload):
     parsed = [schema.dependency(text) for text in queries]
 
     def run():
-        reasoner = Reasoner(schema, sigma)  # cold cache every round
-        return sum(reasoner.implies(dependency) for dependency in parsed)
+        # cold cache every round
+        session = Session(schema.root, sigma, encoding=schema.encoding)
+        return sum(ask(session, dependency) for dependency in parsed)
 
     answered = benchmark(run)
     assert 0 < answered < len(parsed)
@@ -77,12 +84,12 @@ def test_reasoner_cached_queries(benchmark, workload):
 def test_agreement_between_apis(benchmark, workload):
     schema, sigma, queries = workload
     parsed = [schema.dependency(text) for text in queries]
-    reasoner = Reasoner(schema, sigma)
+    session = Session(schema.root, sigma, encoding=schema.encoding)
 
     def verdicts():
         return [
             (
-                reasoner.implies(dependency),
+                ask(session, dependency),
                 implies(sigma, dependency, encoding=schema.encoding),
             )
             for dependency in parsed

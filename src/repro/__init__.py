@@ -76,10 +76,8 @@ from .dependencies import (
     satisfies,
     satisfies_all,
 )
-from .batch import BulkReasoner
 from .chase import ChaseFailure, ChaseResult, chase
 from .normalization import decompose_4nf, is_in_4nf
-from .reasoner import Reasoner
 from .schema import Schema
 from .witness import Witness, build_witness
 
@@ -87,8 +85,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Schema",
-    "Reasoner",
-    "BulkReasoner",
     # attributes
     "NestedAttribute", "Flat", "Record", "ListAttr", "NULL",
     "flat", "record", "list_of",

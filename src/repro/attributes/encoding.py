@@ -253,9 +253,8 @@ class BasisEncoding:
 
         Returns ``encoding`` after validating it was built for ``root``,
         or a fresh ``BasisEncoding(root)`` when ``encoding`` is None.
-        Centralises the root-vs-encoding mismatch validation previously
-        duplicated across ``core.membership``, ``reasoner`` and
-        ``batch``.
+        Every caller that takes an optional encoding (``Session``,
+        ``core.membership``) validates the root here.
         """
         if encoding is None:
             return cls(root)

@@ -392,9 +392,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         schema = Schema(args.schema)
         sigma = schema.dependencies(*_sigma_texts(args))
 
-        if args.command in ("implies", "closure", "basis") and args.stats:
-            return _run_with_stats(schema, sigma, args)
-
         if args.command == "decompose":
             print(schema.decompose(sigma).describe())
             return 0
@@ -619,11 +616,14 @@ def _run_local_command(schema: Schema, sigma,
 
     Each CLI verb names a registered command (``implies``, ``closure``,
     ``basis``, ``trace``, ``keys``, ``check4nf``, ``cover``); the spec's
-    positional params bind the parsed arguments, and the command's own
-    renderer prints the result — the same objects the wire dispatches.
+    positional params bind the parsed arguments, the command runs on a
+    fresh :class:`~repro.core.session.Session`, and its own renderer
+    prints the result — the same objects the wire dispatches.  With
+    ``--stats``, ``implies``/``closure``/``basis`` also print the
+    session's counters to stderr.
     """
     from .core import commands as registry
-    from .reasoner import Reasoner
+    from .core.session import Session
 
     command_cls = registry.REGISTRY.get(args.command)
     if command_cls is None:                              # pragma: no cover
@@ -632,32 +632,16 @@ def _run_local_command(schema: Schema, sigma,
                 "x": getattr(args, "x", None)}
     command = command_cls(**{param.name: supplied[param.name]
                              for param in command_cls.spec.positional()})
-    session = Reasoner(schema, sigma).session
-    outcome = registry.execute(command, session)
-    lines, exit_code = command_cls.render(outcome.result)
-    for line in lines:
-        print(line)
-    return exit_code
-
-
-def _run_with_stats(schema: Schema, sigma, args: argparse.Namespace) -> int:
-    """The membership commands via a Reasoner, with counters on stderr."""
-    from .reasoner import Reasoner
-
-    reasoner = Reasoner(schema, sigma)
+    session = Session(schema.root, sigma, encoding=schema.encoding)
     try:
-        if args.command == "implies":
-            implied = reasoner.implies(args.query)
-            print("implied" if implied else "not implied")
-            return 0 if implied else 1
-        if args.command == "closure":
-            print(schema.show(reasoner.closure(args.x)))
-            return 0
-        for member in reasoner.dependency_basis(args.x):
-            print(schema.show(member))
-        return 0
+        outcome = registry.execute(command, session)
+        lines, exit_code = command_cls.render(outcome.result)
+        for line in lines:
+            print(line)
+        return exit_code
     finally:
-        print(reasoner.describe_stats(), file=sys.stderr)
+        if args.stats and args.command in ("implies", "closure", "basis"):
+            print(session.describe_stats(), file=sys.stderr)
 
 
 def _run_problem_command(args: argparse.Namespace) -> int:

@@ -2,12 +2,10 @@
 
 Every reasoning operation the paper gives us — membership of ``X → Y``
 / ``X ↠ Y`` via ``X⁺`` and ``DepB(X)`` (Algorithm 5.1, Theorem 6.3),
-closures, dependency bases, covers, candidate keys, 4NF checks — used to
-be dispatched five separate times: the :class:`~repro.reasoner.Reasoner`
-façade, the ``repro`` CLI, the interactive shell, the batch evaluator
-and the serve protocol's hand-maintained op set plus the if-chain in
-``server.py``.  This module replaces all of that with a single source of
-truth:
+closures, dependency bases, covers, candidate keys, 4NF checks — is
+declared once here and dispatched from here by every surface: the
+``repro`` CLI, the interactive shell, the serve protocol and in-process
+callers holding a :class:`~repro.core.session.Session`:
 
 * Each operation is a **frozen dataclass command** (:class:`Implies`,
   :class:`Closure`, :class:`Basis`, :class:`Add`, :class:`Retract`,
@@ -27,13 +25,19 @@ truth:
   commands.
 
 * The registry (:data:`REGISTRY`, :func:`wire_ops`,
-  :func:`from_wire`) is what the five surfaces consume:
+  :func:`from_wire`) is what the surfaces consume:
   ``serve/protocol.py`` derives its ``OPS`` set from
   :func:`wire_ops`; ``server.py`` looks commands up here instead of
   branching per op (near capacity, its shed-cold check asks
   :meth:`Command.lhs_masks` which closures a request needs); the CLI and shell build their verb
-  tables and help text from the specs; ``Reasoner`` and
-  ``BulkReasoner`` execute command objects.
+  tables and help text from the specs.  In process, a caller builds
+  the command and executes it on its session:
+
+  >>> from repro.core.session import Session
+  >>> session = Session("R(A, B, C)", ["R(A) -> R(B)"])
+  >>> execute(ImpliesBatch(dependencies=("R(A) -> R(B)",
+  ...                                    "R(B) -> R(C)")), session).value
+  [True, False]
 
 Adding a future operation is therefore **one file**: define the
 dataclass with its spec here and every surface — wire validation, the

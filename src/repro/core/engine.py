@@ -158,7 +158,7 @@ __all__ = ["KernelStats", "closure_of_masks_fast"]
 class KernelStats:
     """Opt-in instrumentation counters for the closure kernels.
 
-    One instance can be threaded through many runs (e.g. a Reasoner's
+    One instance can be threaded through many runs (e.g. a Session's
     lifetime); counters accumulate until :meth:`reset`.
     """
 

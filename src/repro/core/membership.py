@@ -10,6 +10,12 @@ motivates in Section 1.3: deciding the **equivalence** of two dependency
 sets and detecting/eliminating **redundant** dependencies — "a
 significant step towards automated database schema design".
 
+These are one-shot functions: Σ is an argument, and each call runs
+Algorithm 5.1 afresh.  For many questions against one Σ, hold a
+:class:`~repro.core.session.Session`, which caches one run per
+left-hand side, and drive it through
+:func:`repro.core.commands.execute`.
+
 All functions accept an optional pre-built
 :class:`~repro.attributes.encoding.BasisEncoding`; building one is
 ``O(|N|²)`` and worth reusing across calls (the :class:`repro.Schema`
@@ -37,12 +43,6 @@ __all__ = [
 ]
 
 
-def _encoding_for(root: NestedAttribute,
-                  encoding: BasisEncoding | None) -> BasisEncoding:
-    # Retained as a module-local spelling of the centralized helper.
-    return BasisEncoding.of(root, encoding)
-
-
 def closure(sigma: DependencySet, x: NestedAttribute,
             *, encoding: BasisEncoding | None = None) -> NestedAttribute:
     """The attribute-set closure ``X⁺ = ⊔{Y | X → Y ∈ Σ⁺}``.
@@ -59,21 +59,21 @@ def closure(sigma: DependencySet, x: NestedAttribute,
     >>> unparse_abbreviated(closure(sigma, X), N)  # mixed meet at work
     'Pubcrawl(Person, Visit[λ])'
     """
-    enc = _encoding_for(sigma.root, encoding)
+    enc = BasisEncoding.of(sigma.root, encoding)
     return compute_closure(enc, x, sigma).closure
 
 
 def dependency_basis(sigma: DependencySet, x: NestedAttribute,
                      *, encoding: BasisEncoding | None = None) -> tuple[NestedAttribute, ...]:
     """The dependency basis ``DepB(X)`` with respect to ``Σ``."""
-    enc = _encoding_for(sigma.root, encoding)
+    enc = BasisEncoding.of(sigma.root, encoding)
     return compute_closure(enc, x, sigma).dependency_basis()
 
 
 def analyse(sigma: DependencySet, x: NestedAttribute,
             *, encoding: BasisEncoding | None = None) -> ClosureResult:
     """Run Algorithm 5.1 once and keep the full result for many queries."""
-    enc = _encoding_for(sigma.root, encoding)
+    enc = BasisEncoding.of(sigma.root, encoding)
     return compute_closure(enc, x, sigma)
 
 
@@ -85,7 +85,7 @@ def implies(sigma: DependencySet, dependency: Dependency,
     ``|N| = |SubB(N)|``.
     """
     dependency.validate(sigma.root)
-    enc = _encoding_for(sigma.root, encoding)
+    enc = BasisEncoding.of(sigma.root, encoding)
     result = compute_closure(enc, dependency.lhs, sigma)
     rhs_mask = enc.encode(dependency.rhs)
     if isinstance(dependency, FunctionalDependency):
@@ -101,13 +101,13 @@ def implies_every(sigma: DependencySet, dependencies: Iterable[Dependency],
 
     The questions run on one :class:`~repro.core.session.Session`, so
     Σ is compiled once and dependencies sharing a left-hand side reuse
-    a single Algorithm 5.1 run.  For one verdict *per query* use
-    :func:`repro.batch.implies_all`.
+    a single Algorithm 5.1 run.  For one verdict *per query* execute
+    :class:`repro.core.commands.ImpliesBatch` on a session.
     """
     from .session import Session
 
     session = Session(sigma.root, sigma,
-                      encoding=_encoding_for(sigma.root, encoding))
+                      encoding=BasisEncoding.of(sigma.root, encoding))
     return all(session.implies(dependency) for dependency in dependencies)
 
 
@@ -126,7 +126,7 @@ def equivalent(first: DependencySet, second: DependencySet,
         return False
     from .session import Session
 
-    enc = _encoding_for(first.root, encoding)
+    enc = BasisEncoding.of(first.root, encoding)
     forward = Session(first.root, first, encoding=enc, engine=engine)
     if not all(forward.implies(d) for d in second):
         return False
@@ -152,7 +152,7 @@ def is_redundant(sigma: DependencySet, dependency: Dependency,
         from .session import Session
 
         session = Session(sigma.root, sigma,
-                          encoding=_encoding_for(sigma.root, encoding),
+                          encoding=BasisEncoding.of(sigma.root, encoding),
                           engine=engine)
     session.retract(dependency)
     try:
@@ -185,7 +185,7 @@ def minimal_cover(sigma: DependencySet,
         from .session import Session
 
         session = Session(sigma.root, sigma,
-                          encoding=_encoding_for(sigma.root, encoding),
+                          encoding=BasisEncoding.of(sigma.root, encoding),
                           engine=engine)
     kept = set(sigma)
     for dependency in reversed(list(sigma)):

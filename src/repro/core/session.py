@@ -28,10 +28,11 @@ The engine is picked from the :mod:`repro.core.engines` registry and can
 be switched mid-session (:meth:`set_engine`); every engine answers
 every query correctly.
 
-:class:`repro.reasoner.Reasoner` is a thin façade over a Session with
-``label="reasoner"`` (preserving its historical counter names and span
-names); :mod:`repro.core.membership` and :mod:`repro.normalization`
-drive retraction sessions internally.
+A Session is the one in-process query object: the CLI, the shell and
+the server drive it through :func:`repro.core.commands.execute`, and
+every counter and span it emits is named ``session.*``.
+:mod:`repro.core.membership` and :mod:`repro.normalization` drive
+retraction sessions internally.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ __all__ = ["Session", "SessionCacheInfo"]
 class SessionCacheInfo(tuple):
     """Session cache statistics; compares and unpacks as ``(computed, hits)``.
 
-    Mirrors :class:`repro.reasoner.ReasonerCacheInfo` (the façade builds
-    one from the other) and adds the incremental-editing counters:
+    Besides the cache counts it carries ``evictions`` (LRU drops under
+    ``maxsize``) and the incremental-editing counters:
     ``invalidations`` (entries evicted by :meth:`Session.retract`
     because the retracted dependency was in their provenance) and
     ``retained`` (entries that survived a retraction because it was
@@ -155,10 +156,6 @@ class Session:
     stats:
         Optional external :class:`KernelStats` accumulator; a private
         one is created when omitted.
-    label:
-        Prefix for observability counter/span names (``"session"`` by
-        default; the Reasoner façade passes ``"reasoner"`` to keep its
-        historical ``reasoner.*`` telemetry).
 
     Example
     -------
@@ -182,15 +179,13 @@ class Session:
                  engine: str | None = None,
                  encoding: BasisEncoding | None = None,
                  maxsize: int | None = None,
-                 stats: KernelStats | None = None,
-                 label: str = "session") -> None:
+                 stats: KernelStats | None = None) -> None:
         if maxsize is not None and maxsize < 1:
             raise ValueError(f"maxsize must be None or >= 1, got {maxsize!r}")
         self.root = parse_attribute(root) if isinstance(root, str) else root
         self.encoding = BasisEncoding.of(self.root, encoding)
         self.maxsize = maxsize
         self.kernel_stats = stats if stats is not None else KernelStats()
-        self._label = label
         self._engine = get_engine(engine)
         # Σ in insertion order (a dict, so a retract is O(1)) and as a
         # set, keyed by masks.  A member's tree is the one it was added
@@ -338,7 +333,7 @@ class Session:
             self._slot_deps.append(key)
         obs = get_observer()
         if obs.enabled:
-            with obs.span(f"{self._label}.add",
+            with obs.span("session.add",
                           dependency=self.display_masks(*key),
                           sigma=len(self._deps)):
                 pass
@@ -409,8 +404,8 @@ class Session:
         self._retained += retained
         obs = get_observer()
         if obs.enabled:
-            obs.add(f"{self._label}.cache.invalidations", evicted)
-            with obs.span(f"{self._label}.retract",
+            obs.add("session.cache.invalidations", evicted)
+            with obs.span("session.retract",
                           dependency=self.display_masks(*key),
                           sigma=len(self._deps)) as span:
                 span.set(evicted=evicted, retained=retained)
@@ -493,7 +488,7 @@ class Session:
         if entry is not None:
             self._hits += 1
             self._entries.move_to_end(mask)
-            get_observer().add(f"{self._label}.cache.hits")
+            get_observer().add("session.cache.hits")
             return entry.result
         return self._compute(mask)
 
@@ -521,8 +516,8 @@ class Session:
                 stats=self.kernel_stats, fired=fired, plan=plan,
             )
         else:
-            obs.add(f"{self._label}.cache.misses")
-            with obs.span(f"{self._label}.query", lhs=format(mask, "#x"),
+            obs.add("session.cache.misses")
+            with obs.span("session.query", lhs=format(mask, "#x"),
                           cached=False, engine=engine.name):
                 closure_mask, blocks, passes = engine.run(
                     self.encoding, mask, fd_masks, mvd_masks,
@@ -551,7 +546,7 @@ class Session:
                 # answered from a memo the maxsize was meant to bound.
                 self._interval.discard(evicted_mask)
                 self._evictions += 1
-                get_observer().add(f"{self._label}.cache.evictions")
+                get_observer().add("session.cache.evictions")
 
     # -- cache membership ------------------------------------------------------
 
@@ -581,7 +576,7 @@ class Session:
         if entry is not None:
             self._hits += 1
             self._entries.move_to_end(mask)
-            get_observer().add(f"{self._label}.cache.hits")
+            get_observer().add("session.cache.hits")
             return entry.result.closure_mask
         cached = self._interval.lookup(mask)
         if cached is not None:
@@ -678,15 +673,15 @@ class Session:
     def describe_stats(self) -> str:
         """Readable counter dump for the CLI/shell ``stats`` surfaces.
 
-        The first/kernel/encoding lines keep the exact historical
-        :meth:`repro.reasoner.Reasoner.describe_stats` format (the shell
-        prints this through the façade); the ``session`` line adds the
-        incremental-editing counters.
+        The first line counts the cache, the ``session`` line the
+        incremental-editing counters; the ``plan``, ``kernel`` and
+        ``encoding`` lines follow.  ``repro --stats`` and the shell's
+        ``stats`` print it.
         """
         info = self.cache_info()
         kernel = info.kernel
         head_line = (
-            f"{self._label}: computed={info.computed} hits={info.hits} "
+            f"session: computed={info.computed} hits={info.hits} "
             f"evictions={info.evictions}"
         )
         if info.maxsize is not None:

@@ -2,7 +2,7 @@
 
 Hierarchical tracing spans, counters/bounded histograms, and pluggable
 sinks, instrumenting Algorithm 5.1's hot paths (closure kernel,
-reasoner cache, batch fan-out, chase) at *run/query* granularity: the
+session cache, batch membership, chase) at *run/query* granularity: the
 per-iteration loops stay untouched, so a disabled observer — the
 default — costs one attribute check per closure run (proved <3% on the
 E7 chain by ``benchmarks/bench_obs_overhead.py``).
@@ -13,7 +13,7 @@ Quick start::
 
     sink = InMemorySink()
     with install(Observer([sink])):
-        reasoner.implies("R(A) -> R(B)")
+        session.implies("R(A) -> R(B)")
     sink.by_name("closure.compute")   # -> [span record, ...]
 
 Span names, attribute keys, metric names and the JSONL schema are

@@ -8,10 +8,10 @@ are produced through :class:`Observer.span`, a context manager that
 maintains the nesting stack, so instrumented call trees come out
 correctly parented without any explicit plumbing::
 
-    with observer.span("batch.implies_all", queries=60) as span:
+    with observer.span("command.run", command="implies_batch") as span:
         with observer.span("closure.compute", size=48):
             ...
-        span.set(distinct_lhs=3)
+        span.set(ok=True)
 
 The cardinal design constraint is the *disabled* path: the engine is
 instrumented unconditionally, so when no observer is installed every

@@ -25,13 +25,9 @@ __all__ = ["REQUIRED_ATTRS", "COMPLETION_ATTRS", "validate_records",
 REQUIRED_ATTRS: dict[str, tuple[str, ...]] = {
     "closure.compute": ("lhs", "size", "sigma", "fds", "mvds", "kernel"),
     "plan.compile": ("size", "sigma", "fds", "mvds", "incremental"),
-    "reasoner.query": ("lhs", "cached"),
     "session.query": ("lhs", "cached", "engine"),
     "session.add": ("dependency", "sigma"),
     "session.retract": ("dependency", "sigma"),
-    "reasoner.add": ("dependency", "sigma"),
-    "reasoner.retract": ("dependency", "sigma"),
-    "batch.implies_all": ("queries", "distinct_lhs"),
     "batch.query": ("index", "kind", "lhs"),
     "chase.run": ("tuples_in", "sigma", "fds", "mvds"),
     "serve.fault": ("op", "kind"),
@@ -59,7 +55,6 @@ COMPLETION_ATTRS: dict[str, tuple[str, ...]] = {
     "batch.query": ("verdict",),
     "chase.run": ("rounds", "added", "tuples_out"),
     "session.retract": ("evicted", "retained"),
-    "reasoner.retract": ("evicted", "retained"),
     "command.run": ("ok",),
     "store.append": ("bytes",),
     "store.snapshot": ("bytes",),

@@ -314,10 +314,3 @@ class FaultInjector:
         if action is not None:
             self.injected.append((op, action.kind))
         return action
-
-    def stats(self) -> dict[str, int]:
-        """Injection tallies by kind (plus the total)."""
-        tallies: dict[str, int] = {"injected": len(self.injected)}
-        for _op, kind in self.injected:
-            tallies[kind] = tallies.get(kind, 0) + 1
-        return tallies

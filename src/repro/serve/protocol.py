@@ -65,7 +65,9 @@ class ErrorCode:
     Clients should branch on these, never on message text.
     """
 
-    #: The line was not valid JSON, or not a JSON object.
+    #: The line was not valid JSON, or not a JSON object, or it holds
+    #: a string UTF-8 cannot encode (a lone surrogate escape such as
+    #: ``"\ud800"``).
     PARSE_ERROR = "parse_error"
     #: Structurally broken request: bad ``v``, missing/invalid ``id``,
     #: ``op`` or ``params`` of the wrong type.
@@ -148,6 +150,17 @@ def _decode_object(line: bytes | str) -> dict[str, Any]:
     if not isinstance(data, dict):
         raise ProtocolError(ErrorCode.PARSE_ERROR,
                             f"expected a JSON object, got {type(data).__name__}")
+    # A \uD800-\uDFFF escape outside a surrogate pair decodes to a lone
+    # surrogate, which no reply, WAL record or replica can carry: refuse
+    # it here, before any command runs.  Only such an escape makes one,
+    # so a line without "\ud"/"\uD" skips the check.
+    if "\\ud" in line or "\\uD" in line:
+        try:
+            _encode_json(data).encode("utf-8")
+        except UnicodeEncodeError as error:
+            raise ProtocolError(ErrorCode.PARSE_ERROR,
+                                f"line holds a string UTF-8 cannot encode: "
+                                f"{error}") from error
     return data
 
 

@@ -481,6 +481,8 @@ class ReasoningServer:
         if fault is None:
             self._serve(conn, request)
         else:
+            self.counters.add("serve.fault.injected")
+            self.counters.add(f"serve.fault.{fault.kind}")
             self._park(conn, self._faulted(conn, request, fault))
 
     def _serve(self, conn: _Connection, request: Request,
@@ -513,8 +515,6 @@ class ReasoningServer:
 
     async def _faulted(self, conn: _Connection, request: Request,
                        fault: FaultAction) -> None:
-        self.counters.add("serve.fault.injected")
-        self.counters.add(f"serve.fault.{fault.kind}")
         if not await self._inject_pre(conn, request, fault):
             self._serve(conn, request, fault)
 
@@ -720,7 +720,11 @@ class ReasoningServer:
                                   "version": PROTOCOL_VERSION,
                                   **self._vitals(), "shedding": shedding}
         if self.faults is not None:
-            health["faults"] = self.faults.stats()
+            # the server's own tally, by kind after the total
+            faults = health["faults"] = {"injected": 0}
+            faults.update((name[len("serve.fault."):], count)
+                          for name, count in self.counters.items()
+                          if name.startswith("serve.fault."))
         health.update(self.role.health())
         return health
 
@@ -773,7 +777,12 @@ def _recover_id(line: bytes) -> int | str | None:
         return None
     if isinstance(data, dict):
         request_id = data.get("id")
-        if isinstance(request_id, (int, str)) and not isinstance(request_id,
-                                                                 bool):
+        if isinstance(request_id, str):
+            try:
+                request_id.encode("utf-8")    # not a lone surrogate
+            except UnicodeEncodeError:
+                return None
+            return request_id
+        if isinstance(request_id, int) and not isinstance(request_id, bool):
             return request_id
     return None

@@ -149,7 +149,6 @@ class ReasoningShell:
                 self.schema.root,
                 engine=self._engine_name,
                 encoding=self.schema.encoding,
-                label="reasoner",
             )
             self._say(f"schema set (|N| = {self.schema.encoding.size})")
             return True

@@ -95,7 +95,7 @@ class TestImpliesEvery:
         assert implies_every(sigma, [])
 
     def test_membership_alias_is_gone(self):
-        """``implies_all`` names only the per-query batch API now."""
+        """No public namespace spells ``implies_every`` as ``implies_all``."""
         import repro
         import repro.core
         import repro.core.membership
@@ -103,20 +103,6 @@ class TestImpliesEvery:
         for module in (repro, repro.core, repro.core.membership):
             assert not hasattr(module, "implies_all"), module
             assert "implies_all" not in module.__all__, module
-
-    def test_batch_implies_all_does_not_warn(self, root, sigma):
-        """The batch facade is the per-query API and stays silent."""
-        import warnings as _warnings
-
-        from repro.batch import implies_all as batch_implies_all
-        from repro.schema import Schema
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", DeprecationWarning)
-            verdicts = batch_implies_all(
-                Schema(root), [str(d.display(root)) for d in sigma],
-                ["R(A) -> R(C)"])
-        assert verdicts == [True]
 
 
 class TestEquivalence:

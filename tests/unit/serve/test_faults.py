@@ -200,7 +200,6 @@ class TestInjectorSemantics:
         action = injector.decide("ping")
         assert action.kind == "delay" and action.rule == 0
         assert injector.injected == [("ping", "delay")]
-        assert injector.stats() == {"injected": 1, "delay": 1}
 
 
 # --------------------------------------------------------------------------

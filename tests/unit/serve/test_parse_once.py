@@ -19,7 +19,8 @@ import pytest
 
 from repro.attributes import parser
 from repro.attributes.encoding import BasisEncoding
-from repro.batch import BulkReasoner
+from repro.core import commands
+from repro.core.session import Session
 from repro.serve import AsyncClient, ReasoningServer, ServeConfig
 
 SCHEMA = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])"
@@ -89,10 +90,12 @@ def test_served_requests_parse_each_side_once(parses, structural_parses):
     assert structural == 0
 
 
-def test_bulk_reasoner_parses_each_side_once(parses, structural_parses):
-    bulk = BulkReasoner(SCHEMA, [MVD])
+def test_implies_batch_on_a_session_parses_each_side_once(
+        parses, structural_parses):
+    session = Session(SCHEMA, [MVD])
     before = len(parses)
     before_structural = len(structural_parses)
-    assert bulk.implies_all(QUERIES) == [True, True, False]
+    batch = commands.ImpliesBatch(dependencies=tuple(QUERIES))
+    assert commands.execute(batch, session).value == [True, True, False]
     assert len(parses) - before == 6
     assert len(structural_parses) - before_structural == 0

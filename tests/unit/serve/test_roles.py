@@ -9,6 +9,7 @@ evicted.
 
 import asyncio
 import contextlib
+import json
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.serve import (
     ServeConfig,
     ServerError,
 )
+from repro.serve.protocol import RETRYABLE
 
 SCHEMA = "Pubcrawl(Person, Visit[Drink(Beer, Pub)])"
 MVD = "Pubcrawl(Person) ->> Pubcrawl(Visit[Drink(Pub)])"
@@ -212,5 +214,45 @@ def test_only_a_follower_keeps_idle_sessions(role, evicts, tmp_path):
             await asyncio.sleep(0.3)
             assert ("pub" not in server.sessions) is evicts
             assert server.counters["serve.evictions.idle"] == int(evicts)
+
+    asyncio.run(scenario())
+
+
+#: An ``open`` whose name, and a ``ping`` whose id, is the JSON escape
+#: of a lone surrogate, which decodes but cannot be encoded as UTF-8
+#: (nor answered, logged or replicated).
+LONE_SURROGATE_LINES = (
+    b'{"v":1,"id":7,"op":"open","params":{"name":"\\ud800",'
+    b'"schema":"R(A, B)","dependencies":["R(A) -> R(B)"]}}\n',
+    b'{"v":1,"id":"\\udfff","op":"ping"}\n',
+)
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_a_lone_surrogate_is_refused_before_any_command_runs(role, tmp_path):
+    async def scenario():
+        async with node(role, tmp_path) as (client, server, _primary):
+            before = await client.health()
+            status = await client.request("replicate.status")
+            reader, writer = await asyncio.open_connection(*server.address)
+            try:
+                responses = []
+                for line in LONE_SURROGATE_LINES:
+                    writer.write(line)
+                    await writer.drain()
+                    responses.append(json.loads(await reader.readline()))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            # the id is echoed unless it is the string UTF-8 cannot encode
+            assert [response["id"] for response in responses] == [7, None]
+            for response in responses:
+                assert response["ok"] is False
+                assert response["error"]["code"] == ErrorCode.PARSE_ERROR
+            assert ErrorCode.PARSE_ERROR not in RETRYABLE
+            # no session was opened and nothing was logged
+            assert (await client.health())["sessions"] == before["sessions"]
+            after = await client.request("replicate.status")
+            assert after["last_seq"] == status["last_seq"]
 
     asyncio.run(scenario())

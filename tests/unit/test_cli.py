@@ -68,7 +68,7 @@ class TestStatsFlag:
         )
         assert code == 1
         assert "not implied" in out
-        assert "reasoner:" in err
+        assert "session:" in err
 
     def test_closure_with_stats(self, capsys):
         code, out, err = run(
@@ -86,7 +86,7 @@ class TestStatsFlag:
         )
         assert code == 0
         assert "Pubcrawl(Visit[Drink(Beer)])" in out
-        assert "reasoner: computed=1" in err
+        assert "session: computed=1" in err
 
 
 class TestQueries:

@@ -85,7 +85,7 @@ class TestStats:
             "stats",
             "quit",
         )
-        assert "reasoner: computed=1 hits=1" in out
+        assert "session: computed=1 hits=1" in out
         assert "kernel:   runs=1" in out
         assert "encoding:" in out
 
@@ -167,7 +167,7 @@ class TestTracing:
         )
         assert "tracing on" in out
         assert "spans recorded)" in out
-        # the query between on/off produced at least the reasoner.query
+        # the query between on/off produced at least the session.query
         # and closure.compute spans
         import re
 

@@ -1,6 +1,6 @@
 """Exact-count tests for the instrumentation counters and cache_info().
 
-The observability layer folds :class:`KernelStats`, the reasoner cache
+The observability layer folds :class:`KernelStats`, the session cache
 counters and the encoding memo-cache counters into span attributes and
 metrics, so their *exact* values are now API: a counter that drifts by
 one double-counts (or drops) an event in every trace.  These tests pin
@@ -8,7 +8,9 @@ the counts on hand-derived workloads small enough to replay on paper.
 
 The ``cache_clear`` contract (keyword-only flags, resets exactly what
 ``cache_info()`` reports, ``encoding=True`` cascades one layer down) is
-verified across all three implementations at the bottom.
+verified on :class:`Session` and :class:`BasisEncoding` at the bottom.
+The session is driven through the command registry, as the CLI, the
+shell and the server drive it.
 """
 
 from __future__ import annotations
@@ -16,11 +18,22 @@ from __future__ import annotations
 import pytest
 
 from repro.attributes import BasisEncoding, parse_attribute, parse_subattribute
-from repro.batch import BulkReasoner
+from repro.core import commands
 from repro.core.closure import closure_of_masks_instrumented
 from repro.core.engine import KernelStats, closure_of_masks_fast
 from repro.core.plan import compile_plan
-from repro.reasoner import Reasoner
+from repro.core.session import Session
+
+
+def ask(session: Session, text: str) -> bool:
+    """``Σ ⊨ σ`` through the registry's ``implies`` command."""
+    return commands.execute(commands.Implies(dependency=text), session).value
+
+
+def ask_all(session: Session, texts) -> list[bool]:
+    """One verdict per query through the registry's ``implies_batch``."""
+    return commands.execute(
+        commands.ImpliesBatch(dependencies=tuple(texts)), session).value
 
 
 @pytest.fixture()
@@ -139,10 +152,10 @@ class TestReasonerCacheInfoExactCounts:
     )
 
     def test_three_distinct_lhs_two_hits(self):
-        reasoner = Reasoner("R(A, B, C)", ["R(A) -> R(B)"])
+        session = Session("R(A, B, C)", ["R(A) -> R(B)"])
         for text in self.QUERY_TEXTS:
-            reasoner.implies(text)
-        info = reasoner.cache_info()
+            ask(session, text)
+        info = session.cache_info()
         assert (info.computed, info.hits) == (3, 2)
         assert info.evictions == 0
         assert info.maxsize is None
@@ -153,20 +166,21 @@ class TestReasonerCacheInfoExactCounts:
         assert info.kernel.runs == 3
 
     def test_bounded_cache_counts_evictions(self):
-        reasoner = Reasoner("R(A, B, C)", ["R(A) -> R(B)"], maxsize=2)
+        session = Session("R(A, B, C)", ["R(A) -> R(B)"], maxsize=2)
         for text in self.QUERY_TEXTS:
-            reasoner.implies(text)
-        info = reasoner.cache_info()
+            ask(session, text)
+        info = session.cache_info()
         assert info.computed == 2          # live entries, capped
         assert info.evictions == 1         # A+ evicted when C+ arrived
         assert info.maxsize == 2
 
     def test_bulk_reasoner_delegates(self):
-        bulk = BulkReasoner("R(A, B, C)", ["R(A) -> R(B)"])
-        bulk.implies_all(list(self.QUERY_TEXTS))
-        info = bulk.cache_info()
+        # a batch counts exactly as its queries asked one by one
+        session = Session("R(A, B, C)", ["R(A) -> R(B)"])
+        ask_all(session, self.QUERY_TEXTS)
+        info = session.cache_info()
         assert (info.computed, info.hits) == (3, 2)
-        assert info == bulk.reasoner.cache_info()
+        assert info.kernel.runs == 3
 
 
 class TestEncodingCacheInfoExactCounts:
@@ -195,7 +209,7 @@ class TestEncodingCacheInfoExactCounts:
 
 
 class TestCacheClearContract:
-    """One keyword contract across Reasoner, BulkReasoner, BasisEncoding.
+    """One keyword contract across Session and BasisEncoding.
 
     ``cache_clear`` resets exactly the state its ``cache_info()``
     reports on; the keyword-only ``encoding`` flag cascades one layer
@@ -203,12 +217,12 @@ class TestCacheClearContract:
     """
 
     @staticmethod
-    def _warm(reasoner: Reasoner) -> None:
-        reasoner.implies("R(A) -> R(C)")
-        reasoner.implies("R(A) ->> R(B)")
+    def _warm(session: Session) -> None:
+        ask(session, "R(A) -> R(C)")
+        ask(session, "R(A) ->> R(B)")
 
     @staticmethod
-    def _assert_reasoner_reset(info) -> None:
+    def _assert_session_reset(info) -> None:
         assert (info.computed, info.hits, info.evictions) == (0, 0, 0)
         assert all(value == 0 for value in info.kernel.as_dict().values())
 
@@ -217,36 +231,32 @@ class TestCacheClearContract:
         return sum(row[0] + row[1] + row[2] for row in info.values())
 
     def test_default_keeps_encoding_caches(self):
-        reasoner = Reasoner("R(A, B, C)", ["R(A) -> R(B)"])
-        self._warm(reasoner)
-        before = self._encoding_traffic(reasoner.schema.encoding.cache_info())
+        session = Session("R(A, B, C)", ["R(A) -> R(B)"])
+        self._warm(session)
+        before = self._encoding_traffic(session.encoding.cache_info())
         assert before > 0
-        reasoner.cache_clear()
-        self._assert_reasoner_reset(reasoner.cache_info())
-        after = self._encoding_traffic(reasoner.schema.encoding.cache_info())
+        session.cache_clear()
+        self._assert_session_reset(session.cache_info())
+        after = self._encoding_traffic(session.encoding.cache_info())
         assert after == before
 
     def test_encoding_flag_cascades(self):
-        reasoner = Reasoner("R(A, B, C)", ["R(A) -> R(B)"])
-        self._warm(reasoner)
-        reasoner.cache_clear(encoding=True)
-        self._assert_reasoner_reset(reasoner.cache_info())
-        assert self._encoding_traffic(reasoner.schema.encoding.cache_info()) == 0
-        assert reasoner.schema.encoding.cache_totals() == (0, 0)
+        session = Session("R(A, B, C)", ["R(A) -> R(B)"])
+        self._warm(session)
+        session.cache_clear(encoding=True)
+        self._assert_session_reset(session.cache_info())
+        assert self._encoding_traffic(session.encoding.cache_info()) == 0
+        assert session.encoding.cache_totals() == (0, 0)
 
     def test_bulk_reasoner_forwards_verbatim(self):
-        bulk = BulkReasoner("R(A, B, C)", ["R(A) -> R(B)"])
-        bulk.implies_all(["R(A) -> R(C)", "R(B) ->> R(C)"])
-        bulk.cache_clear(encoding=True)
-        self._assert_reasoner_reset(bulk.cache_info())
-        assert self._encoding_traffic(
-            bulk.reasoner.schema.encoding.cache_info()
-        ) == 0
+        # the contract holds after a batch as after single queries
+        session = Session("R(A, B, C)", ["R(A) -> R(B)"])
+        ask_all(session, ["R(A) -> R(C)", "R(B) ->> R(C)"])
+        session.cache_clear(encoding=True)
+        self._assert_session_reset(session.cache_info())
+        assert self._encoding_traffic(session.encoding.cache_info()) == 0
 
     def test_flags_are_keyword_only(self):
-        reasoner = Reasoner("R(A, B, C)", [])
-        bulk = BulkReasoner("R(A, B, C)", [])
+        session = Session("R(A, B, C)", [])
         with pytest.raises(TypeError):
-            reasoner.cache_clear(True)
-        with pytest.raises(TypeError):
-            bulk.cache_clear(True)
+            session.cache_clear(True)
