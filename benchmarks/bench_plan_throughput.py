@@ -100,7 +100,7 @@ def _measure() -> dict:
     # Interval-hit rate of the last planned round (cache_clear resets
     # the counters, so this is exactly one stream's worth).
     info = session.cache_info().plan
-    answered = info.exact_hits + info.interval_hits + info.misses
+    answered = info.interval_hits + info.misses
 
     # Requeue positions the baseline's cold runs examine.
     stats = KernelStats()

@@ -321,34 +321,19 @@ def closure_of_masks_instrumented(
         hits_after, misses_after = encoding.cache_totals()
         cache_hits = hits_after - hits_before
         cache_misses = misses_after - misses_before
+        # One run: ``runs`` is 1, and the span names the run itself.
+        counters = run_stats.as_dict()
         span.set(
-            passes=passes,
-            firings=run_stats.firings,
-            requeues=run_stats.requeues,
-            requeue_scanned=run_stats.requeue_scanned,
-            skipped_firings=run_stats.skipped_firings,
-            u_bar_lookups=run_stats.u_bar_lookups,
-            u_bar_blocks=run_stats.u_bar_blocks,
-            block_splits=run_stats.block_splits,
-            db_rewrites=run_stats.db_rewrites,
-            dirty_bits=run_stats.dirty_bits,
+            **{name: value for name, value in counters.items()
+               if name != "runs"},
             blocks=len(blocks),
             encoding_cache_hits=cache_hits,
             encoding_cache_misses=cache_misses,
         )
 
     metrics = obs.metrics
-    metrics.add("closure.runs")
-    metrics.add("closure.passes", passes)
-    metrics.add("closure.firings", run_stats.firings)
-    metrics.add("closure.requeues", run_stats.requeues)
-    metrics.add("closure.requeue_scanned", run_stats.requeue_scanned)
-    metrics.add("closure.skipped_firings", run_stats.skipped_firings)
-    metrics.add("closure.u_bar_lookups", run_stats.u_bar_lookups)
-    metrics.add("closure.u_bar_blocks", run_stats.u_bar_blocks)
-    metrics.add("closure.block_splits", run_stats.block_splits)
-    metrics.add("closure.db_rewrites", run_stats.db_rewrites)
-    metrics.add("closure.dirty_bits", run_stats.dirty_bits)
+    for name, value in counters.items():
+        metrics.add(f"closure.{name}", value)
     metrics.add("encoding.cache.hits", cache_hits)
     metrics.add("encoding.cache.misses", cache_misses)
     metrics.observe("closure.passes_per_run", passes)

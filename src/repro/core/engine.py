@@ -134,8 +134,9 @@ the naive pass count it is bounded by the number of state changes
 
 The kernel runs off a :class:`repro.core.plan.CompiledPlan`, which
 carries all of its per-Σ set-up: the folded dependency arrays (exact
-duplicates fire once, ``fired`` provenance is remapped to the plan's
-member slots through its ``origin``), the *inverted* requeue index
+duplicates fire once; the kernel reports ``fired`` provenance as firing
+positions, which :meth:`~repro.core.plan.CompiledPlan.sigma_indices`
+names as Σ indices), the *inverted* requeue index
 (basis bit → bitmask of dependency positions, so waking the dependents
 of a dirty event costs ``O(popcount(dirty))`` lookups plus one walk of
 exactly the woken positions, in ascending order), and per-dependency
@@ -233,12 +234,12 @@ def closure_of_masks_fast(
         the encoding, the folded dependency arrays, the inverted indexes
         and the ``Ū = 0`` constants all come from it.
     fired:
-        Optional caller-supplied set collecting **provenance**: the slot
-        (for a freshly compiled plan, the index in the FDs-then-MVDs
-        firing order), through the plan's ``origin`` remap, of every
-        dependency whose firing *changed* ``(X_new, DB_new)``.  A
-        dependency absent from ``fired`` only ever fired as a no-op, so
-        removing it from Σ replays the identical run — the invariant
+        Optional caller-supplied set collecting **provenance**: the
+        firing position of every dependency whose firing *changed*
+        ``(X_new, DB_new)``.  ``plan.sigma_indices(fired)`` names them
+        as indices in Σ's FDs-then-MVDs order.  A dependency absent
+        from ``fired`` only ever fired as a no-op, so removing it from
+        Σ replays the identical run — the invariant
         :class:`repro.core.session.Session` uses for cache retention.
     """
     encoding = plan.encoding
@@ -254,7 +255,6 @@ def closure_of_masks_fast(
 
     # Folded arrays and compiled indexes (module doc, plan.py).
     deps = plan.deps
-    origin = plan.origin
     requeue_masks = plan.requeue_masks
     rhs_tilde = plan.rhs_tilde
     rhs_overlap = plan.rhs_overlap
@@ -533,7 +533,7 @@ def closure_of_masks_fast(
 
         if changed:
             if fired is not None:
-                fired.add(origin[position])
+                fired.add(position)
             if cold:
                 # L5's cold start ends.  The dismissed firings below this
                 # position were due before it; the rest of generation 1

@@ -14,13 +14,19 @@ entry point with a uniform mask-level calling convention::
 
 All registered engines are bit-identical on ``(X⁺, DB)`` — the corpus
 replay suite asserts three-way agreement — and differ only in cost model
-and capabilities:
+and capabilities.  Σ comes from the mask arguments, or, when they are
+``None``, from ``plan`` (:attr:`~repro.core.plan.CompiledPlan.fd_masks`
+and :attr:`~repro.core.plan.CompiledPlan.mvd_masks`): a
+:class:`~repro.core.session.Session` hands every engine its plan alone.
+Every engine reports ``fired`` as indices in Σ's FDs-then-MVDs order.
 
 ``worklist``
     The dirty-set kernel (:func:`repro.core.engine.closure_of_masks_fast`
     behind the observability wrapper), run off the supplied
     :class:`~repro.core.plan.CompiledPlan` — or off one compiled for the
-    call when ``plan`` is ``None``.  Exact provenance.  The default.
+    call when ``plan`` is ``None``.  Exact provenance: the kernel's
+    firing positions, named by
+    :meth:`~repro.core.plan.CompiledPlan.sigma_indices`.  The default.
 ``naive``
     The pass-by-pass transcription of the paper's pseudocode.  Exact
     provenance; the only engine with trace support (requested via
@@ -30,12 +36,6 @@ and capabilities:
     The structural implementation over ``NestedAttribute`` values —
     deliberately slow, deliberately encoding-free.  Its provenance is
     the conservative "all of Σ".
-
-Only the worklist engine reads ``plan`` (:attr:`Engine.reads_plan`);
-the other two take it and ignore it, so a caller can always pass the
-plan it holds.  A plan-reading engine given a plan takes Σ from it
-alone: a :class:`~repro.core.session.Session` passes ``None`` for the
-mask tables and speaks in the plan's member slots.
 
 The *default* engine is process-global state consulted by every caller
 that does not pin a name (``get_engine(None)``); the CLI's ``--engine``
@@ -69,8 +69,8 @@ class _RunFn(Protocol):
         self,
         encoding: BasisEncoding,
         x_mask: int,
-        fd_masks: Sequence[tuple[int, int]],
-        mvd_masks: Sequence[tuple[int, int]],
+        fd_masks: Sequence[tuple[int, int]] | None,
+        mvd_masks: Sequence[tuple[int, int]] | None,
         *,
         stats: KernelStats | None = None,
         fired: set[int] | None = None,
@@ -92,18 +92,12 @@ class Engine:
     supports_trace:
         Whether the underlying kernel can replay pass-by-pass traces
         (only the naive transcription can).
-    reads_plan:
-        Whether :meth:`run` runs off the supplied ``plan``: Σ comes from
-        the plan (the mask arguments may be ``None``) and ``fired``
-        indices are the plan's slots.  Other engines take
-        Σ from the mask arguments, indexed FDs-then-MVDs.
     """
 
     name: str
     description: str
     supports_trace: bool
     _run: _RunFn = field(repr=False)
-    reads_plan: bool = False
 
     def run(
         self,
@@ -120,9 +114,8 @@ class Engine:
 
         ``fired`` optionally collects provenance (FDs-then-MVDs indices
         of productive firings).  ``plan`` optionally supplies the
-        compiled form of the same Σ (module doc); an engine that
-        :attr:`reads_plan` then accepts ``None`` for both mask
-        arguments.
+        compiled form of the same Σ (module doc); given one, both mask
+        arguments may be ``None``.
         """
         return self._run(
             encoding, x_mask, fd_masks, mvd_masks,
@@ -208,16 +201,20 @@ def _worklist_run(
             f"{plan.fd_total} FDs / {plan.mvd_total} MVDs, call has "
             f"{len(fd_masks)} / {len(mvd_masks)}"
         )
-    return closure_of_masks_instrumented(
-        plan, x_mask, stats=stats, fired=fired,
+    positions = None if fired is None else set()
+    outcome = closure_of_masks_instrumented(
+        plan, x_mask, stats=stats, fired=positions,
     )
+    if fired is not None:
+        fired.update(plan.sigma_indices(positions))
+    return outcome
 
 
 def _naive_run(
     encoding: BasisEncoding,
     x_mask: int,
-    fd_masks: Sequence[tuple[int, int]],
-    mvd_masks: Sequence[tuple[int, int]],
+    fd_masks: Sequence[tuple[int, int]] | None,
+    mvd_masks: Sequence[tuple[int, int]] | None,
     *,
     stats: KernelStats | None = None,
     fired: set[int] | None = None,
@@ -225,6 +222,8 @@ def _naive_run(
 ) -> tuple[int, frozenset[int], int]:
     from .closure import closure_of_masks
 
+    if fd_masks is None:
+        fd_masks, mvd_masks = plan.fd_masks, plan.mvd_masks
     x_plus, blocks, passes = closure_of_masks(
         encoding, x_mask, fd_masks, mvd_masks, fired=fired,
     )
@@ -240,13 +239,15 @@ def _naive_run(
 def _reference_run(
     encoding: BasisEncoding,
     x_mask: int,
-    fd_masks: Sequence[tuple[int, int]],
-    mvd_masks: Sequence[tuple[int, int]],
+    fd_masks: Sequence[tuple[int, int]] | None,
+    mvd_masks: Sequence[tuple[int, int]] | None,
     *,
     stats: KernelStats | None = None,
     fired: set[int] | None = None,
     plan: CompiledPlan | None = None,
 ) -> tuple[int, frozenset[int], int]:
+    if fd_masks is None:
+        fd_masks, mvd_masks = plan.fd_masks, plan.mvd_masks
     root = encoding.root
     decode = encoding.decode
     dependencies = [
@@ -272,7 +273,6 @@ register_engine(Engine(
     description="dirty-set worklist kernel over a compiled plan (fast; provenance)",
     supports_trace=False,
     _run=_worklist_run,
-    reads_plan=True,
 ))
 register_engine(Engine(
     name="naive",

@@ -16,13 +16,11 @@ The plan holds three things:
    folded to their first occurrence.  Duplicates cannot change the
    fixpoint — Algorithm 5.1's output is the semantic ``(X⁺, DepB(X))``
    and ``Σ`` is logically a set — so firing each distinct dependency
-   once per dirty wave reaches the same ``(X⁺, DB)``.  Σ's members
-   are numbered by *slot* — a compile gives the ``i``-th member in
-   FDs-then-MVDs order slot ``i`` — and the ``origin`` remap (folded
-   position → first live slot) reports the kernel's ``fired``
-   provenance in slots (:meth:`CompiledPlan.sigma_indices` turns them
-   back into FDs-then-MVDs indices), while ``folded_of`` (slot → folded
-   position) finds the position an edit of a slot touches.
+   once per dirty wave reaches the same ``(X⁺, DB)``.  The kernel
+   reports the *positions* that fired productively, and
+   :meth:`CompiledPlan.sigma_indices` alone names them as indices in
+   Σ's FDs-then-MVDs order: through the ``origin`` remap (folded
+   position → first original index) while the plan is as compiled.
 
 2. **Inverted indexes.**  ``requeue_masks[bit]`` is an int bitmask over
    folded positions of every dependency whose relevance mask contains
@@ -45,32 +43,31 @@ The plan holds three things:
 
 Every field is an ``int`` or a tuple built in deterministic order, so
 compiling the same Σ twice produces **byte-identical pickles** — the
-property the plan tests (incremental compile == fresh compile) and the
-CI determinism smoke rely on.
+property the plan tests rely on (incremental compile == fresh compile,
+and the same Σ compiled twice).
 
 **Delta maintenance.**  One Σ edit touches only the ``SubB(U) ∪
 SubB(V)`` bits of one dependency, so a plan is edited in place rather
 than recompiled (:meth:`CompiledPlan.add`, :meth:`CompiledPlan.retract`;
-``O(popcount(U | V))`` plus one dependency's constants).  Positions keep
-FDs before MVDs, each kind in Σ order: the first ``fd_count`` positions
-are the FD region, the rest the MVD region.  An add takes the next slot
-and the first free position after the live ones of its kind, and ORs
-the position's bit into the three indexes at its bits (an exact
-duplicate shares its twin's position).  A compile leaves no free
-position between the regions, so an FD that finds the first live MVD in
-its place first moves the MVD region up by as many positions as there
-are live FDs (``O(size + |Σ|)`` shifts and no new constants); FD adds
-then fill that room, and a run of them moves the region ``O(log n)``
-times.  A retract frees the slot; the last member of a position clears
-its bits and leaves a *tombstone*.  The kernel queues only
-``live_mask``, and free positions are in no index, so they never
-fire and the firing order — hence ``(X⁺, DB, passes)`` and the
-provenance — is exactly a fresh compile's.  The plan asks its owner for
-a full recompile only on size-derived conditions, all checked on
-retract: free positions outnumbering live ones or dead slots live ones,
-and the retract of the first of several exact duplicates (the survivors
-fire from a later place).  A recompile produces tuples again and pickles
-byte-identically to a fresh compile of the same Σ.
+``O(popcount(U | V))`` plus one dependency's constants).  An edit names
+a member by its masks ``(u, v, is_fd)``, and an edited plan holds each
+member once, at one position.  Positions keep FDs before MVDs, each kind
+in Σ order: the first ``fd_count`` positions are the FD region, the
+rest the MVD region, so a live position's rank among the live positions
+is its member's FDs-then-MVDs index.  An add takes the first free
+position after the live ones of its kind and ORs the position's bit
+into the three indexes at its bits.  A compile leaves no free position
+between the regions, so an FD that finds the first live MVD in its
+place first moves the MVD region up by as many positions as there are
+live FDs (``O(size + |Σ|)`` shifts and no new constants); FD adds then
+fill that room, and a run of them moves the region ``O(log n)`` times.
+A retract clears the member's bits and leaves a *tombstone*.  The
+kernel queues only ``live_mask``, and free positions are in no index,
+so they never fire and the firing order — hence ``(X⁺, DB, passes)``
+and the provenance — is exactly a fresh compile's.  A retract asks its
+owner for a full recompile once free positions outnumber live ones.  A
+recompile produces tuples again and pickles byte-identically to a fresh
+compile of the same Σ.
 
 :class:`ClosureIntervalCache` rides on top: a bounded
 ``x_mask → closure_mask`` memo that can answer a *miss* ``X`` without
@@ -108,11 +105,11 @@ __all__ = [
 #: A plan's pickled state, in constructor order.
 _STATE = (
     "encoding", "deps", "fd_count", "fd_total", "mvd_total", "origin",
-    "folded_of", "requeue_masks", "lhs_index", "rhs_index", "live_mask",
-    "rhs_tilde", "rhs_overlap",
+    "requeue_masks", "lhs_index", "rhs_index", "live_mask", "rhs_tilde",
+    "rhs_overlap",
 )
 #: Per-position tables (grown together when an add opens a position).
-_PER_POSITION = ("deps", "origin", "rhs_tilde", "rhs_overlap")
+_PER_POSITION = ("deps", "rhs_tilde", "rhs_overlap")
 #: Per-bit tables of position bitmasks (shifted together with the MVD
 #: region).
 _PER_BIT = ("requeue_masks", "lhs_index", "rhs_index")
@@ -121,12 +118,11 @@ _PER_BIT = ("requeue_masks", "lhs_index", "rhs_index")
 class CompiledPlan:
     """Per-``(encoding, Σ)`` compilation artifact (see module doc).
 
-    Σ's members are numbered by *slot*: a compile gives the ``i``-th
-    member in FDs-then-MVDs order slot ``i``, and every delta
-    :meth:`add` takes the next one.  Several slots share one
-    firing *position* when their ``(u, v, kind)`` coincide.  Tables are
-    tuples as compiled and become lists on the first delta operation;
-    retracted slots and positions hold ``None``.
+    A Σ member is its masks ``(u, v, is_fd)``: :meth:`add` and
+    :meth:`retract` take one, :meth:`index_of` finds its FDs-then-MVDs
+    index, and :meth:`sigma_indices` names the positions the kernel
+    reports.  Tables are tuples as compiled and become lists on the
+    first edit; retracted positions hold ``None``.
 
     Attributes
     ----------
@@ -142,10 +138,8 @@ class CompiledPlan:
     fd_total / mvd_total:
         Number of live *original* (unfolded) FDs / MVDs.
     origin:
-        Folded position → its first live slot (provenance remap).
-    folded_of:
-        Slot → folded position (``None`` once retracted); the edit
-        path's slot lookup.
+        Folded position → its first original index, while the plan is
+        as compiled; ``None`` once edited.
     requeue_masks:
         Per basis bit, an int bitmask over folded positions whose
         relevance mask ``u | v`` contains the bit.
@@ -161,14 +155,12 @@ class CompiledPlan:
         (``None`` for FDs).
     """
 
-    __slots__ = _STATE + ("_masks", "_position_of", "_refs", "_fd_slots",
-                          "_mvd_slots")
+    __slots__ = _STATE + ("_masks", "_position_of")
 
     def __init__(self, encoding: BasisEncoding, deps: Sequence,
                  fd_count: int, fd_total: int, mvd_total: int,
-                 origin: Sequence, folded_of: Sequence,
-                 requeue_masks: Sequence, lhs_index: Sequence,
-                 rhs_index: Sequence, live_mask: int,
+                 origin: Sequence | None, requeue_masks: Sequence,
+                 lhs_index: Sequence, rhs_index: Sequence, live_mask: int,
                  rhs_tilde: Sequence, rhs_overlap: Sequence,
                  masks: tuple | None = None) -> None:
         self.encoding = encoding
@@ -177,7 +169,6 @@ class CompiledPlan:
         self.fd_total = fd_total
         self.mvd_total = mvd_total
         self.origin = origin
-        self.folded_of = folded_of
         self.requeue_masks = requeue_masks
         self.lhs_index = lhs_index
         self.rhs_index = rhs_index
@@ -185,41 +176,37 @@ class CompiledPlan:
         self.rhs_tilde = rhs_tilde
         self.rhs_overlap = rhs_overlap
         self._masks = masks
-        # Delta indexes, built by the first add/retract (_thaw).
+        # Member -> position, built by the first edit (_thaw).
         self._position_of: dict[tuple[int, int, bool], int] | None = None
-        self._refs: list[int] | None = None
-        self._fd_slots = 0    # bitmasks over the live slots of each kind
-        self._mvd_slots = 0
 
-    # Pickling rebuilds through __init__ with the all-tuple state, so
-    # equal plans pickle to equal bytes (the encoding contributes only
-    # its root).
+    # Pickling rebuilds through __init__ with the all-tuple state and
+    # the unfolded Σ, so equal plans pickle to equal bytes (the encoding
+    # contributes only its root).
     def __reduce__(self):
         return (CompiledPlan, tuple(
             tuple(value) if isinstance(value, list) else value
-            for value in (getattr(self, name) for name in _STATE)))
+            for value in (getattr(self, name) for name in _STATE)
+        ) + (self._sigma_masks(),))
 
     @property
     def fd_masks(self) -> tuple[tuple[int, int], ...]:
-        """The live FDs' ``(lhs, rhs)`` masks, unfolded, in slot order."""
+        """The live FDs' ``(lhs, rhs)`` masks, unfolded, in Σ order."""
         return self._sigma_masks()[0]
 
     @property
     def mvd_masks(self) -> tuple[tuple[int, int], ...]:
-        """The live MVDs' ``(lhs, rhs)`` masks, unfolded, in slot order."""
+        """The live MVDs' ``(lhs, rhs)`` masks, unfolded, in Σ order."""
         return self._sigma_masks()[1]
 
     def _sigma_masks(self) -> tuple[tuple, tuple]:
         masks = self._masks
         if masks is None:
-            fds: list[tuple[int, int]] = []
-            mvds: list[tuple[int, int]] = []
-            deps = self.deps
-            for position in self.folded_of:
-                if position is not None:
-                    u, v, is_fd = deps[position]
-                    (fds if is_fd else mvds).append((u, v))
-            masks = self._masks = (tuple(fds), tuple(mvds))
+            # Only an edited plan drops its masks, and it holds each
+            # member once.
+            members = [key for key in self.deps if key is not None]
+            masks = self._masks = (
+                tuple((u, v) for u, v, is_fd in members if is_fd),
+                tuple((u, v) for u, v, is_fd in members if not is_fd))
         return masks
 
     @property
@@ -231,27 +218,34 @@ class CompiledPlan:
         """Number of live folded firing positions."""
         return self.live_mask.bit_count()
 
-    def sigma_indices(self, slots) -> frozenset[int]:
-        """Map slots to indices in Σ's FDs-then-MVDs order.
+    def sigma_indices(self, positions) -> frozenset[int]:
+        """Map firing positions to indices in Σ's FDs-then-MVDs order.
 
         The numbering :attr:`ClosureResult.fired
-        <repro.core.closure.ClosureResult.fired>` uses.  Each kind's
-        slots follow Σ order, so a slot's index is its rank among the
-        live slots of its kind (after the live FDs, for an MVD).  The
-        identity until the first delta.
+        <repro.core.closure.ClosureResult.fired>` uses.  As compiled, a
+        position names its first original index (``origin``); once
+        edited, its rank among the live positions.
         """
-        if self._refs is None:
-            return frozenset(slots)
-        fds = self._fd_slots
-        mvds = self._mvd_slots
-        indices = []
-        for slot in slots:
-            below = (1 << slot) - 1
-            if fds >> slot & 1:
-                indices.append((fds & below).bit_count())
-            else:
-                indices.append(self.fd_total + (mvds & below).bit_count())
-        return frozenset(indices)
+        origin = self.origin
+        if origin is not None:
+            return frozenset(origin[position] for position in positions)
+        live = self.live_mask
+        return frozenset((live & ((1 << position) - 1)).bit_count()
+                         for position in positions)
+
+    def index_of(self, u: int, v: int, is_fd: bool) -> int:
+        """The FDs-then-MVDs index of the member ``(u, v, is_fd)``.
+
+        Raises ``ValueError`` if the plan does not hold it.
+        """
+        key = (u, v, is_fd)
+        try:
+            position = (self.deps.index(key) if self._position_of is None
+                        else self._position_of[key])
+        except (ValueError, KeyError):
+            raise ValueError("the plan does not hold this member") from None
+        (index,) = self.sigma_indices((position,))
+        return index
 
     def _constants_memo(self) -> dict:
         """``(u, v, is_fd) → per-dep constants`` for incremental reuse."""
@@ -264,84 +258,58 @@ class CompiledPlan:
 
     # -- delta maintenance -------------------------------------------------
 
-    def add(self, u: int, v: int, is_fd: bool) -> int:
-        """Add one Σ member in place; returns its slot.
+    def add(self, u: int, v: int, is_fd: bool) -> None:
+        """Add the member ``(u, v, is_fd)`` in place.
 
-        A new ``(u, v, kind)`` takes the first free position after the
-        live ones of its kind (moving the MVD region up when an FD finds
-        no room, see the module doc), gets its constants, and ORs its
-        bit into the indexes at ``SubB(U) ∪ SubB(V)``; a duplicate
-        shares its twin's position.
+        It takes the first free position after the live ones of its
+        kind (moving the MVD region up when an FD finds no room, see the
+        module doc), gets its constants, and ORs its bit into the
+        indexes at ``SubB(U) ∪ SubB(V)``.  Raises ``ValueError`` if the
+        plan holds the member already.
+        """
+        self._thaw()
+        key = (u, v, is_fd)
+        if key in self._position_of:
+            raise ValueError("the plan already holds this member")
+        self._open(self._free_position(is_fd), key)
+        if is_fd:
+            self.fd_total += 1
+        else:
+            self.mvd_total += 1
+        self._masks = None
+
+    def retract(self, u: int, v: int, is_fd: bool) -> bool:
+        """Retract the member ``(u, v, is_fd)`` in place.
+
+        Its position's bit leaves the indexes and the position becomes a
+        tombstone.  Returns ``False`` when the caller must recompile
+        before the next run: once free positions outnumber live ones.
+        Raises ``ValueError`` if the plan does not hold the member.
         """
         self._thaw()
         key = (u, v, is_fd)
         position = self._position_of.get(key)
         if position is None:
-            position = self._free_position(is_fd)
-            self._open(position, key)
-        slot = len(self.folded_of)
-        self.folded_of.append(position)
-        if not self._refs[position]:
-            self.origin[position] = slot
-        self._refs[position] += 1
+            raise ValueError("the plan does not hold this member")
+        self._close(position, key)
         if is_fd:
-            self.fd_total += 1
-            self._fd_slots |= 1 << slot
-        else:
-            self.mvd_total += 1
-            self._mvd_slots |= 1 << slot
-        self._masks = None
-        return slot
-
-    def retract(self, slot: int) -> bool:
-        """Retract the member at ``slot`` in place.
-
-        The last member of a position clears its bit from the indexes
-        and leaves a tombstone.  Returns ``False`` when the caller
-        must recompile before the next run: once free positions
-        outnumber live ones or dead slots live ones, and when the first
-        of several exact duplicates goes (the survivors fire from a
-        later place in Σ order).
-        """
-        self._thaw()
-        position = self.folded_of[slot]
-        self.folded_of[slot] = None
-        key = self.deps[position]
-        if key[2]:
             self.fd_total -= 1
-            self._fd_slots &= ~(1 << slot)
         else:
             self.mvd_total -= 1
-            self._mvd_slots &= ~(1 << slot)
         self._masks = None
-        refs = self._refs
-        refs[position] -= 1
-        if refs[position]:
-            if self.origin[position] == slot:
-                self.origin[position] = self.folded_of.index(position)
-                return False
-        else:
-            self._close(position, key)
         live = self.live_mask.bit_count()
-        members = self.sigma_size
-        return (len(self.deps) - live <= live
-                and len(self.folded_of) - members <= members)
+        return len(self.deps) - live <= live
 
     def _thaw(self) -> None:
-        if self._refs is not None:
+        if self._position_of is not None:
             return
-        for name in _PER_POSITION + _PER_BIT + ("folded_of",):
+        if len(self) != self.sigma_size:
+            raise ValueError(
+                "a plan that folded duplicates cannot be edited: "
+                "compile Σ as a set")
+        for name in _PER_POSITION + _PER_BIT:
             setattr(self, name, list(getattr(self, name)))
-        refs = [0] * len(self.deps)
-        deps = self.deps
-        for slot, position in enumerate(self.folded_of):
-            if position is not None:
-                refs[position] += 1
-                if deps[position][2]:
-                    self._fd_slots |= 1 << slot
-                else:
-                    self._mvd_slots |= 1 << slot
-        self._refs = refs
+        self.origin = None
         self._position_of = {key: position
                              for position, key in enumerate(self.deps)
                              if key is not None}
@@ -365,14 +333,11 @@ class CompiledPlan:
         """Move every position from ``start`` up by ``by`` places."""
         for name in _PER_POSITION:
             getattr(self, name)[start:start] = [None] * by
-        self._refs[start:start] = [0] * by
         low = (1 << start) - 1
         for name in _PER_BIT:
             setattr(self, name, [mask & low | (mask & ~low) << by
                                  for mask in getattr(self, name)])
         self.live_mask = self.live_mask & low | (self.live_mask & ~low) << by
-        self.folded_of = [position if position is None or position < start
-                          else position + by for position in self.folded_of]
         self._position_of = {key: position if position < start
                              else position + by
                              for key, position in self._position_of.items()}
@@ -382,7 +347,6 @@ class CompiledPlan:
         if missing > 0:
             for name in _PER_POSITION:
                 getattr(self, name).extend([None] * missing)
-            self._refs.extend([0] * missing)
         u, v, is_fd = key
         self.deps[position] = key
         (self.rhs_tilde[position],
@@ -469,22 +433,18 @@ def _compile(encoding: BasisEncoding,
 
     deps: list[tuple[int, int, bool]] = []
     origin: list[int] = []
-    folded_of: list[int] = []
-    seen: dict[tuple[int, int, bool], int] = {}
+    seen: set[tuple[int, int, bool]] = set()
     fd_count = 0
 
     pairs = [(u, v, True) for (u, v) in fd_masks]
     pairs += [(u, v, False) for (u, v) in mvd_masks]
     for index, key in enumerate(pairs):
-        position = seen.get(key)
-        if position is None:
-            position = len(deps)
-            seen[key] = position
+        if key not in seen:
+            seen.add(key)
             deps.append(key)
             origin.append(index)
             if key[2]:
                 fd_count += 1
-        folded_of.append(position)
 
     requeue_masks = [0] * encoding.size
     lhs_index = [0] * encoding.size
@@ -505,7 +465,7 @@ def _compile(encoding: BasisEncoding,
 
     return CompiledPlan(
         encoding, tuple(deps), fd_count, len(fd_masks), len(mvd_masks),
-        tuple(origin), tuple(folded_of), tuple(requeue_masks),
+        tuple(origin), tuple(requeue_masks),
         tuple(lhs_index), tuple(rhs_index), (1 << len(deps)) - 1,
         tuple(rhs_tilde), tuple(rhs_overlap),
         masks=(tuple((u, v) for u, v in fd_masks),
@@ -516,7 +476,6 @@ def _compile(encoding: BasisEncoding,
 class PlanCacheInfo(NamedTuple):
     """Counters of one :class:`ClosureIntervalCache`."""
 
-    exact_hits: int
     interval_hits: int
     misses: int
     entries: int
@@ -525,31 +484,27 @@ class PlanCacheInfo(NamedTuple):
 class ClosureIntervalCache:
     """Bounded ``x_mask → closure_mask`` memo with interval answering.
 
-    :meth:`lookup` serves an exact-mask hit directly, otherwise scans
-    for a cached ``X'`` with ``X' ≤ X ≤ X'⁺`` — which forces
-    ``X⁺ = X'⁺`` by monotonicity + idempotence of the closure operator
-    (module doc).  The owner stores only proper intervals ``X' < X'⁺``:
-    a closed ``X'`` could answer ``X = X'`` alone, which the owner's own
-    result cache answers first.  Entries must all be fixpoints of the
-    *current* Σ: the owner clears the cache on every Σ edit (closures
-    grow on ``add`` and shrink on ``retract``, so stale entries are
-    wrong in both directions).  Counters survive :meth:`clear` (they
-    describe the session's lifetime traffic) and reset with
-    :meth:`reset`.
+    :meth:`lookup` scans for a cached ``X'`` with ``X' ≤ X ≤ X'⁺`` —
+    which forces ``X⁺ = X'⁺`` by monotonicity + idempotence of the
+    closure operator (module doc).  The owner stores only proper
+    intervals ``X' < X'⁺``: a closed ``X'`` could answer ``X = X'``
+    alone, which the owner's own result cache answers first.  Entries
+    must all be fixpoints of the *current* Σ: the owner clears the cache
+    on every Σ edit (closures grow on ``add`` and shrink on
+    ``retract``, so stale entries are wrong in both directions).
+    Counters survive :meth:`clear` (they describe the session's lifetime
+    traffic) and reset with :meth:`reset`.
 
-    Eviction is LRU on exact hits, FIFO otherwise, bounded by
-    ``maxsize`` entries; the interval scan is ``O(entries)`` per miss,
-    so the bound also caps the scan cost.
+    Eviction is FIFO, bounded by ``maxsize`` entries; the interval scan
+    is ``O(entries)`` per miss, so the bound also caps the scan cost.
     """
 
-    __slots__ = ("maxsize", "exact_hits", "interval_hits", "misses",
-                 "_entries")
+    __slots__ = ("maxsize", "interval_hits", "misses", "_entries")
 
     def __init__(self, maxsize: int = 1024) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize!r}")
         self.maxsize = maxsize
-        self.exact_hits = 0
         self.interval_hits = 0
         self.misses = 0
         self._entries: OrderedDict[int, int] = OrderedDict()
@@ -559,14 +514,7 @@ class ClosureIntervalCache:
 
     def lookup(self, x_mask: int) -> int | None:
         """``X⁺`` if the cache can answer ``x_mask``, else ``None``."""
-        entries = self._entries
-        cached = entries.get(x_mask)
-        if cached is not None:
-            self.exact_hits += 1
-            entries.move_to_end(x_mask)
-            get_observer().add("plan.cache.exact_hits")
-            return cached
-        for x_prime, x_prime_plus in entries.items():
+        for x_prime, x_prime_plus in self._entries.items():
             # X' ≤ X ≤ X'⁺  ⇒  X⁺ = X'⁺ (monotone + idempotent).
             if not (x_prime & ~x_mask) and not (x_mask & ~x_prime_plus):
                 self.interval_hits += 1
@@ -595,17 +543,15 @@ class ClosureIntervalCache:
     def reset(self) -> None:
         """Drop entries *and* counters (the ``cache_clear`` contract)."""
         self.clear()
-        self.exact_hits = 0
         self.interval_hits = 0
         self.misses = 0
 
     def info(self) -> PlanCacheInfo:
-        return PlanCacheInfo(self.exact_hits, self.interval_hits,
-                             self.misses, len(self._entries))
+        return PlanCacheInfo(self.interval_hits, self.misses,
+                             len(self._entries))
 
     def __repr__(self) -> str:
         return (
             f"ClosureIntervalCache(entries={len(self._entries)}, "
-            f"exact_hits={self.exact_hits}, "
             f"interval_hits={self.interval_hits}, misses={self.misses})"
         )

@@ -15,7 +15,9 @@ one rule:
   ``X_new := X``.  A hit is an entry that exists.
 
 * **Provenance-tracked retraction** — every cached result records which
-  Σ-members actually *fired productively* into it (``ClosureResult.fired``).
+  Σ-members actually *fired productively* into it (``ClosureResult.fired``,
+  indices in the current Σ's FDs-then-MVDs order: an add clears every
+  entry, so no entry outlives the numbering it was computed in).
   :meth:`Session.retract` evicts exactly the entries whose provenance
   contains the retracted dependency: an absent dependency only ever
   fired as a no-op (``Ṽ = λ`` or an identity rewrite), so the run
@@ -73,7 +75,7 @@ class SessionCacheInfo(tuple):
     ``retained`` (entries that survived a retraction because it was
     not).  ``plan`` carries the session's
     :class:`~repro.core.plan.PlanCacheInfo` — the closure-interval-cache
-    counters (exact/interval/miss) — and ``codec`` the encoding's
+    counters (interval/miss) — and ``codec`` the encoding's
     :meth:`~repro.attributes.encoding.BasisEncoding.codec_info`.
     """
 
@@ -118,21 +120,6 @@ class SessionCacheInfo(tuple):
 
 #: A Σ-member's key: ``(is_fd, lhs mask, rhs mask)``.
 Key = tuple[bool, int, int]
-
-
-class _CacheEntry:
-    """One cached left-hand side.
-
-    ``provenance`` is the set of Σ-members (as keys, *not* indices —
-    indices shift when Σ changes because the kernels fire FDs before
-    MVDs) that productively fired into ``result``.
-    """
-
-    __slots__ = ("result", "provenance")
-
-    def __init__(self, result: ClosureResult, provenance: set[Key]) -> None:
-        self.result = result
-        self.provenance = provenance
 
 
 class Session:
@@ -187,29 +174,22 @@ class Session:
         self.maxsize = maxsize
         self.kernel_stats = stats if stats is not None else KernelStats()
         self._engine = get_engine(engine)
-        # Σ in insertion order (a dict, so a retract is O(1)) and as a
-        # set, keyed by masks.  A member's tree is the one it was added
-        # as, or decoded on first demand (None until then).
+        # Σ in insertion order (a dict, so a retract is O(1)), keyed by
+        # masks.  A member's tree is the one it was added as, or decoded
+        # on first demand (None until then).
         self._deps: dict[Key, Dependency | None] = {}
-        self._dep_set: set[Key] = set()
         # Plan and cache state must exist before the initial adds
-        # below: add() edits the plan and drops the caches.  While a
-        # plan is live, _slot_deps / _slot_of map its member slots to
-        # Σ-members and back.
+        # below: add() edits the plan and drops the caches.
         self._plan: CompiledPlan | None = None
         self._plan_reuse: CompiledPlan | None = None
-        self._slot_deps: list[Key | None] = []
-        self._slot_of: dict[Key, int] = {}
         self._interval = ClosureIntervalCache()
-        self._entries: OrderedDict[int, _CacheEntry] = OrderedDict()
+        self._entries: OrderedDict[int, ClosureResult] = OrderedDict()
         for dependency in sigma:
             self.add(dependency)
         self._hits = 0
         self._evictions = 0
         self._invalidations = 0
         self._retained = 0
-        self._tables: tuple[list[tuple[int, int]], list[tuple[int, int]],
-                            list[Key]] | None = None
         self._sigma_view: DependencySet | None = None
 
     # -- parsing helpers -----------------------------------------------------
@@ -288,7 +268,7 @@ class Session:
                                        MultivaluedDependency)):
             return False
         try:
-            return self.dependency_masks(dependency) in self._dep_set
+            return self.dependency_masks(dependency) in self._deps
         except NotAnElementError:
             return False
 
@@ -320,17 +300,14 @@ class Session:
         closure is dropped: it is a fixpoint of the smaller Σ.
         """
         key = self.dependency_masks(dependency)
-        if key in self._dep_set:
+        if key in self._deps:
             return False
         self._deps[key] = None if isinstance(dependency, str) else dependency
-        self._dep_set.add(key)
         self._invalidate_views()
         self._entries.clear()
-        plan = self._plan
-        if plan is not None:
+        if self._plan is not None:
             is_fd, lhs_mask, rhs_mask = key
-            self._slot_of[key] = plan.add(lhs_mask, rhs_mask, is_fd)
-            self._slot_deps.append(key)
+            self._plan.add(lhs_mask, rhs_mask, is_fd)
         obs = get_observer()
         if obs.enabled:
             with obs.span("session.add",
@@ -350,7 +327,7 @@ class Session:
             If the dependency is not a member of Σ.
         """
         key = self.dependency_masks(dependency)
-        member = self._member(key) if key in self._dep_set else None
+        member = self._member(key) if key in self._deps else None
         self.retract_masks(*key)
         return member
 
@@ -359,8 +336,10 @@ class Session:
 
         A live plan drops the member in place
         (:meth:`CompiledPlan.retract`).  Eviction is provenance-exact:
-        an entry is dropped iff the retracted dependency productively
-        fired into its cached result.
+        an entry is dropped iff the retracted dependency's index
+        (:meth:`CompiledPlan.index_of`, taken before the edit) is in its
+        result's ``fired``, i.e. the dependency productively fired into
+        it.
         All other entries are *retained* — their fixpoint provably does
         not depend on the retracted member; their ``fired`` indices
         above the retracted member's move down by one, so they keep
@@ -373,31 +352,30 @@ class Session:
             its display (:meth:`display_masks`).
         """
         key = (is_fd, lhs_mask, rhs_mask)
-        if key not in self._dep_set:
+        if key not in self._deps:
             raise ValueError(
                 f"the dependency {self.display_masks(*key)} "
                 f"is not a member of Σ"
             )
-        index = self._sigma_index(key) if self._entries else 0
+        entries = self._entries
+        # A cached entry was computed off a plan, so the plan is live
+        # unless a retract retired it; then this compiles the next one.
+        index = self.plan.index_of(lhs_mask, rhs_mask, is_fd) if entries else 0
         del self._deps[key]
-        self._dep_set.discard(key)
         self._invalidate_views()
-        if self._plan is not None:
-            slot = self._slot_of.pop(key)
-            self._slot_deps[slot] = None
-            if not self._plan.retract(slot):
-                self._retire_plan()
+        if (self._plan is not None
+                and not self._plan.retract(lhs_mask, rhs_mask, is_fd)):
+            self._retire_plan()
         evicted = 0
         retained = 0
-        for mask in list(self._entries):
-            entry = self._entries[mask]
-            if key in entry.provenance:
-                del self._entries[mask]
+        for mask, result in list(entries.items()):
+            fired = result.fired
+            if index in fired:
+                del entries[mask]
                 evicted += 1
             else:
-                fired = entry.result.fired
                 if fired and max(fired) > index:
-                    entry.result = replace(entry.result, fired=frozenset(
+                    entries[mask] = replace(result, fired=frozenset(
                         i - (i > index) for i in fired))
                 retained += 1
         self._invalidations += evicted
@@ -410,15 +388,7 @@ class Session:
                           sigma=len(self._deps)) as span:
                 span.set(evicted=evicted, retained=retained)
 
-    def _sigma_index(self, key: Key) -> int:
-        """A Σ-member's index in the FDs-then-MVDs order."""
-        if self._plan is not None:
-            (index,) = self._plan.sigma_indices((self._slot_of[key],))
-            return index
-        return self._mask_tables()[2].index(key)
-
     def _invalidate_views(self) -> None:
-        self._tables = None
         self._sigma_view = None
         # Interval entries are fixpoints of the *old* Σ — wrong in both
         # directions (closures grow on add, shrink on retract) — so they
@@ -426,34 +396,13 @@ class Session:
         self._interval.clear()
 
     def _retire_plan(self) -> None:
-        """Drop the live plan: the next query recompiles Σ.
+        """Drop the live plan: the next :attr:`plan` access recompiles Σ.
 
         Its per-dependency constants survive for every Σ-member it
         holds, so it is stashed as the next compile's ``reuse``.
         """
         self._plan_reuse = self._plan
         self._plan = None
-        self._slot_deps = []
-        self._slot_of = {}
-
-    def _mask_tables(self) -> tuple[list[tuple[int, int]],
-                                    list[tuple[int, int]], list[Key]]:
-        """``(fd_masks, mvd_masks, ordered)`` for the current Σ.
-
-        ``ordered`` lists Σ in the kernels' FDs-then-MVDs firing order,
-        so a firing index ``i`` reported by an engine that does not read
-        the plan names ``ordered[i]`` (raw indices shift when an FD is
-        added after MVDs exist, so the mapping is rebuilt per Σ).  A
-        compile numbers its slots the same way.
-        """
-        tables = self._tables
-        if tables is None:
-            fds = [key for key in self._deps if key[0]]
-            mvds = [key for key in self._deps if not key[0]]
-            tables = ([key[1:] for key in fds], [key[1:] for key in mvds],
-                      fds + mvds)
-            self._tables = tables
-        return tables
 
     @property
     def plan(self) -> CompiledPlan:
@@ -467,13 +416,11 @@ class Session:
         """
         plan = self._plan
         if plan is None:
-            fd_masks, mvd_masks, ordered = self._mask_tables()
-            plan = compile_plan(self.encoding, fd_masks, mvd_masks,
-                                reuse=self._plan_reuse)
-            self._plan = plan
+            plan = self._plan = compile_plan(
+                self.encoding, [key[1:] for key in self._deps if key[0]],
+                [key[1:] for key in self._deps if not key[0]],
+                reuse=self._plan_reuse)
             self._plan_reuse = None
-            self._slot_deps = list(ordered)
-            self._slot_of = {key: slot for slot, key in enumerate(ordered)}
         return plan
 
     # -- the cache -----------------------------------------------------------
@@ -484,35 +431,23 @@ class Session:
 
     def result_for_mask(self, mask: int) -> ClosureResult:
         """Mask-level :meth:`result_for` (the batch API's entry point)."""
-        entry = self._entries.get(mask)
-        if entry is not None:
+        result = self._entries.get(mask)
+        if result is not None:
             self._hits += 1
             self._entries.move_to_end(mask)
             get_observer().add("session.cache.hits")
-            return entry.result
+            return result
         return self._compute(mask)
 
     def _compute(self, mask: int) -> ClosureResult:
-        """One engine run, cached.
-
-        A plan-reading engine runs off :attr:`plan` and speaks in its
-        slots, which the result's ``fired`` turns back into
-        FDs-then-MVDs indices; any other engine gets the FDs-then-MVDs
-        mask tables.
-        """
+        """One engine run off :attr:`plan`, cached."""
         engine = self._engine
-        if engine.reads_plan:
-            plan = self.plan
-            fd_masks = mvd_masks = None
-            members = self._slot_deps
-        else:
-            plan = None
-            fd_masks, mvd_masks, members = self._mask_tables()
+        plan = self.plan
         fired: set[int] = set()
         obs = get_observer()
         if not obs.enabled:
             closure_mask, blocks, passes = engine.run(
-                self.encoding, mask, fd_masks, mvd_masks,
+                self.encoding, mask, None, None,
                 stats=self.kernel_stats, fired=fired, plan=plan,
             )
         else:
@@ -520,22 +455,20 @@ class Session:
             with obs.span("session.query", lhs=format(mask, "#x"),
                           cached=False, engine=engine.name):
                 closure_mask, blocks, passes = engine.run(
-                    self.encoding, mask, fd_masks, mvd_masks,
+                    self.encoding, mask, None, None,
                     stats=self.kernel_stats, fired=fired, plan=plan,
                 )
-        indices = (frozenset(fired) if plan is None
-                   else plan.sigma_indices(fired))
         result = ClosureResult(self.encoding, mask, closure_mask, blocks,
-                               passes, indices)
-        self._store(mask, _CacheEntry(result, {members[i] for i in fired}))
+                               passes, frozenset(fired))
+        self._store(mask, result)
         return result
 
-    def _store(self, mask: int, entry: _CacheEntry) -> None:
-        self._entries[mask] = entry
+    def _store(self, mask: int, result: ClosureResult) -> None:
+        self._entries[mask] = result
         # Only X' < X'⁺ feeds the interval cache: a closed X' answers
         # X = X' alone, which ``_entries`` answers first (the interval
         # cache's keys are always a subset of it).
-        closure_mask = entry.result.closure_mask
+        closure_mask = result.closure_mask
         if closure_mask != mask:
             self._interval.store(mask, closure_mask)
         if self.maxsize is not None:
@@ -572,12 +505,12 @@ class Session:
         ``DepB(X)`` depends on ``X`` itself, not only on ``X⁺``, so
         basis queries always take :meth:`result_for_mask`.
         """
-        entry = self._entries.get(mask)
-        if entry is not None:
+        result = self._entries.get(mask)
+        if result is not None:
             self._hits += 1
             self._entries.move_to_end(mask)
             get_observer().add("session.cache.hits")
-            return entry.result.closure_mask
+            return result.closure_mask
         cached = self._interval.lookup(mask)
         if cached is not None:
             return cached
@@ -692,8 +625,8 @@ class Session:
         )
         plan = info.plan
         plan_line = (
-            f"plan:     exact_hits={plan.exact_hits} "
-            f"interval_hits={plan.interval_hits} misses={plan.misses} "
+            f"plan:     interval_hits={plan.interval_hits} "
+            f"misses={plan.misses} "
             f"entries={plan.entries}"
         )
         kernel_line = (

@@ -9,15 +9,15 @@ Three families of laws back the plan subsystem:
   bit-identical to the naive transcription (which takes Σ as given) on
   ``(X⁺, DB)``, for arbitrary Σ including exact duplicates and for raw
   ``X``, ``U`` and ``V`` masks that are not down-closed, and its
-  provenance is exact: Σ cut down to the dependencies in ``fired``
-  reaches the same fixpoint;
+  provenance is exact: Σ cut down to the dependencies the fired
+  positions name reaches the same fixpoint;
 * **interval answers are real answers** — every ``closure_mask_for``
   from a lived-in session equals a cold kernel run;
 * **delta maintenance is invisible** — a plan edited in place through
-  any add/retract sequence (re-adds, FDs added behind live MVDs, exact
-  duplicates) fires exactly like a fresh compile of the same Σ: same
-  ``(X⁺, DB, passes)``, same provenance; and a recompile of it pickles
-  byte-identically to a fresh compile;
+  any add/retract sequence of distinct members (re-adds, FDs added
+  behind live MVDs) fires exactly like a fresh compile of the same Σ:
+  same ``(X⁺, DB, passes)``, same provenance; and a recompile of it
+  pickles byte-identically to a fresh compile;
 * **cold-start dismissal is exact** — a cold run, which accounts the
   L5 no-op firings of uncovered dependencies in bulk, equals the same
   run with an all-zero LHS index, which dismisses nothing and fires
@@ -84,13 +84,14 @@ def test_plan_is_transparent_to_the_kernel(root_encoding_sigma, data):
     x = encoding.down_close(
         data.draw(st.integers(min_value=0, max_value=encoding.full))
     )
-    fired_planned: set[int] = set()
+    positions: set[int] = set()
     naive = closure_of_masks(encoding, x, fd_masks, mvd_masks)
-    planned = closure_of_masks_fast(plan, x, fired=fired_planned)
+    planned = closure_of_masks_fast(plan, x, fired=positions)
     assert planned[:2] == naive[:2]             # (X⁺, DB)
-    # Provenance names original indices (duplicates fold to the first).
-    # Every other dependency only fired as a no-op, so dropping all of
-    # them at once reaches the same fixpoint.
+    # The plan names fired positions as original indices (duplicates
+    # fold to the first).  Every other dependency only fired as a no-op,
+    # so dropping all of them at once reaches the same fixpoint.
+    fired_planned = plan.sigma_indices(positions)
     fds = len(fd_masks)
     kept = closure_of_masks(
         encoding, x,
@@ -141,15 +142,14 @@ def test_session_interval_answers_equal_cold_runs(root_encoding_sigma, data):
         cold = closure_of_masks_fast(plan, mask)[0]
         assert session.closure_mask_for(mask) == cold, format(mask, "#x")
     info = session.cache_info()
-    answered = (info.hits + info.plan.exact_hits + info.plan.interval_hits
-                + info.plan.misses)
+    answered = info.hits + info.plan.interval_hits + info.plan.misses
     assert answered >= len(masks)   # full-cache hits count too
 
 
 def _assert_fires_like(plan, fresh, encoding, data):
     """``plan`` and ``fresh`` agree on random ``X``: ``(X⁺, DB, passes)``
-    and the ``fired`` provenance, once ``plan``'s slots are mapped back
-    to FDs-then-MVDs indices."""
+    and the ``fired`` provenance, once each plan names its positions as
+    FDs-then-MVDs indices."""
     for _ in range(2):
         x = encoding.down_close(
             data.draw(st.integers(min_value=0, max_value=encoding.full))
@@ -159,7 +159,8 @@ def _assert_fires_like(plan, fresh, encoding, data):
         got = closure_of_masks_fast(plan, x, fired=got_fired)
         want = closure_of_masks_fast(fresh, x, fired=want_fired)
         assert got == want, format(x, "#x")
-        assert plan.sigma_indices(got_fired) == want_fired
+        assert (plan.sigma_indices(got_fired)
+                == fresh.sigma_indices(want_fired))
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,7 +194,7 @@ def test_session_plan_edits_match_a_fresh_compile(root_encoding_sigma,
             want = closure_of_masks_fast(fresh, x, fired=want_fired)
             assert (got.closure_mask, got.blocks, got.passes) == want
             assert ({ordered[i] for i in got.fired}
-                    == {ordered[i] for i in want_fired})
+                    == {ordered[i] for i in fresh.sigma_indices(want_fired)})
 
     session._retire_plan()                          # force a recompile
     fresh = compile_plan(encoding,
@@ -204,45 +205,40 @@ def test_session_plan_edits_match_a_fresh_compile(root_encoding_sigma,
 
 @settings(max_examples=60, deadline=None)
 @given(roots_with_sigma(max_dependencies=5), st.data())
-def test_plan_deltas_fold_duplicates_like_a_compile(root_encoding_sigma,
-                                                    data):
+def test_plan_deltas_match_a_compile(root_encoding_sigma, data):
     root, encoding, sigma = root_encoding_sigma
     fd_masks, mvd_masks = _sigma_masks(encoding, sigma)
-    keys = ([(u, v, True) for u, v in fd_masks]
-            + [(u, v, False) for u, v in mvd_masks])
+    keys = list(dict.fromkeys([(u, v, True) for u, v in fd_masks]
+                              + [(u, v, False) for u, v in mvd_masks]))
     assume(keys)
-    plan = compile_plan(encoding, fd_masks, mvd_masks)
-    live = dict(enumerate(keys))        # slot -> key, in slot order
+    live = list(keys)                   # Σ in insertion order
+
+    def compile_live():
+        return compile_plan(encoding,
+                            [k[:2] for k in live if k[2]],
+                            [k[:2] for k in live if not k[2]])
+
+    plan = compile_live()
     for _ in range(data.draw(st.integers(min_value=1, max_value=16))):
-        if live and data.draw(st.booleans()):
-            slot = data.draw(st.sampled_from(sorted(live)))
-            del live[slot]
-            if not plan.retract(slot):
-                # The plan asked for a recompile, which renumbers slots.
-                order = ([k for k in live.values() if k[2]]
-                         + [k for k in live.values() if not k[2]])
-                plan = compile_plan(encoding,
-                                    [k[:2] for k in order if k[2]],
-                                    [k[:2] for k in order if not k[2]])
-                live = dict(enumerate(order))
+        member = data.draw(st.sampled_from(keys))
+        if member in live:
+            live.remove(member)
+            if not plan.retract(*member):
+                plan = compile_live()   # the plan asked for a recompile
         else:
-            key = data.draw(st.sampled_from(keys))      # duplicates welcome
-            live[plan.add(*key)] = key
-        slots = ([s for s, k in live.items() if k[2]]
-                 + [s for s, k in live.items() if not k[2]])
-        fresh = compile_plan(encoding,
-                             [live[s][:2] for s in slots if live[s][2]],
-                             [live[s][:2] for s in slots if not live[s][2]])
+            live.append(member)                 # re-adds included
+            plan.add(*member)
+        fresh = compile_live()
         assert (plan.fd_masks, plan.mvd_masks, len(plan)) == (
             fresh.fd_masks, fresh.mvd_masks, len(fresh))
+        for key in live:
+            assert plan.index_of(*key) == fresh.index_of(*key)
         for bit in range(encoding.size):
             expected = 0
             for position, key in enumerate(plan.deps):
                 if key is not None and (key[0] | key[1]) >> bit & 1:
                     expected |= 1 << position
             assert plan.requeue_masks[bit] == expected, bit
-        # Indices compare exactly: a duplicate's provenance names its
-        # first live twin, as a compile's ``origin`` does.
         _assert_fires_like(plan, fresh, encoding, data)
 
 
@@ -276,23 +272,22 @@ def test_cold_dismissal_equals_the_full_queue_oracle(root_encoding_sigma,
                                                      data):
     root, encoding, sigma = root_encoding_sigma
     fd_masks, mvd_masks = _sigma_masks(encoding, sigma)
-    keys = ([(u, v, True) for u, v in fd_masks]
-            + [(u, v, False) for u, v in mvd_masks])
+    keys = list(dict.fromkeys([(u, v, True) for u, v in fd_masks]
+                              + [(u, v, False) for u, v in mvd_masks]))
     # Start from some MVDs only: FD adds then shift the MVD region, and
     # retracts leave tombstones.
-    start = [k[:2] for k in keys
-             if not k[2] and data.draw(st.booleans())]
-    plan = compile_plan(encoding, [], start)
-    live = list(range(len(start)))
+    live = [k for k in keys if not k[2] and data.draw(st.booleans())]
+    plan = compile_plan(encoding, [], [k[:2] for k in live])
     edits = data.draw(st.integers(min_value=0, max_value=12)) if keys else 0
     for _ in range(edits):
-        if live and data.draw(st.booleans()):
-            slot = data.draw(st.sampled_from(live))
-            live.remove(slot)
-            if not plan.retract(slot):
-                break           # a recompile would renumber the slots
+        member = data.draw(st.sampled_from(keys))
+        if member in live:
+            live.remove(member)
+            if not plan.retract(*member):
+                break           # the plan asks for a recompile
         else:
-            live.append(plan.add(*data.draw(st.sampled_from(keys))))
+            live.append(member)
+            plan.add(*member)
     fresh = compile_plan(encoding, fd_masks, mvd_masks)
     for bit in range(encoding.size):
         lhs = rhs = 0

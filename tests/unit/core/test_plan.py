@@ -40,8 +40,7 @@ class TestCompile:
         assert plan.fd_total == 3 and plan.mvd_total == 2
         # origin: folded position -> FIRST original FDs-then-MVDs index.
         assert plan.origin == (0, 1, 3)
-        # folded_of: original index -> folded position (duplicates share).
-        assert plan.folded_of == (0, 1, 0, 2, 2)
+        assert plan.sigma_indices({0, 2}) == {0, 3}
 
     def test_requeue_masks_invert_the_relevance_scan(self, encoding):
         fd_masks = _masks(encoding, "R(A) -> R(B)", "R(B, C) -> R(A)")
@@ -79,9 +78,15 @@ class TestCompile:
 
 
 class TestPickleDeterminism:
-    def test_same_sigma_compiles_to_identical_bytes(self, encoding):
-        fd_masks = _masks(encoding, "R(A) -> R(B)", "R(A) -> R(B)")
-        mvd_masks = _masks(encoding, "R(B) ->> R(C)")
+    @pytest.mark.parametrize("fds, mvds", [
+        (["R(A) -> R(B)", "R(A) -> R(B)"], ["R(B) ->> R(C)"]),
+        (["R(A) -> R(B)", "R(A) -> R(B)", "R(B) -> R(C)"],
+         ["R(C) ->> R(L[M(D)])"]),
+    ], ids=["flat", "lists"])
+    def test_same_sigma_compiles_to_identical_bytes(self, encoding, fds,
+                                                    mvds):
+        fd_masks = _masks(encoding, *fds)
+        mvd_masks = _masks(encoding, *mvds)
         first = pickle.dumps(compile_plan(encoding, fd_masks, mvd_masks),
                              protocol=pickle.HIGHEST_PROTOCOL)
         second = pickle.dumps(compile_plan(encoding, fd_masks, mvd_masks),
@@ -95,7 +100,7 @@ class TestPickleDeterminism:
         clone = pickle.loads(pickle.dumps(plan))
         assert isinstance(clone, CompiledPlan)
         for name in ("fd_masks", "mvd_masks", "deps", "fd_count", "origin",
-                     "folded_of", "requeue_masks", "rhs_tilde"):
+                     "requeue_masks", "rhs_tilde"):
             assert getattr(clone, name) == getattr(plan, name), name
         x = plan.fd_masks[0][0]
         assert closure_of_masks_fast(clone, x) == closure_of_masks_fast(plan, x)
@@ -129,7 +134,8 @@ class TestKernelEquivalence:
         plan = compile_plan(encoding, fd_masks, [])
         fired: set[int] = set()
         closure_of_masks_fast(plan, fd_masks[0][0], fired=fired)
-        assert fired == {0}      # the FIRST original index, never {1}
+        # The FIRST original index, never {1}.
+        assert plan.sigma_indices(fired) == {0}
 
     def test_requeue_scanned_shrinks_with_the_inverted_index(self, encoding):
         # Three productive FD firings are three dirty events.  A scan of
@@ -156,15 +162,56 @@ class TestKernelEquivalence:
             assert outcome[:2] == expected[:2], name
 
 
-class TestClosureIntervalCache:
-    def test_exact_then_interval_then_miss(self):
-        cache = ClosureIntervalCache()
-        cache.store(0b001, 0b111)
-        assert cache.lookup(0b001) == 0b111          # exact
-        assert cache.lookup(0b011) == 0b111          # 0b001 ≤ X ≤ 0b111
-        assert cache.lookup(0b1000) is None          # outside every interval
-        assert cache.info() == (1, 1, 1, 1)
+class TestEdits:
+    def test_add_of_a_live_member_raises(self, encoding):
+        (u, v), = _masks(encoding, "R(A) -> R(B)")
+        plan = compile_plan(encoding, [(u, v)], [])
+        with pytest.raises(ValueError, match="already holds"):
+            plan.add(u, v, True)
+        plan.add(u, v, False)                   # the MVD is another member
+        with pytest.raises(ValueError, match="already holds"):
+            plan.add(u, v, False)
 
+    def test_editing_a_folded_plan_raises(self, encoding):
+        fd_masks = _masks(encoding, "R(A) -> R(B)", "R(A) -> R(B)")
+        plan = compile_plan(encoding, fd_masks, [])
+        (u, v), = _masks(encoding, "R(B) -> R(C)")
+        with pytest.raises(ValueError, match="folded duplicates"):
+            plan.add(u, v, True)
+        with pytest.raises(ValueError, match="folded duplicates"):
+            plan.retract(*fd_masks[0], True)
+
+    def test_retract_of_an_absent_member_raises(self, encoding):
+        (u, v), = _masks(encoding, "R(A) -> R(B)")
+        plan = compile_plan(encoding, [(u, v)], [])
+        for edit in (plan.index_of, plan.retract, plan.index_of):
+            with pytest.raises(ValueError, match="does not hold"):
+                edit(u, v, False)           # before and after the thaw
+
+    def test_edited_sigma_indices_equal_a_fresh_compile(self, encoding):
+        fd_a, fd_b, fd_c = _masks(encoding, "R(A) -> R(B)", "R(B) -> R(C)",
+                                  "R(C) -> R(A)")
+        mvd_a, mvd_b = _masks(encoding, "R(C) ->> R(L[M(D)])",
+                              "R(A) ->> R(L[M(E)])")
+        plan = compile_plan(encoding, [fd_a], [mvd_a, mvd_b])
+        plan.add(*fd_b, True)                   # moves the MVD region up
+        plan.retract(*mvd_a, False)             # leaves a tombstone
+        plan.add(*fd_c, True)
+        plan.retract(*fd_a, True)
+        fresh = compile_plan(encoding, [fd_b, fd_c], [mvd_b])
+        members = [(*fd_b, True), (*fd_c, True), (*mvd_b, False)]
+        for index, member in enumerate(members):
+            assert plan.index_of(*member) == fresh.index_of(*member) == index
+            assert (plan.sigma_indices({plan.deps.index(member)})
+                    == fresh.sigma_indices({fresh.deps.index(member)})
+                    == {index})
+        assert plan.origin is None                      # ranks, not origin
+        assert len(plan.deps) > len(members)            # over tombstones
+        assert (plan.fd_masks, plan.mvd_masks) == (fresh.fd_masks,
+                                                   fresh.mvd_masks)
+
+
+class TestClosureIntervalCache:
     def test_interval_requires_both_bounds(self):
         cache = ClosureIntervalCache()
         cache.store(0b010, 0b011)
@@ -188,9 +235,9 @@ class TestClosureIntervalCache:
         cache.store(1, 1)
         cache.lookup(1)
         cache.clear()
-        assert len(cache) == 0 and cache.info().exact_hits == 1
+        assert len(cache) == 0 and cache.info().interval_hits == 1
         cache.reset()
-        assert cache.info() == (0, 0, 0, 0)
+        assert cache.info() == (0, 0, 0)
 
     def test_maxsize_validation(self):
         with pytest.raises(ValueError, match="maxsize"):
